@@ -7,15 +7,10 @@ and measures how far price posting sits from the ex-ante optimum.
 
 from .distributions import (
     Distribution,
-    ValueDistribution,
-    BudgetDistribution,
     RegularityReport,
     MhrReport,
-    cdf,
-    inverse_demand,
     regularity_report,
     mhr_report,
-    exceed_mean_probability,
     discretize,
 )
 from .curves import (
@@ -26,12 +21,9 @@ from .curves import (
     offer_curve,
     price_posting_curve,
     concave_hull,
-    quantile_at_price,
     quantiles_at_prices,
     lagrangian_curve,
     synthetic_curve,
-    curve_eval,
-    curve_slope,
 )
 from .oracle import (
     DiscreteTypeSpace,

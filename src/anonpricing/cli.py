@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from .closeness import OracleConfig, RHO, build_curves, verify_instance
 from .curves import Agent, concave_hull, offer_curve, price_posting_curve, synthetic_curve
@@ -24,6 +23,7 @@ from .fixtures import FixtureInstance, fixtures, get_fixture, mhr_fail_curves, r
 from .mechanisms import ap_optimize, ap_revenue, ear_optimize, risk_two_priced_bound
 
 ANALYSES = ("curves", "ap", "ear", "closeness", "verify")
+_DEFAULTS = OracleConfig()
 _TOP_KEYS = {"schema_version", "name", "agents", "analyses", "oracle", "grid", "seed", "out", "betas"}
 _DIST_KEYS = {
     "uniform": {"a", "b"},
@@ -47,7 +47,6 @@ class Scenario:
     agents: tuple
     analyses: tuple
     oracle: OracleConfig
-    grid: int = 4096
     seed: int = 20240801
     out_dir: str = "out"
     fixture: FixtureInstance | None = None
@@ -139,6 +138,26 @@ def _agent_from_literal(obj, idx: int) -> Agent:
         raise ScenarioError(str(exc), fieldname) from None
 
 
+def _oracle_config(grid, values, budgets, quantile_grid, betas: tuple) -> OracleConfig:
+    """Check each size, from a scenario file or a flag, against its
+    documented range, then build the config."""
+    sizes = {}
+    for name, value, lo, hi in (
+        ("grid", grid, 64, 1_000_000),
+        ("oracle.values", values, 2, 2000),
+        ("oracle.budgets", budgets, 1, 500),
+        ("oracle.quantile_grid", quantile_grid, 8, 1025),
+    ):
+        try:
+            sizes[name] = int(value)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{value!r} is not an integer", name) from None
+        if not lo <= sizes[name] <= hi:
+            raise ScenarioError(f"{value} is outside the documented range [{lo}, {hi}]", name)
+    return OracleConfig(values=sizes["oracle.values"], budgets=sizes["oracle.budgets"],
+                        quantile_grid=sizes["oracle.quantile_grid"], price_grid=sizes["grid"], betas=betas)
+
+
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file; unknown keys are rejected."""
     try:
@@ -178,21 +197,18 @@ def load_scenario(path) -> Scenario:
     betas = tuple(raw.get("betas", ()))
     if any(not isinstance(b, (int, float)) or b < 1 for b in betas):
         raise ScenarioError("betas must be numbers >= 1", "betas")
-    grid = int(raw.get("grid", 4096))
-    if not 64 <= grid <= 1_000_000:
-        raise ScenarioError("grid must lie in [64, 1e6]", "grid")
-    values = int(oracle_raw.get("values", 60))
-    budgets = int(oracle_raw.get("budgets", 20))
-    qgrid = int(oracle_raw.get("quantile_grid", 33))
-    if not (2 <= values <= 2000 and 1 <= budgets <= 500 and 8 <= qgrid <= 1025):
-        raise ScenarioError("oracle sizes out of the documented ranges", "oracle")
-    config = OracleConfig(values=values, budgets=budgets, quantile_grid=qgrid, price_grid=grid, betas=betas)
+    config = _oracle_config(
+        raw.get("grid", _DEFAULTS.price_grid),
+        oracle_raw.get("values", _DEFAULTS.values),
+        oracle_raw.get("budgets", _DEFAULTS.budgets),
+        oracle_raw.get("quantile_grid", _DEFAULTS.quantile_grid),
+        betas,
+    )
     return Scenario(
         name=str(raw.get("name", Path(path).stem)),
         agents=tuple(agents),
         analyses=analyses,
         oracle=config,
-        grid=grid,
         seed=int(raw.get("seed", 20240801)),
         out_dir=str(raw.get("out", "out")),
         fixture=fixture,
@@ -202,10 +218,6 @@ def load_scenario(path) -> Scenario:
 # -- fixture expected-value computation ---------------------------------------
 
 
-def _sellables(agents, grid):
-    return [offer_curve(a) if a.model != "synthetic" else synthetic_curve(a.p_knots) for a in agents]
-
-
 def compute_fixture_value(fix: FixtureInstance, name: str, config: OracleConfig) -> float:
     """Evaluate a fixture's named quantity from primitives (the expected
     values were derived independently, so this is the checked route)."""
@@ -213,7 +225,7 @@ def compute_fixture_value(fix: FixtureInstance, name: str, config: OracleConfig)
     if name == "posting_max":
         return max(a.price_curve().max_value() for a in agents)
     if name == "ap_revenue":
-        return ap_optimize(_sellables(agents, config.price_grid), grid=config.price_grid).revenue
+        return ap_optimize([a.sellable() for a in agents], grid=config.price_grid).revenue
     if name == "ear_revenue":
         if fix.name == "mhr-fail":
             _, r_curves = mhr_fail_curves(fix.params["n"])
@@ -221,11 +233,15 @@ def compute_fixture_value(fix: FixtureInstance, name: str, config: OracleConfig)
             r_curves = [concave_hull(a.price_curve()) for a in agents]
         return ear_optimize(r_curves).revenue
     if name == "giveaway_revenue":
+        from scipy import integrate
+
         agent = agents[0]
         F, C = agent.values, agent.capacity
         body, _ = integrate.quad(lambda v: max(v - C, 0.0) * F.pdf(v), F.lo, F.hi, points=[C], epsabs=1e-12)
         return body + sum(m * max(a - C, 0.0) for a, m in F.atoms)
     if name == "overpay_revenue":
+        from scipy import integrate
+
         F = agents[0].values
         welfare, _ = integrate.quad(lambda v: v * F.pdf(v), F.lo, F.hi, epsabs=1e-12)
         welfare += sum(m * a for a, m in F.atoms)
@@ -302,28 +318,32 @@ def run_scenario(scenario: Scenario) -> int:
             failures += 1
         lines.append(f"[{status}] {label}: {detail}")
 
+    analyses = set(scenario.analyses)
     try:
-        if "curves" in scenario.analyses:
+        if "curves" in analyses:
             for agent in scenario.agents:
-                emit_curve(agent, scenario.grid, out / f"curve_{agent.id}.csv", config)
-        if "ap" in scenario.analyses or "verify" in scenario.analyses:
-            ap = ap_optimize(_sellables(scenario.agents, scenario.grid), grid=scenario.grid)
+                emit_curve(agent, config.price_grid, out / f"curve_{agent.id}.csv", config)
+        # the closeness report already holds anonymous pricing on the posting
+        # curves and the ex-ante relaxation over Rbar, so they are not redone
+        report = verify_instance(scenario.agents, config) if analyses & {"closeness", "verify"} else None
+        if analyses & {"ap", "verify"}:
+            ap = report.ap_posting if report is not None else ap_optimize(
+                [a.sellable() for a in scenario.agents], grid=config.price_grid)
             with open(out / "ap.csv", "w") as fh:
                 fh.write("scenario,mechanism,price,quantiles,revenue\n")
                 fh.write(ap.csv_row(scenario.name) + "\n")
             lines.append(f"anonymous pricing: price={ap.price:.10g} revenue={ap.revenue:.10g}")
-        if "ear" in scenario.analyses or "verify" in scenario.analyses:
-            r_curves = []
-            for agent in scenario.agents:
-                _, rbar, _ = build_curves(agent, config)
-                r_curves.append(rbar if rbar.concave else concave_hull(rbar))
-            ear = ear_optimize(r_curves)
+        if analyses & {"ear", "verify"}:
+            if report is not None:
+                ear = report.ear
+            else:
+                rbars = [build_curves(agent, config)[1] for agent in scenario.agents]
+                ear = ear_optimize([r if r.concave else concave_hull(r) for r in rbars])
             with open(out / "ear.csv", "w") as fh:
                 fh.write("scenario,mechanism,price,quantiles,revenue\n")
                 fh.write(ear.csv_row(scenario.name) + "\n")
             lines.append(f"ex-ante relaxation: revenue={ear.revenue:.10g} binding={ear.binding}")
-        if "closeness" in scenario.analyses or "verify" in scenario.analyses:
-            report = verify_instance(scenario.agents, config)
+        if report is not None:
             report.to_csv(out / "closeness.csv")
             lines.append(
                 f"closeness: zeta={report.zeta:.6g} eta={report.eta:.6g} "
@@ -331,7 +351,7 @@ def run_scenario(scenario: Scenario) -> int:
             )
             for flag in report.flags:
                 lines.append(f"note: {flag}")
-            if "verify" in scenario.analyses:
+            if "verify" in analyses:
                 check("ratio within transferred bound", report.passed,
                       f"ratio {report.ratio:.6g} vs bound {report.bound:.6g} (+slack {report.slack:g})")
         if scenario.fixture is not None:
@@ -370,34 +390,34 @@ def random_ebound_check(seed: int, rounds: int = 200) -> tuple[bool, float]:
 def _scenario_from_args(args, analyses) -> Scenario:
     if args.scenario:
         base = load_scenario(args.scenario)
-        merged = OracleConfig(
-            values=args.oracle_values or base.oracle.values,
-            budgets=args.oracle_budgets or base.oracle.budgets,
-            quantile_grid=base.oracle.quantile_grid,
-            price_grid=args.grid or base.grid,
-            betas=base.oracle.betas,
+        merged = _oracle_config(
+            args.grid or base.oracle.price_grid,
+            args.oracle_values or base.oracle.values,
+            args.oracle_budgets or base.oracle.budgets,
+            base.oracle.quantile_grid,
+            base.oracle.betas,
         )
         return replace(
             base,
             analyses=analyses or base.analyses,
             oracle=merged,
-            grid=args.grid or base.grid,
             seed=args.seed or base.seed,
             out_dir=args.out or base.out_dir,
         )
     if args.fixture:
-        fix = parse_fixture_ref(args.fixture)
-        config = OracleConfig(
-            values=args.oracle_values or 60,
-            budgets=args.oracle_budgets or 20,
-            price_grid=args.grid or 4096,
+        config = _oracle_config(
+            args.grid or _DEFAULTS.price_grid,
+            args.oracle_values or _DEFAULTS.values,
+            args.oracle_budgets or _DEFAULTS.budgets,
+            _DEFAULTS.quantile_grid,
+            (),
         )
+        fix = parse_fixture_ref(args.fixture)
         return Scenario(
             name=args.fixture,
             agents=fix.agents,
             analyses=analyses or ("verify",),
             oracle=config,
-            grid=args.grid or 4096,
             seed=args.seed or 20240801,
             out_dir=args.out or "out",
             fixture=fix,

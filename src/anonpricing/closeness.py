@@ -185,11 +185,13 @@ def build_curves(agent: Agent, config: OracleConfig) -> tuple[RevenueCurve, Reve
         P = price_posting_curve(offer_curve(agent), grid=config.price_grid)
         return P, concave_hull(P), "exact"
     if agent.model == "capacitated":
-        # the only characterized handle on R is the two-priced upper bound
+        # the only characterized handle on R is the two-priced upper bound;
+        # at mass q it is multiplier * P(min(q, q')), with q' the reserve quantile
         P = price_posting_curve(offer_curve(agent), grid=config.price_grid)
         hull = P if P.concave else concave_hull(P)
+        tb = risk_two_priced_bound(hull, agent.capacity, agent.hval, 1.0)
         qs = np.unique(np.concatenate([hull.qs, np.linspace(0.0, 1.0, 257)]))
-        vals = [risk_two_priced_bound(hull, agent.capacity, agent.hval, q).bound for q in qs]
+        vals = tb.multiplier * np.asarray(hull.eval(np.minimum(qs, tb.q_prime)))
         return P, RevenueCurve(qs, vals, name="Rbar"), "upper bound"
     from .distributions import discretize
 
@@ -253,19 +255,15 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
     alpha_agg = {b: max(max(a.alphas[b] for a in per_agent), 1.0) for b in betas}
     zeta_agg = max(max(a.zeta for a in per_agent), 1.0)
     eta_agg = max(max(a.eta for a in per_agent), 1.0)
-    sellables = [offer_curve(a) if a.model != "synthetic" else synthetic_curve(a.p_knots) for a in agents]
-    ap_post = ap_optimize(sellables, grid=config.price_grid)
+    ap_post = ap_optimize([a.sellable() for a in agents], grid=config.price_grid)
     r_curves = [concave_hull(info[2]) if not info[2].concave else info[2] for info in infos]
     ap_ex = ap_optimize(r_curves, grid=config.price_grid)
     ear = ear_optimize(r_curves)
     ratio = ear.revenue / ap_post.revenue if ap_post.revenue > 0 else math.inf
-    transfer = {
-        b: TransferBounds(
-            transfer_bounds(alpha_agg[b], b, eta_agg).basic * RHO if math.isfinite(alpha_agg[b]) else math.inf,
-            transfer_bounds(alpha_agg[b], b, eta_agg).improved * RHO if math.isfinite(alpha_agg[b]) else math.inf,
-        )
-        for b in betas
-    }
+    transfer = {}
+    for b in betas:
+        tb = transfer_bounds(alpha_agg[b], b, eta_agg)
+        transfer[b] = TransferBounds(tb.basic * RHO, tb.improved * RHO)
     all_p_concave = all(info[1].concave for info in infos)
     zeta_bound = zeta_agg * RHO if all_p_concave and math.isfinite(zeta_agg) else math.inf
     candidates = [tb.basic for tb in transfer.values()] + [tb.improved for tb in transfer.values()] + [zeta_bound]

@@ -82,15 +82,16 @@ class Agent:
             raise ValueError("synthetic agents carry curves, not value supports")
         return self.values.hi
 
-    def price_curve(self) -> "RevenueCurve":
+    def sellable(self) -> "RevenueCurve | OfferCurve":
+        """What anonymous pricing sells to: the offer curve, or the posting
+        curve a synthetic agent carries."""
         if self.model == "synthetic":
             return synthetic_curve(self.p_knots)
-        return price_posting_curve(offer_curve(self))
+        return offer_curve(self)
 
-    def ex_ante_curve_knots(self) -> "RevenueCurve":
-        if self.model != "synthetic":
-            raise ValueError("only synthetic agents carry an explicit ex-ante curve")
-        return synthetic_curve(self.r_knots)
+    def price_curve(self) -> "RevenueCurve":
+        s = self.sellable()
+        return s if isinstance(s, RevenueCurve) else price_posting_curve(s)
 
 
 @dataclass(frozen=True)
@@ -318,72 +319,40 @@ def concave_hull(curve: RevenueCurve) -> RevenueCurve:
     return RevenueCurve(curve.qs[hull_idx], curve.values[hull_idx], name=f"hull({curve.name})")
 
 
-def quantile_at_price(p: float, curve: RevenueCurve) -> float:
-    """Largest q whose chord from the origin has slope p.
+def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
+    """Largest q whose chord from the origin has slope p, for each price.
 
     Offer-derived curves delegate to the generating offer so non-concave
-    shapes resolve the way the mechanism actually sells.  Flat-revenue
-    stretches return the largest quantile.
+    shapes resolve the way the mechanism actually sells.  Otherwise knot k
+    (q_k > 0) stays affordable up to the threshold (v_k + tol) / q_k; the
+    last affordable knot comes from a search in the suffix maximum of the
+    thresholds, and the quantile is interpolated on the segment after it.
+    Flat-revenue stretches return the largest quantile.  Valid for
+    non-concave curves; O((K + n) log K).
     """
-    if curve.offer is not None:
-        return float(curve.offer.eval(p))
-    p = float(p)
-    qs, vals = curve.qs, curve.values
-    g = vals - p * qs
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    nonneg = np.nonzero(g >= -tol)[0]
-    # chords are taken from the origin; the q = 0 knot itself does not count
-    nonneg = nonneg[qs[nonneg] > 0.0]
-    if len(nonneg) == 0:
-        return 0.0
-    k = int(nonneg[-1])
-    if k == len(qs) - 1:
-        return 1.0
-    g0, g1 = g[k], g[k + 1]
-    if g1 >= -tol:  # numerically flat; stay at the knot
-        return float(qs[k])
-    t = g0 / (g0 - g1)
-    return float(qs[k] + t * (qs[k + 1] - qs[k]))
-
-
-def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
-    """Vectorized quantile_at_price over an array of prices."""
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
     if curve.offer is not None:
         return np.asarray(curve.offer.eval(prices))
     qs, vals = curve.qs, curve.values
     K = len(qs)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    # chords are taken from the origin; the q = 0 knot itself does not count
+    thresholds = np.full(K, -np.inf)
+    pos = qs > 0.0
+    thresholds[pos] = (vals[pos] + tol) / qs[pos]
+    reach = np.maximum.accumulate(thresholds[::-1])[::-1]
+    # number of knots whose suffix maximum admits p; the last of them is affordable
+    last = np.searchsorted(-reach, -prices, side="right") - 1
     out = np.zeros(len(prices))
-    chunk = max(1, int(2_000_000 // K))
-    for start in range(0, len(prices), chunk):
-        p = prices[start : start + chunk]
-        g = vals[None, :] - p[:, None] * qs[None, :]
-        ok = g >= -tol
-        ok[:, qs <= 0.0] = False
-        has = ok.any(axis=1)
-        last = K - 1 - np.argmax(ok[:, ::-1], axis=1)
-        res = np.zeros(len(p))
-        at_end = has & (last == K - 1)
-        res[at_end] = 1.0
-        inner = has & (last < K - 1)
-        if np.any(inner):
-            k = last[inner]
-            g0 = g[inner, k]
-            g1 = g[inner, k + 1]
-            flat = g1 >= -tol
-            t = np.where(flat, 0.0, g0 / np.where(flat, 1.0, g0 - g1))
-            res[inner] = qs[k] + t * (qs[k + 1] - qs[k])
-        out[start : start + chunk] = res
+    out[last == K - 1] = 1.0
+    inner = (last >= 0) & (last < K - 1)
+    if np.any(inner):
+        k = last[inner]
+        p = prices[inner]
+        g0 = vals[k] - p * qs[k]
+        g1 = vals[k + 1] - p * qs[k + 1]
+        out[inner] = qs[k] + g0 / (g0 - g1) * (qs[k + 1] - qs[k])
     return out
-
-
-def curve_eval(curve: RevenueCurve, q):
-    return curve.eval(q)
-
-
-def curve_slope(curve: RevenueCurve, q):
-    return curve.slope(q)
 
 
 # -- Lagrangian price-posting curve -------------------------------------------

@@ -334,27 +334,6 @@ class Distribution:
         return f"Distribution.{self.kind.replace('-', '_')}({inner})"
 
 
-# The two roles share the evaluator palette; the aliases keep signatures
-# readable at call sites.
-ValueDistribution = Distribution
-BudgetDistribution = Distribution
-
-
-# -- free-function forms of the evaluators ---------------------------------
-
-
-def cdf(d: Distribution, x):
-    return d.cdf(x)
-
-
-def inverse_demand(d: Distribution, q):
-    return d.inverse_demand(q)
-
-
-def exceed_mean_probability(d: Distribution) -> float:
-    return d.exceed_mean_probability()
-
-
 # -- diagnostics ------------------------------------------------------------
 
 

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
-from .curves import (
-    Agent,
-    OfferCurve,
-    RevenueCurve,
-    offer_curve,
-    quantile_at_price,
-    quantiles_at_prices,
-)
+from .curves import Agent, OfferCurve, RevenueCurve, offer_curve, quantiles_at_prices
 from .distributions import Distribution
 
 Sellable = RevenueCurve | OfferCurve
@@ -52,15 +44,6 @@ class EarResult:
 
 
 @dataclass(frozen=True)
-class TwoPricedAllocation:
-    """Step allocations on a quantile grid: served mass x and its capped part."""
-
-    grid: np.ndarray
-    x: np.ndarray
-    x_capped: np.ndarray
-
-
-@dataclass(frozen=True)
 class TwoPricedBound:
     q_prime: float
     base_term: float        # marginal-revenue mass of the full allocation
@@ -69,24 +52,20 @@ class TwoPricedBound:
     total: float
     bound: float            # P(q') * (2 + ln(hval / C))
     multiplier: float
-    allocation: TwoPricedAllocation
 
 
-def _quantiles(sellables: Sequence[Sellable], p: float) -> np.ndarray:
-    out = []
-    for s in sellables:
-        if isinstance(s, OfferCurve):
-            out.append(float(s.eval(p)))
-        else:
-            out.append(quantile_at_price(p, s))
-    return np.asarray(out)
+def _sale_probabilities(sellables: Sequence[Sellable], prices) -> np.ndarray:
+    """Sale probability of each sellable (rows) at each price (columns)."""
+    prices = np.atleast_1d(np.asarray(prices, dtype=float))
+    return np.array([s.eval(prices) if isinstance(s, OfferCurve) else quantiles_at_prices(prices, s)
+                     for s in sellables])
 
 
 def ap_revenue(sellables: Sequence[Sellable], p: float) -> ApResult:
     """Revenue of posting anonymous per-unit price p."""
     if p < 0:
         raise ValueError("price must be nonnegative")
-    qs = _quantiles(sellables, p)
+    qs = _sale_probabilities(sellables, p)[:, 0]
     rev = p * (1.0 - np.prod(1.0 - qs))
     return ApResult(float(p), tuple(qs.tolist()), float(rev))
 
@@ -147,15 +126,11 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     cands = _candidate_prices(sellables, grid)
 
     def value(p: float) -> float:
-        qs = _quantiles(sellables, p)
+        qs = _sale_probabilities(sellables, p)[:, 0]
         return p * (1.0 - float(np.prod(1.0 - qs)))
 
     miss = np.ones(len(cands))
-    for s in sellables:
-        if isinstance(s, OfferCurve):
-            qv = np.asarray(s.eval(cands))
-        else:
-            qv = quantiles_at_prices(cands, s)
+    for qv in _sale_probabilities(sellables, cands):
         miss *= 1.0 - qv
     vals = cands * (1.0 - miss)
     best_idx = int(np.argmax(vals))
@@ -170,7 +145,7 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
         v_ref = value(p_ref)
         if v_ref > best_v:
             best_p, best_v = p_ref, v_ref
-    qs = _quantiles(sellables, best_p)
+    qs = _sale_probabilities(sellables, best_p)[:, 0]
     boundary = best_idx >= len(cands) - 1
     return ApResult(best_p, tuple(qs.tolist()), best_v, at_search_boundary=boundary)
 
@@ -232,6 +207,7 @@ def random_price_revenue_public(F: Distribution, w: float) -> float:
     to a buyer with a known budget: E_{r~F}[min(r, w) * Pr[v >= r]]."""
     if w < 0:
         raise ValueError("budget must be nonnegative")
+    from scipy import integrate
 
     def integrand(r):
         return min(r, w) * float(F.survival_left(r)) * float(F.pdf(r))
@@ -251,6 +227,8 @@ def random_price_revenue_floor(agent: Agent, floor: float) -> float:
     """
     if floor < 0:
         raise ValueError("floor must be nonnegative")
+    from scipy import integrate
+
     F = agent.values
     off = offer_curve(agent)
     base = float(F.cdf(floor)) * float(off.revenue(floor))
@@ -320,26 +298,17 @@ def risk_two_priced_bound(P: RevenueCurve, C: float, hval: float, q_hat: float =
     _, q_m = myerson_reserve(P)
     q_prime = min(q_m, q_hat)
     pq = float(P.eval(q_prime))
-    base = pq
-    capped = pq
-
-    def integrand(q):
-        return max(min(hval, pq / q if q > 0 else hval) - C, 0.0)
-
-    pts = sorted({pq / hval, min(1.0, pq / C) if C > 0 else 1.0})
-    pts = [p for p in pts if 0.0 < p < 1.0]
-    overflow, _ = integrate.quad(integrand, 0.0, 1.0, points=pts or None, epsabs=1e-12, limit=200)
+    # the overflow integral in closed form; a = P(q') capped at hval, where
+    # the integrand becomes hval - C on all of [0, 1]
+    a = min(pq, hval)
+    overflow = a * math.log(hval / C) if a <= C else a + a * math.log(hval / a) - C
     multiplier = 2.0 + math.log(hval / C)
-    grid = np.linspace(0.0, 1.0, 513)
-    step = (grid <= q_prime).astype(float)
-    alloc = TwoPricedAllocation(grid=grid, x=step, x_capped=step.copy())
     return TwoPricedBound(
         q_prime=float(q_prime),
-        base_term=base,
-        capped_term=capped,
-        overflow_term=float(overflow),
-        total=float(base + capped + overflow),
+        base_term=pq,
+        capped_term=pq,
+        overflow_term=overflow,
+        total=pq + pq + overflow,
         bound=pq * multiplier,
         multiplier=multiplier,
-        allocation=alloc,
     )

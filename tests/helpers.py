@@ -106,3 +106,30 @@ def ex_ante_lp_matrices(values, f, budgets, g, q):
             a_ub.append(pay)
             b_ub.append(budgets[j])
     return c, a_ub, b_ub, [mass], [q]
+
+
+def dense_quantiles_at_prices(prices, qs, vals):
+    """Largest q whose chord from the origin has slope p, by testing every
+    knot against every price (a prices x knots matrix).  The reference for
+    the library's threshold search; valid for non-concave curves."""
+    prices = np.atleast_1d(np.asarray(prices, dtype=float))
+    qs = np.asarray(qs, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    K = len(qs)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    g = vals[None, :] - prices[:, None] * qs[None, :]
+    ok = g >= -tol
+    ok[:, qs <= 0.0] = False
+    has = ok.any(axis=1)
+    last = K - 1 - np.argmax(ok[:, ::-1], axis=1)
+    out = np.zeros(len(prices))
+    out[has & (last == K - 1)] = 1.0
+    inner = has & (last < K - 1)
+    if np.any(inner):
+        k = last[inner]
+        g0 = g[inner, k]
+        g1 = g[inner, k + 1]
+        flat = g1 >= -tol
+        t = np.where(flat, 0.0, g0 / np.where(flat, 1.0, g0 - g1))
+        out[inner] = qs[k] + t * (qs[k + 1] - qs[k])
+    return out

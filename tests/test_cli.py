@@ -86,6 +86,10 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="analyses"):
             load_scenario(path)
 
+    def test_non_integer_size_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match="oracle.values"):
+            load_scenario(minimal(tmp_path, oracle={"values": "many"}))
+
     def test_unknown_distribution_kind(self, tmp_path):
         path = minimal(tmp_path, agents=[{"model": "linear", "values": {"kind": "zipf", "s": 2}}])
         with pytest.raises(ScenarioError, match="kind"):
@@ -204,6 +208,61 @@ class TestRunScenario:
         code = run_scenario(scen)
         assert code == 1
         assert "[FAIL]" in (tmp_path / "o" / "summary.txt").read_text()
+
+
+class TestBuildOnce:
+    def test_verify_computes_each_result_once(self, tmp_path, monkeypatch):
+        from anonpricing import cli, closeness
+
+        calls = {"build_curves": 0, "ap_optimize on posting": 0, "ear_optimize": 0}
+
+        def count(name, key, applies=lambda *args: True):
+            for module in (cli, closeness):
+                original = getattr(module, name)
+
+                def counted(*args, original=original, **kwargs):
+                    calls[key] += applies(*args)
+                    return original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+
+        count("build_curves", "build_curves")
+        count("ap_optimize", "ap_optimize on posting",
+              lambda sellables, *rest: any(isinstance(s, ap.OfferCurve) for s in sellables))
+        count("ear_optimize", "ear_optimize")
+        agents = [{"model": "linear", "values": {"kind": "uniform", "a": 0, "b": 1}},
+                  {"model": "linear", "values": {"kind": "equal-revenue", "h": 5}}]
+        path = minimal(tmp_path, agents=agents, analyses=["verify"])
+        assert main(["verify", str(path), "--grid", "256"]) == 0
+        assert calls == {"build_curves": 2, "ap_optimize on posting": 1, "ear_optimize": 1}
+
+
+class TestSizeRanges:
+    @pytest.mark.parametrize("source", ["file", "flag with scenario", "flag with fixture"])
+    @pytest.mark.parametrize("flag, key, value, field", [
+        ("--grid", "grid", 10, "grid"),
+        ("--grid", "grid", 5_000_000, "grid"),
+        ("--oracle-values", "values", 1, "oracle.values"),
+        ("--oracle-budgets", "budgets", 100_000, "oracle.budgets"),
+    ])
+    def test_out_of_range_exits_2_before_any_build(self, tmp_path, capsys, monkeypatch,
+                                                   source, flag, key, value, field):
+        from anonpricing import closeness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a curve was built for rejected input")
+
+        monkeypatch.setattr(closeness, "build_curves", refuse)
+        monkeypatch.setattr(closeness, "price_posting_curve", refuse)
+        if source == "file":
+            payload = {"grid": value} if key == "grid" else {"oracle": {key: value}}
+            argv = ["verify", str(minimal(tmp_path, **payload))]
+        elif source == "flag with scenario":
+            argv = ["verify", str(minimal(tmp_path)), flag, str(value)]
+        else:
+            argv = ["verify", "--fixture", "private-uniform-mhr", flag, str(value), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"input error: {field}:" in capsys.readouterr().err
 
 
 class TestMain:

@@ -7,6 +7,7 @@ import pytest
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution, OracleConfig, RHO
+from anonpricing.closeness import build_curves
 
 
 def collapse_pair():
@@ -79,6 +80,22 @@ class TestZetaEta:
         for beta in (1.0, 1.5, 2.0, 3.0, 5.0):
             a = ap.alpha_for_beta(P, R, beta)
             assert z <= a * beta + 1e-9
+
+
+class TestCapacitatedRbar:
+    @pytest.mark.parametrize("values, C", [
+        (Distribution.equal_revenue(100), 5.0),
+        (Distribution.uniform(0, 1), 0.25),
+        (Distribution.exponential(1.0, hi=4.0), 1.5),
+    ])
+    def test_closed_form_matches_per_knot_bound(self, values, C):
+        agent = Agent(model="capacitated", values=values, capacity=C, id="c")
+        P, rbar, label = build_curves(agent, OracleConfig(price_grid=128))
+        hull = P if P.concave else ap.concave_hull(P)
+        # the bound's definition: one full evaluation at each knot's mass
+        ref = [ap.risk_two_priced_bound(hull, C, values.hi, float(q)).bound for q in rbar.qs]
+        assert label == "upper bound"
+        np.testing.assert_allclose(rbar.values, ref, rtol=0, atol=1e-12)
 
 
 class TestTransferBounds:

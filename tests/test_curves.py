@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution
+
+from helpers import dense_quantiles_at_prices
 
 
 def linear_uniform():
@@ -162,23 +165,23 @@ class TestConcaveHull:
 
 class TestQuantileAtPrice:
     def test_uniform(self, uniform_posting_curve):
-        assert ap.quantile_at_price(0.5, uniform_posting_curve) == pytest.approx(0.5, abs=1e-9)
+        assert ap.quantiles_at_prices(0.5, uniform_posting_curve)[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_equal_revenue_floor_price(self):
         P = Agent(model="linear", values=Distribution.equal_revenue(10), id="er").price_curve()
-        assert ap.quantile_at_price(1.0, P) == pytest.approx(1.0, abs=1e-12)
+        assert ap.quantiles_at_prices(1.0, P)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_tightness_effective_price(self):
         R = ap.synthetic_curve([(0, 0), (0.5, 4.0), (1, 4.0)])
-        assert ap.quantile_at_price(8.0, R) == pytest.approx(0.5, abs=1e-12)
+        assert ap.quantiles_at_prices(8.0, R)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_above_initial_slope_gives_zero(self):
         R = ap.synthetic_curve([(0, 0), (0.5, 4.0), (1, 4.0)])
-        assert ap.quantile_at_price(8.5, R) == 0.0
+        assert ap.quantiles_at_prices(8.5, R)[0] == 0.0
 
     def test_flat_segment_takes_largest_quantile(self):
         R = ap.synthetic_curve([(0, 0), (0.25, 1.0), (0.5, 2.0), (1, 4.0)])
-        assert ap.quantile_at_price(4.0, R) == pytest.approx(1.0, abs=1e-12)
+        assert ap.quantiles_at_prices(4.0, R)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_chord_consistency_on_concave_curves(self):
         curves = [
@@ -187,7 +190,7 @@ class TestQuantileAtPrice:
         ]
         for c in curves:
             for p in np.linspace(0.2, c.values[1] / max(c.qs[1], 1e-9), 23):
-                q = ap.quantile_at_price(float(p), c)
+                q = ap.quantiles_at_prices(float(p), c)[0]
                 if q > 0:
                     assert c.eval(q) / q == pytest.approx(p, rel=1e-8) or c.eval(q) / q >= p
 
@@ -195,8 +198,37 @@ class TestQuantileAtPrice:
         c = ap.synthetic_curve([(0, 0), (0.2, 0.1), (0.4, 0.5), (0.7, 0.2), (1, 0.4)])
         ps = np.linspace(0.0, 3.0, 101)
         vec = ap.quantiles_at_prices(ps, c)
-        sca = np.array([ap.quantile_at_price(float(p), c) for p in ps])
-        assert np.allclose(vec, sca, atol=1e-12)
+        sca = np.array([ap.quantiles_at_prices(float(p), c)[0] for p in ps])
+        assert np.array_equal(vec, sca)
+        assert np.allclose(vec, dense_quantiles_at_prices(ps, c.qs, c.values), rtol=0, atol=1e-12)
+
+
+@st.composite
+def curve_and_prices(draw):
+    """A non-concave curve with flat stretches, and prices that include
+    every knot's exact chord slope, 0, and prices above the largest chord."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    qs = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    vals = [draw(st.floats(-0.5, 5.0))]
+    for _ in range(n):
+        flat = draw(st.booleans())
+        vals.append(vals[-1] if flat else draw(st.floats(0.0, 5.0)))
+    vals = np.array(vals)
+    chords = vals[1:] / qs[1:]
+    top = max(float(np.max(chords)), 0.0)
+    extra = draw(st.lists(st.floats(0.0, 1.5 * top + 1.0), max_size=20))
+    prices = np.concatenate([chords[chords >= 0], [0.0, top * 1.001 + 1e-9, top + 1.0], extra])
+    return ap.RevenueCurve(qs, vals), prices
+
+
+@given(curve_and_prices())
+@settings(max_examples=300, deadline=None)
+def test_quantiles_at_prices_matches_dense_reference(case):
+    curve, prices = case
+    got = ap.quantiles_at_prices(prices, curve)
+    ref = dense_quantiles_at_prices(prices, curve.qs, curve.values)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 class TestLagrangianCurve:
@@ -268,12 +300,12 @@ class TestSyntheticAndEval:
         assert np.allclose(np.asarray(c.eval(c.qs)), c.values, atol=0)
 
     def test_uniform_quarter(self, uniform_posting_curve):
-        assert ap.curve_eval(uniform_posting_curve, 0.25) == pytest.approx(0.1875, abs=1e-6)
+        assert uniform_posting_curve.eval(0.25) == pytest.approx(0.1875, abs=1e-6)
 
     def test_equal_revenue_slopes(self):
         P = Agent(model="linear", values=Distribution.equal_revenue(10), id="er").price_curve()
-        assert ap.curve_slope(P, 0.05) == pytest.approx(10.0, rel=1e-6)
-        assert ap.curve_slope(P, 0.5) == pytest.approx(0.0, abs=1e-9)
+        assert P.slope(0.05) == pytest.approx(10.0, rel=1e-6)
+        assert P.slope(0.5) == pytest.approx(0.0, abs=1e-9)
 
     def test_slope_is_right_derivative(self):
         c = ap.synthetic_curve([(0, 0), (0.5, 1.0), (1, 1.0)])

@@ -27,14 +27,14 @@ def builtins():
 
 class TestCdf:
     def test_uniform(self):
-        assert ap.cdf(Distribution.uniform(0, 1), 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert Distribution.uniform(0, 1).cdf(0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_equal_revenue_body(self):
-        assert ap.cdf(Distribution.equal_revenue(10), 2.0) == pytest.approx(0.5, abs=1e-15)
+        assert Distribution.equal_revenue(10).cdf(2.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_equal_revenue_atom_closes_mass(self):
         d = Distribution.equal_revenue(10)
-        assert ap.cdf(d, 10.0) == 1.0
+        assert d.cdf(10.0) == 1.0
         assert d.cdf_left(10.0) == pytest.approx(0.9, abs=1e-15)
 
     def test_bounds_and_monotonicity(self):
@@ -53,12 +53,12 @@ class TestCdf:
 
 class TestInverseDemand:
     def test_uniform(self):
-        assert ap.inverse_demand(Distribution.uniform(0, 1), 0.3) == pytest.approx(0.7, abs=1e-15)
+        assert Distribution.uniform(0, 1).inverse_demand(0.3) == pytest.approx(0.7, abs=1e-15)
 
     def test_equal_revenue_atom_region(self):
         d = Distribution.equal_revenue(10)
-        assert ap.inverse_demand(d, 0.05) == 10.0
-        assert ap.inverse_demand(d, 0.5) == pytest.approx(2.0, abs=1e-12)
+        assert d.inverse_demand(0.05) == 10.0
+        assert d.inverse_demand(0.5) == pytest.approx(2.0, abs=1e-12)
 
     def test_nonincreasing(self):
         for d in builtins():
@@ -125,14 +125,14 @@ class TestMhr:
 
 class TestExceedMean:
     def test_uniform(self):
-        assert ap.exceed_mean_probability(Distribution.uniform(0, 1)) == pytest.approx(0.5, abs=1e-12)
+        assert Distribution.uniform(0, 1).exceed_mean_probability() == pytest.approx(0.5, abs=1e-12)
 
     def test_exponential_near_limit(self):
-        got = ap.exceed_mean_probability(Distribution.exponential(1.0))
+        got = Distribution.exponential(1.0).exceed_mean_probability()
         assert got == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_point_mass(self):
-        assert ap.exceed_mean_probability(Distribution.point_mass(2.0)) == 1.0
+        assert Distribution.point_mass(2.0).exceed_mean_probability() == 1.0
 
     def test_mhr_builtins_at_least_1_over_e(self):
         for d in (

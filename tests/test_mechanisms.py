@@ -224,11 +224,19 @@ class TestTwoPricedBound:
                 assert tb.total <= tb.bound + 1e-8
                 assert tb.q_prime <= q_hat + 1e-12
 
-    def test_allocation_mass_matches(self):
-        P = ap.concave_hull(Agent(model="linear", values=Distribution.uniform(0, 1), id="u").price_curve())
-        tb = ap.risk_two_priced_bound(P, 0.5, 1.0, 0.3)
-        grid_mass = float(np.trapezoid(tb.allocation.x, tb.allocation.grid))
-        assert grid_mass == pytest.approx(tb.q_prime, abs=2e-3)
+    @pytest.mark.parametrize("a", [0.5, 2.0, 5.0, 12.0])
+    def test_overflow_matches_quadrature(self, a):
+        # P(q') = a below, at and above the capacity C = 2, and above hval = 10
+        h, C = 10.0, 2.0
+        tb = ap.risk_two_priced_bound(ap.synthetic_curve([(0, 0), (0.5, a), (1, a)]), C, h, 1.0)
+        assert tb.q_prime == 1.0 and tb.base_term == a
+
+        def integrand(q):
+            return max(min(h, a / q if q > 0 else h) - C, 0.0)
+
+        pts = [p for p in (a / h, a / C) if 0.0 < p < 1.0]
+        ref, _ = integrate.quad(integrand, 0.0, 1.0, points=pts or None, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert tb.overflow_term == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
     def test_validation(self):
         P = ap.concave_hull(Agent(model="linear", values=Distribution.uniform(0, 1), id="u").price_curve())
