@@ -27,10 +27,8 @@ from .curves import (
 )
 from .oracle import (
     DiscreteTypeSpace,
-    LpSolution,
     SimplexSolution,
     simplex_solve,
-    ex_ante_revenue_lp,
     ex_ante_curve_oracle,
     brute_force_ear,
 )

@@ -138,24 +138,21 @@ def _agent_from_literal(obj, idx: int) -> Agent:
         raise ScenarioError(str(exc), fieldname) from None
 
 
-def _oracle_config(grid, values, budgets, quantile_grid, betas: tuple) -> OracleConfig:
-    """Check each size, from a scenario file or a flag, against its
-    documented range, then build the config."""
-    sizes = {}
-    for name, value, lo, hi in (
-        ("grid", grid, 64, 1_000_000),
-        ("oracle.values", values, 2, 2000),
-        ("oracle.budgets", budgets, 1, 500),
-        ("oracle.quantile_grid", quantile_grid, 8, 1025),
-    ):
-        try:
-            sizes[name] = int(value)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"{value!r} is not an integer", name) from None
-        if not lo <= sizes[name] <= hi:
-            raise ScenarioError(f"{value} is outside the documented range [{lo}, {hi}]", name)
-    return OracleConfig(values=sizes["oracle.values"], budgets=sizes["oracle.budgets"],
-                        quantile_grid=sizes["oracle.quantile_grid"], price_grid=sizes["grid"], betas=betas)
+def _integer(value, name: str, lo: float = -np.inf, hi: float = np.inf) -> int:
+    """Check an integer, from a scenario file or a flag, against its documented range."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{value!r} is not an integer", name) from None
+    if not lo <= n <= hi:
+        raise ScenarioError(f"{value} is outside the documented range [{lo}, {hi}]", name)
+    return n
+
+
+def _oracle_config(grid, values, budgets, betas: tuple) -> OracleConfig:
+    return OracleConfig(price_grid=_integer(grid, "grid", 64, 1_000_000),
+                        values=_integer(values, "oracle.values", 2, 2000),
+                        budgets=_integer(budgets, "oracle.budgets", 1, 500), betas=betas)
 
 
 def load_scenario(path) -> Scenario:
@@ -201,15 +198,16 @@ def load_scenario(path) -> Scenario:
         raw.get("grid", _DEFAULTS.price_grid),
         oracle_raw.get("values", _DEFAULTS.values),
         oracle_raw.get("budgets", _DEFAULTS.budgets),
-        oracle_raw.get("quantile_grid", _DEFAULTS.quantile_grid),
         betas,
     )
+    if "quantile_grid" in oracle_raw:  # schema v1 key: Rbar is exact, so it has no effect
+        _integer(oracle_raw["quantile_grid"], "oracle.quantile_grid", 8, 1025)
     return Scenario(
         name=str(raw.get("name", Path(path).stem)),
         agents=tuple(agents),
         analyses=analyses,
         oracle=config,
-        seed=int(raw.get("seed", 20240801)),
+        seed=_integer(raw.get("seed", 20240801), "seed"),
         out_dir=str(raw.get("out", "out")),
         fixture=fixture,
     )
@@ -289,9 +287,6 @@ def emit_curve(agent: Agent, grid: int, path, config: OracleConfig | None = None
         elif label == "H":
             hull = concave_hull(P)
             curve, vals = hull, np.asarray(hull.eval(qs))
-        elif label == "Rbar":
-            _, rbar, _ = build_curves(agent, config)
-            curve, vals = rbar, np.asarray(rbar.eval(qs))
         else:
             raise ValueError(f"unknown curve label {label!r}")
         out = base.with_name(f"{base.stem}_{label}{base.suffix or '.csv'}")
@@ -394,7 +389,6 @@ def _scenario_from_args(args, analyses) -> Scenario:
             args.grid or base.oracle.price_grid,
             args.oracle_values or base.oracle.values,
             args.oracle_budgets or base.oracle.budgets,
-            base.oracle.quantile_grid,
             base.oracle.betas,
         )
         return replace(
@@ -409,7 +403,6 @@ def _scenario_from_args(args, analyses) -> Scenario:
             args.grid or _DEFAULTS.price_grid,
             args.oracle_values or _DEFAULTS.values,
             args.oracle_budgets or _DEFAULTS.budgets,
-            _DEFAULTS.quantile_grid,
             (),
         )
         fix = parse_fixture_ref(args.fixture)

@@ -29,7 +29,6 @@ _KAPPA_CEILING = 50.0
 class OracleConfig:
     values: int = 60
     budgets: int = 20
-    quantile_grid: int = 33
     price_grid: int = 4096
     betas: tuple = ()
     lp_slack: float = 0.05      # relative slack on LP-backed comparisons
@@ -204,8 +203,7 @@ def build_curves(agent: Agent, config: OracleConfig) -> tuple[RevenueCurve, Reve
         space = DiscreteTypeSpace.private_budget(Fd, config.values, Gd, config.budgets)
         disc_agent = Agent(model="private-budget", values=Fd, budgets=Gd, id=agent.id)
     P = price_posting_curve(offer_curve(disc_agent), grid=config.price_grid)
-    rbar = ex_ante_curve_oracle(space, grid=config.quantile_grid)
-    return P, rbar, "upper bound"
+    return P, ex_ante_curve_oracle(space), "upper bound"
 
 
 def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None) -> ClosenessReport:

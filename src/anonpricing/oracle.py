@@ -1,9 +1,10 @@
-"""Independent optimization oracles: a dense simplex solver, the discretized
-single-agent ex-ante revenue LP, and grid-search ex-ante relaxation.
+"""Optimization oracles: a dense simplex solver, the exact ex-ante curve of
+the discretized single-agent revenue LP, and grid-search ex-ante relaxation.
 
-These exist to cross-check the analytic machinery, so they avoid sharing
-code paths with it: the simplex is self-contained (two-phase, Bland's
-anti-cycling rule) and the grid EAR is plain enumeration.
+The simplex and the grid EAR exist to cross-check the analytic machinery,
+so they avoid sharing code paths with it: the simplex is self-contained
+(two-phase, Bland's anti-cycling rule) and the grid EAR is plain
+enumeration.  The ex-ante curve is built from the LP's own structure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import RevenueCurve
+from .curves import RevenueCurve, _upper_hull_indices
 from .distributions import Distribution, PROB_ATOL
 
 _TOL = 1e-10
@@ -224,13 +225,6 @@ class DiscreteTypeSpace:
             raise ValueError("linear spaces use the single +inf budget sentinel")
 
     @classmethod
-    def linear(cls, F: Distribution, n_values: int) -> "DiscreteTypeSpace":
-        from .distributions import discretize
-
-        d = F if F.kind == "discrete" else discretize(F, n_values)
-        return cls(d.params["values"], d.params["probs"], np.array([math.inf]), np.array([1.0]), "linear")
-
-    @classmethod
     def public_budget(cls, F: Distribution, n_values: int, w: float) -> "DiscreteTypeSpace":
         from .distributions import discretize
 
@@ -246,117 +240,69 @@ class DiscreteTypeSpace:
         return cls(dv.params["values"], dv.params["probs"], dw.params["values"], dw.params["probs"], "private-budget")
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    """Optimal mechanism of the value-IC relaxation at one ex-ante mass.
+def _level_hull(s: np.ndarray, prices: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper hull, in the (mass, revenue) plane, of one budget level's LP.
 
-    Per budget level the mechanism is a convex nondecreasing menu: each
-    allocation slab between adjacent support values carries a marginal
-    price inside the local incentive bracket [v_{k-1}, v_k], so payment
-    increments obey v_{k-1} dx <= dp <= v_k dx and the level's top payment
-    respects the budget.  A zero-rate bottom slab covers giveaways, which
-    keeps the exact-mass constraint feasible for every q <= 1.  For
-    private budgets the objective upper-bounds the true ex-ante revenue
-    because incentive constraints across budget levels are dropped.
+    Slab k sells mass s[k] at marginal price prices[k]; the level's menu is
+    x >= 0 with sum(x) <= 1 and prices @ x <= w.  The vertices of that
+    polytope are the origin, each slab alone at min(1, w / price), and each
+    pair with price_a < w < price_b on which both rows are tight.  The
+    level's feasible (mass, revenue) set is the convex hull of their
+    images, so its upper hull is exactly the level's ex-ante revenue curve.
     """
+    x = np.minimum(1.0, np.divide(w, prices, out=np.ones_like(prices), where=prices > w))
+    below, above = prices < w, prices > w
+    pa, sa = prices[below][:, None], s[below][:, None]
+    pb, sb = prices[above][None, :], s[above][None, :]
+    xb = (w - pa) / (pb - pa)
+    mass = np.concatenate([[0.0], s * x, (sa * (1.0 - xb) + sb * xb).ravel()])
+    rev = np.concatenate([[0.0], s * prices * x, (sa * pa * (1.0 - xb) + sb * pb * xb).ravel()])
+    order = np.argsort(mass, kind="stable")
+    mass, rev = mass[order], rev[order]
+    # collapse near-equal masses onto their best revenue (the upper boundary)
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(mass) > 1e-15]))
+    mass, rev = mass[starts], np.maximum.reduceat(rev, starts)
+    # every upper-hull vertex is a strict prefix or suffix maximum of revenue
+    ahead = np.concatenate([[-np.inf], np.maximum.accumulate(rev)[:-1]])
+    behind = np.concatenate([np.maximum.accumulate(rev[::-1])[::-1][1:], [-np.inf]])
+    keep = (rev > ahead) | (rev > behind)
+    mass, rev = mass[keep], rev[keep]
+    idx = _upper_hull_indices(mass, rev)
+    return mass[idx], rev[idx]
 
-    allocations: np.ndarray    # x[i, j] in [0, 1], nondecreasing in i
-    payments: np.ndarray       # p[i, j] <= w_j, monotone in i
-    objective: float
-    status: str
-    ex_ante_mass: float
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("i,j,x,p\n")
-            m, n = self.allocations.shape
-            for i in range(m):
-                for j in range(n):
-                    fh.write(f"{i},{j},{self.allocations[i, j]:.17g},{self.payments[i, j]:.17g}\n")
+def ex_ante_curve_oracle(space: DiscreteTypeSpace) -> RevenueCurve:
+    """Exact ex-ante revenue curve of the discrete value-IC relaxation.
 
-
-def ex_ante_revenue_lp(space: DiscreteTypeSpace, q: float) -> LpSolution:
-    """Max expected revenue with ex-ante sale probability exactly q.
-
-    Variables are per-level slab allocations split at the incentive
-    bracket's ends: d_lo[k, j] sells to values >= v_k at marginal price
-    v_{k-1} (v_0 = 0), d_hi[k, j] at marginal price v_k.  Mixing the two
-    spans every menu rate in the bracket, and in particular every posted
-    price, so the LP dominates price posting exactly.  Payments are
-    monotone in value, hence one budget cap per level suffices.
+    Per budget level the mechanism is a convex nondecreasing menu: slab k
+    (values >= v_k) is sold at marginal price v_{k-1} (v_0 = 0) or v_k,
+    the ends of the local incentive bracket, so mixing them spans every
+    menu rate and in particular every posted price; the level's top
+    payment respects its budget.  The price-0 bottom slab covers
+    giveaways, so every mass in [0, 1] is reachable.  Levels couple only
+    through the total ex-ante mass, so Rbar is the water-fill of the
+    per-level hulls: their segments, scaled by the level masses, taken in
+    order of decreasing slope.  For private budgets this upper-bounds the
+    true ex-ante revenue because incentive constraints across budget
+    levels are dropped.
     """
-    if q < 0:
-        raise ValueError("ex-ante mass must be nonnegative")
-    m, n = len(space.values), len(space.budgets)
-    if q > 1:
-        return LpSolution(np.zeros((m, n)), np.zeros((m, n)), math.nan, "infeasible", q)
     v = space.values
-    f = space.value_probs
-    g = space.budget_probs
-    s = np.cumsum(f[::-1])[::-1]   # s_k = mass of values >= v_k
-    v_lo = np.concatenate([[0.0], v[:-1]])
-    # columns: for each level j, lo-rate slabs then hi-rate slabs
-    nvar = 2 * m * n
-
-    def lo(k, j):
-        return j * 2 * m + k
-
-    def hi(k, j):
-        return j * 2 * m + m + k
-
-    c = np.zeros(nvar)
-    for j in range(n):
-        c[j * 2 * m : j * 2 * m + m] = g[j] * s * v_lo
-        c[j * 2 * m + m : (j + 1) * 2 * m] = g[j] * s * v
-    rows, senses, rhs = [], [], []
-    for j in range(n):  # unit demand per level
-        row = np.zeros(nvar)
-        row[j * 2 * m : (j + 1) * 2 * m] = 1.0
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(1.0)
-    for j in range(n):  # budget cap on the level's top payment
-        if math.isinf(space.budgets[j]):
-            continue
-        row = np.zeros(nvar)
-        row[j * 2 * m : j * 2 * m + m] = v_lo
-        row[j * 2 * m + m : (j + 1) * 2 * m] = v
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(float(space.budgets[j]))
-    row = np.zeros(nvar)  # exact ex-ante mass
-    for j in range(n):
-        row[j * 2 * m : j * 2 * m + m] = g[j] * s
-        row[j * 2 * m + m : (j + 1) * 2 * m] = g[j] * s
-    rows.append(row)
-    senses.append("=")
-    rhs.append(float(q))
-    sol = simplex_solve(c, rows, senses, rhs)
-    if sol.status != "optimal":
-        return LpSolution(np.zeros((m, n)), np.zeros((m, n)), math.nan, sol.status, q)
-    d_lo = np.empty((m, n))
-    d_hi = np.empty((m, n))
-    for j in range(n):
-        d_lo[:, j] = sol.x[j * 2 * m : j * 2 * m + m]
-        d_hi[:, j] = sol.x[j * 2 * m + m : (j + 1) * 2 * m]
-    d_lo = np.clip(d_lo, 0.0, None)
-    d_hi = np.clip(d_hi, 0.0, None)
-    x = np.minimum(np.cumsum(d_lo + d_hi, axis=0), 1.0)
-    p = np.cumsum(d_lo * v_lo[:, None] + d_hi * v[:, None], axis=0)
-    return LpSolution(x, p, float(sol.objective), "optimal", q)
-
-
-def ex_ante_curve_oracle(space: DiscreteTypeSpace, grid: int = 33) -> RevenueCurve:
-    """Upper-bound ex-ante revenue curve sampled on a uniform quantile grid."""
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
-    qs = np.linspace(0.0, 1.0, grid)
-    vals = []
-    for q in qs:
-        sol = ex_ante_revenue_lp(space, float(q))
-        if sol.status != "optimal":
-            raise RuntimeError(f"ex-ante LP at q={q} returned {sol.status}")
-        vals.append(sol.objective)
+    s = np.cumsum(space.value_probs[::-1])[::-1]   # s_k = mass of values >= v_k
+    prices = np.concatenate([[0.0], v[:-1], v])
+    s = np.concatenate([s, s])
+    slopes, dq, dr = [], [], []
+    for w, g in zip(space.budgets, space.budget_probs):
+        mass, rev = _level_hull(s, prices, float(w))
+        slopes.append(np.diff(rev) / np.diff(mass))
+        dq.append(g * np.diff(mass))
+        dr.append(g * np.diff(rev))
+    order = np.argsort(-np.concatenate(slopes), kind="stable")
+    qs = np.concatenate([[0.0], np.cumsum(np.concatenate(dq)[order])])
+    vals = np.concatenate([[0.0], np.cumsum(np.concatenate(dr)[order])])
+    # a tiny segment can vanish in the running sum; keep the later knot
+    keep = np.append(np.diff(qs) > 0.0, True)
+    qs, vals = qs[keep], vals[keep]
+    qs[-1] = 1.0   # the level masses sum to 1 only within PROB_ATOL
     return RevenueCurve(qs, vals, name="Rbar")
 
 

@@ -38,4 +38,4 @@ def private_uu_rbar():
     space = DiscreteTypeSpace.private_budget(
         ap.Distribution.uniform(0, 1), 60, ap.Distribution.uniform(0, 1), 20
     )
-    return ex_ante_curve_oracle(space, grid=33)
+    return ex_ante_curve_oracle(space)

@@ -18,8 +18,8 @@ from anonpricing import (
     Distribution,
     OracleConfig,
     ex_ante_curve_oracle,
-    ex_ante_revenue_lp,
     random_concave_curve,
+    simplex_solve,
 )
 from anonpricing.cli import compute_fixture_value
 from anonpricing.fixtures import mhr_fail_curves
@@ -72,7 +72,7 @@ def test_c01_two_uniform_values():
 def test_c02_public_budget_posting_equals_oracle(w):
     Fd = ap.discretize(Distribution.uniform(0, 1), 50)
     space = DiscreteTypeSpace.public_budget(Fd, 50, w)
-    rbar = ex_ante_curve_oracle(space, grid=33)
+    rbar = ex_ante_curve_oracle(space)
     Pd = ap.price_posting_curve(ap.offer_curve(Agent(model="public-budget", values=Fd, budget=w, id="d")))
     qs = np.linspace(0.0, 1.0, 33)
     rv = np.asarray(rbar.eval(qs))
@@ -265,14 +265,16 @@ def test_c12_simplex_matches_vertex_enumeration():
                         sp = DiscreteTypeSpace(np.array([v1, v2]), np.array([f1, 1 - f1]),
                                                np.array([w1, w2]), np.array([g1, 1 - g1]),
                                                "private-budget")
-                        sol = ex_ante_revenue_lp(sp, q)
                         c, aub, bub, aeq, beq = ex_ante_lp_matrices(
                             sp.values, sp.value_probs, sp.budgets, sp.budget_probs, q)
+                        sol = simplex_solve(c, aub + aeq, ["<="] * len(aub) + ["="], bub + beq)
                         ref = enumerate_lp_max(c, aub, bub, aeq, beq)
                         assert ref is not None
                         assert abs(sol.objective - ref) <= 1e-9, (v1, v2, f1, w1, w2, g1, q)
+                        assert abs(ex_ante_curve_oracle(sp).eval(q) - ref) <= 1e-9, (v1, v2, f1, w1, w2, g1, q)
                         checked += 1
-    assert report(12, True, f"simplex equals exhaustive vertex enumeration on {checked} two-by-two spaces (1e-9)")
+    assert report(12, True, f"simplex and the exact ex-ante curve equal exhaustive vertex enumeration "
+                            f"on {checked} two-by-two spaces (1e-9)")
 
 
 def test_c12_water_filling_matches_brute_force():
@@ -330,7 +332,7 @@ def test_c13_transfer_bounds_hold(private_uu_rbar):
     instances["private-uniform"] = ([Pd], [private_uu_rbar], (1.0, 2.0, 3.0))
     Fp = ap.discretize(Distribution.uniform(0, 1), 50)
     spw = DiscreteTypeSpace.public_budget(Fp, 50, 0.3)
-    rbw = ex_ante_curve_oracle(spw, grid=33)
+    rbw = ex_ante_curve_oracle(spw)
     Pw = ap.price_posting_curve(ap.offer_curve(Agent(model="public-budget", values=Fp, budget=0.3, id="pb")))
     instances["public-budget"] = ([Pw], [rbw], (1.0, 2.0))
     all_ok = True

@@ -89,6 +89,21 @@ class TestLoadScenario:
     def test_non_integer_size_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="oracle.values"):
             load_scenario(minimal(tmp_path, oracle={"values": "many"}))
+        with pytest.raises(ScenarioError, match="grid"):   # JSON Infinity
+            load_scenario(minimal(tmp_path, grid=math.inf))
+
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys):
+        path = minimal(tmp_path, seed="x")
+        with pytest.raises(ScenarioError, match="seed"):
+            load_scenario(path)
+        assert main(["verify", str(path)]) == 2
+        assert "input error: seed:" in capsys.readouterr().err
+
+    def test_quantile_grid_checked_but_ignored(self, tmp_path):
+        with pytest.raises(ScenarioError, match="oracle.quantile_grid"):
+            load_scenario(minimal(tmp_path, oracle={"quantile_grid": 4}))
+        sc = load_scenario(minimal(tmp_path, oracle={"quantile_grid": 1025}))
+        assert sc.oracle == load_scenario(minimal(tmp_path)).oracle
 
     def test_unknown_distribution_kind(self, tmp_path):
         path = minimal(tmp_path, agents=[{"model": "linear", "values": {"kind": "zipf", "s": 2}}])

@@ -172,6 +172,25 @@ class TestVerifyInstance:
                 loose = ap.transfer_bounds(max(rep.alpha[b] * scale, 1.0), b * scale, rep.eta * scale)
                 assert rep.ratio <= loose.basic * RHO + rep.slack
 
+    def test_budgeted_agents_exact_rbar_dominates_posting(self):
+        # two public- and two private-budget buyers on the 60 x 20 oracle:
+        # with the exact ex-ante curve no per-agent parameter reads below 1
+        U = Distribution.uniform(0, 1)
+        agents = [
+            Agent(model="private-budget", values=U, budgets=Distribution.uniform(0, 0.8), id="pu"),
+            Agent(model="private-budget", values=U, budgets=Distribution.exponential(2.0, 1.5), id="pe"),
+            Agent(model="public-budget", values=U, budget=0.5, id="w5"),
+            Agent(model="public-budget", values=Distribution.uniform(0, 1.1), budget=0.4, id="w4"),
+        ]
+        config = OracleConfig(values=60, budgets=20)
+        rep = ap.verify_instance(agents, config)
+        for a in rep.agents:
+            assert min(a.alphas.values()) >= 1.0 - 1e-12, a
+            assert a.zeta >= 1.0 - 1e-12 and a.eta >= 1.0 - 1e-12, a
+        for agent in agents:
+            P, R, _ = build_curves(agent, config)
+            assert np.all(np.asarray(R.eval(P.qs)) >= P.values - 1e-12), agent.id
+
     def test_mixed_models_allowed(self):
         agents = [
             Agent(model="linear", values=Distribution.uniform(0, 1), id="u"),

@@ -1,12 +1,13 @@
-"""Simplex solver, the discrete ex-ante LP, and the grid-search EAR."""
+"""Simplex solver, the exact ex-ante curve of the discrete LP, and the grid-search EAR."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anonpricing as ap
-from anonpricing import DiscreteTypeSpace, Distribution, ex_ante_curve_oracle, ex_ante_revenue_lp, simplex_solve
+from anonpricing import DiscreteTypeSpace, Distribution, ex_ante_curve_oracle, simplex_solve
 
 from helpers import enumerate_lp_max, ex_ante_lp_matrices
 
@@ -67,50 +68,59 @@ class TestSimplex:
                 assert sol.objective == pytest.approx(ref, abs=1e-8)
 
 
+def lp_mechanism(sp, q):
+    """Solve the slab-menu LP at mass q with the generic simplex and read off
+    each level's menu: allocations x[i, j] and payments p[i, j]."""
+    c, a_ub, b_ub, a_eq, b_eq = ex_ante_lp_matrices(sp.values, sp.value_probs, sp.budgets, sp.budget_probs, q)
+    sol = simplex_solve(c, a_ub + a_eq, ["<="] * len(a_ub) + ["="], b_ub + b_eq)
+    assert sol.status == "optimal"
+    m, n = len(sp.values), len(sp.budgets)
+    d = np.clip(sol.x, 0.0, None).reshape(n, 2, m).transpose(1, 2, 0)   # [lo|hi, slab, level]
+    v_lo = np.concatenate([[0.0], sp.values[:-1]])
+    x = np.minimum(np.cumsum(d[0] + d[1], axis=0), 1.0)
+    p = np.cumsum(d[0] * v_lo[:, None] + d[1] * sp.values[:, None], axis=0)
+    return sol.objective, x, p
+
+
 class TestExAnteLp:
     def test_point_mass_full_service(self):
         sp = DiscreteTypeSpace(np.array([1.0]), np.array([1.0]), np.array([math.inf]), np.array([1.0]), "linear")
-        sol = ex_ante_revenue_lp(sp, 1.0)
-        assert sol.objective == pytest.approx(1.0, abs=1e-9)
-        assert sol.allocations[0, 0] == pytest.approx(1.0, abs=1e-9)
-        assert sol.payments[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert ex_ante_curve_oracle(sp).eval(1.0) == pytest.approx(1.0, abs=1e-9)
+        _, x, p = lp_mechanism(sp, 1.0)
+        assert x[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert p[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_values_linear(self):
         sp = DiscreteTypeSpace(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
                                np.array([math.inf]), np.array([1.0]), "linear")
-        sol = ex_ante_revenue_lp(sp, 0.75)
-        assert sol.objective == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(sol.allocations.ravel(), [0.5, 1.0], atol=1e-9)
+        assert ex_ante_curve_oracle(sp).eval(0.75) == pytest.approx(1.0, abs=1e-9)
+        _, x, _ = lp_mechanism(sp, 0.75)
+        assert np.allclose(x.ravel(), [0.5, 1.0], atol=1e-9)
 
     def test_public_budget_slack(self):
         sp = DiscreteTypeSpace(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
                                np.array([10.0]), np.array([1.0]), "public-budget")
-        sol = ex_ante_revenue_lp(sp, 0.5)
-        assert sol.objective == pytest.approx(1.0, abs=1e-9)
-
-    def test_q_above_one_infeasible(self):
-        sp = DiscreteTypeSpace(np.array([1.0]), np.array([1.0]), np.array([math.inf]), np.array([1.0]), "linear")
-        assert ex_ante_revenue_lp(sp, 1.5).status == "infeasible"
+        assert ex_ante_curve_oracle(sp).eval(0.5) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_budget_level_feasible_at_full_mass(self):
         # free bottom slabs keep the exact-mass constraint feasible even
         # when a budget level cannot pay anything
         sp = DiscreteTypeSpace(np.array([2.0]), np.array([1.0]),
                                np.array([0.0, 2.0]), np.array([0.75, 0.25]), "private-budget")
-        sol = ex_ante_revenue_lp(sp, 1.0)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(0.25 * 2.0, abs=1e-9)
-        assert sol.payments[0, 0] == pytest.approx(0.0, abs=1e-9)
-        assert sol.allocations[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert ex_ante_curve_oracle(sp).eval(1.0) == pytest.approx(0.25 * 2.0, abs=1e-9)
+        _, x, p = lp_mechanism(sp, 1.0)
+        assert p[0, 0] == pytest.approx(0.0, abs=1e-9)
+        assert x[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_solution_invariants(self):
         values = ap.discretize(Distribution.uniform(0, 1), 12)
         budgets = ap.discretize(Distribution.uniform(0, 1), 5)
         sp = DiscreteTypeSpace(values.params["values"], values.params["probs"],
                                budgets.params["values"], budgets.params["probs"], "private-budget")
+        rb = ex_ante_curve_oracle(sp)
         for q in (0.0, 0.3, 0.8, 1.0):
-            sol = ex_ante_revenue_lp(sp, q)
-            x, p = sol.allocations, sol.payments
+            obj, x, p = lp_mechanism(sp, q)
+            assert rb.eval(q) == pytest.approx(obj, abs=1e-9)
             assert np.all(np.diff(x, axis=0) >= -1e-9)              # monotone in value
             assert np.all((x >= -1e-9) & (x <= 1 + 1e-9))
             assert np.all(p <= sp.budgets[None, :] + 1e-9)          # budget caps
@@ -131,12 +141,12 @@ class TestExAnteLp:
         for w in (0.1, 0.3):
             sp = DiscreteTypeSpace(values.params["values"], values.params["probs"],
                                    np.array([w]), np.array([1.0]), "public-budget")
+            rb = ex_ante_curve_oracle(sp)
             agent = ap.Agent(model="public-budget", values=values, budget=w, id="d")
             off = ap.offer_curve(agent)
             for p in (0.08, 0.1, 0.25, 0.5, 0.8):
                 q = off.eval(p)
-                sol = ex_ante_revenue_lp(sp, q)
-                assert sol.objective >= p * q - 1e-9
+                assert rb.eval(q) >= p * q - 1e-9
 
     def test_matches_vertex_enumeration_on_2x2(self):
         cases = []
@@ -149,22 +159,11 @@ class TestExAnteLp:
         for v1, v2, f1, w1, w2, g1, q in cases:
             sp = DiscreteTypeSpace(np.array([v1, v2]), np.array([f1, 1 - f1]),
                                    np.array([w1, w2]), np.array([g1, 1 - g1]), "private-budget")
-            sol = ex_ante_revenue_lp(sp, q)
             c, a_ub, b_ub, a_eq, b_eq = ex_ante_lp_matrices(
                 sp.values, sp.value_probs, sp.budgets, sp.budget_probs, q)
             ref = enumerate_lp_max(c, a_ub, b_ub, a_eq, b_eq)
             assert ref is not None
-            assert sol.objective == pytest.approx(ref, abs=1e-9)
-
-    def test_csv(self, tmp_path):
-        sp = DiscreteTypeSpace(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
-                               np.array([math.inf]), np.array([1.0]), "linear")
-        sol = ex_ante_revenue_lp(sp, 0.75)
-        out = tmp_path / "lp.csv"
-        sol.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "i,j,x,p"
-        assert len(lines) == 3
+            assert ex_ante_curve_oracle(sp).eval(q) == pytest.approx(ref, abs=1e-9)
 
 
 class TestCurveOracle:
@@ -172,7 +171,7 @@ class TestCurveOracle:
         values = ap.discretize(Distribution.uniform(0, 1), 100)
         sp = DiscreteTypeSpace(values.params["values"], values.params["probs"],
                                np.array([math.inf]), np.array([1.0]), "linear")
-        rb = ex_ante_curve_oracle(sp, grid=33)
+        rb = ex_ante_curve_oracle(sp)
         assert rb.eval(0.5) == pytest.approx(0.25, abs=0.01)
         assert rb.eval(0.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -180,17 +179,36 @@ class TestCurveOracle:
         values = ap.discretize(Distribution.uniform(0, 1), 30)
         sp = DiscreteTypeSpace(values.params["values"], values.params["probs"],
                                np.array([0.4]), np.array([1.0]), "public-budget")
-        rb = ex_ante_curve_oracle(sp, grid=17)
+        rb = ex_ante_curve_oracle(sp)
         slopes = np.diff(rb.values) / np.diff(rb.qs)
         assert np.all(np.diff(slopes) <= 1e-7 * max(1.0, rb.max_value()))
         agent = ap.Agent(model="public-budget", values=values, budget=0.4, id="d")
         P = ap.price_posting_curve(ap.offer_curve(agent))
         assert np.all(np.asarray(rb.eval(rb.qs)) >= np.asarray(P.eval(rb.qs)) - 1e-7)
 
-    def test_grid_validated(self):
-        sp = DiscreteTypeSpace(np.array([1.0]), np.array([1.0]), np.array([math.inf]), np.array([1.0]), "linear")
-        with pytest.raises(ValueError):
-            ex_ante_curve_oracle(sp, grid=4)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exact_curve_matches_simplex(self, data):
+        m = data.draw(st.integers(2, 6), label="m")
+        values = np.array(sorted(data.draw(st.sets(st.integers(1, 40), min_size=m, max_size=m)))) / 8.0
+        f = np.array(data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=float)
+        if data.draw(st.booleans(), label="linear"):
+            budgets, model = np.array([math.inf]), "linear"
+        else:
+            # w = 0, w on a support value, w above the top value, a generic w, the +inf sentinel
+            pool = st.one_of(st.just(0.0), st.sampled_from(values.tolist()), st.just(values[-1] + 1.0),
+                             st.floats(0.01, 6.0), st.just(math.inf))
+            budgets = np.array(sorted(data.draw(st.sets(pool, min_size=1, max_size=3), label="budgets")))
+            model = "private-budget" if len(budgets) > 1 else "public-budget"
+        g = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(budgets), max_size=len(budgets))), dtype=float)
+        sp = DiscreteTypeSpace(values, f / f.sum(), budgets, g / g.sum(), model)
+        rb = ex_ante_curve_oracle(sp)
+        assert rb.eval(0.0) == 0.0
+        assert rb.concave
+        assert np.all(np.diff(rb.qs) > 0.0)
+        for q in data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), label="qs"):
+            obj, _, _ = lp_mechanism(sp, q)
+            assert rb.eval(q) == pytest.approx(obj, abs=1e-9)
 
 
 class TestBruteForceEar:
