@@ -17,12 +17,10 @@ from .curves import (
     Agent,
     OfferCurve,
     RevenueCurve,
-    LagrangianCurve,
     offer_curve,
     price_posting_curve,
     concave_hull,
     quantiles_at_prices,
-    lagrangian_curve,
     synthetic_curve,
 )
 from .oracle import (
@@ -30,7 +28,6 @@ from .oracle import (
     SimplexSolution,
     simplex_solve,
     ex_ante_curve_oracle,
-    brute_force_ear,
 )
 from .mechanisms import (
     ApResult,
@@ -39,7 +36,6 @@ from .mechanisms import (
     ap_revenue,
     ap_optimize,
     ear_optimize,
-    market_clearing_price,
     random_price_revenue_public,
     random_price_revenue_floor,
     myerson_reserve,

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .closeness import OracleConfig, RHO, build_curves, verify_instance
-from .curves import Agent, concave_hull, offer_curve, price_posting_curve, synthetic_curve
+from .closeness import AgentCurves, OracleConfig, RHO, build_curves, verify_instance
+from .curves import Agent, concave_hull, synthetic_curve
+from .curves import price_posting_curve  # noqa: F401  kept importable: perfbench/spans.py wraps this name
 from .distributions import Distribution
 from .fixtures import FixtureInstance, fixtures, get_fixture, mhr_fail_curves, random_concave_curve
 from .mechanisms import ap_optimize, ap_revenue, ear_optimize, risk_two_priced_bound
@@ -266,29 +267,23 @@ def compute_fixture_value(fix: FixtureInstance, name: str, config: OracleConfig)
 # -- analysis driver -----------------------------------------------------------
 
 
-def emit_curve(agent: Agent, grid: int, path, config: OracleConfig | None = None, include=("P", "H")) -> list[str]:
-    """Write q,value CSVs for the agent's curves; synthetic knots verbatim."""
-    config = config or OracleConfig()
+def emit_curve(agent: Agent, curves: AgentCurves, grid: int, path) -> list[str]:
+    """Write q,value CSVs of the curves the verifier compares: P and its
+    concave hull H at `grid` evenly spaced quantiles (P's knots if fewer);
+    a synthetic agent's P and R knots verbatim."""
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
     written = []
     if agent.model == "synthetic":
-        todo = {"P": synthetic_curve(agent.p_knots), "R": synthetic_curve(agent.r_knots)}
-        for label, curve in todo.items():
+        for label, curve in (("P", curves.P), ("R", curves.Rbar)):
             out = base.with_name(f"{base.stem}_{label}{base.suffix or '.csv'}")
             curve.to_csv(out, label)
             written.append(str(out))
         return written
-    P = price_posting_curve(offer_curve(agent), grid=config.price_grid)
+    P = curves.P
     qs = np.linspace(0.0, 1.0, grid) if grid < len(P.qs) else P.qs
-    for label in include:
-        if label == "P":
-            curve, vals = P, np.asarray(P.eval(qs))
-        elif label == "H":
-            hull = concave_hull(P)
-            curve, vals = hull, np.asarray(hull.eval(qs))
-        else:
-            raise ValueError(f"unknown curve label {label!r}")
+    for label, curve in (("P", P), ("H", concave_hull(P))):
+        vals = np.asarray(curve.eval(qs))
         out = base.with_name(f"{base.stem}_{label}{base.suffix or '.csv'}")
         with open(out, "w") as fh:
             fh.write(f"q,{label}\n")
@@ -315,12 +310,17 @@ def run_scenario(scenario: Scenario) -> int:
 
     analyses = set(scenario.analyses)
     try:
-        if "curves" in analyses:
-            for agent in scenario.agents:
-                emit_curve(agent, config.price_grid, out / f"curve_{agent.id}.csv", config)
-        # the closeness report already holds anonymous pricing on the posting
-        # curves and the ex-ante relaxation over Rbar, so they are not redone
+        # the closeness report already holds each agent's curves, anonymous
+        # pricing on the posting curves and the ex-ante relaxation over Rbar,
+        # so none of them is redone
         report = verify_instance(scenario.agents, config) if analyses & {"closeness", "verify"} else None
+        if report is not None:
+            records = report.curves
+        elif analyses & {"curves", "ear"}:
+            records = tuple(build_curves(agent, config) for agent in scenario.agents)
+        if "curves" in analyses:
+            for agent, rec in zip(scenario.agents, records):
+                emit_curve(agent, rec, config.price_grid, out / f"curve_{agent.id}.csv")
         if analyses & {"ap", "verify"}:
             ap = report.ap_posting if report is not None else ap_optimize(
                 [a.sellable() for a in scenario.agents], grid=config.price_grid)
@@ -329,11 +329,7 @@ def run_scenario(scenario: Scenario) -> int:
                 fh.write(ap.csv_row(scenario.name) + "\n")
             lines.append(f"anonymous pricing: price={ap.price:.10g} revenue={ap.revenue:.10g}")
         if analyses & {"ear", "verify"}:
-            if report is not None:
-                ear = report.ear
-            else:
-                rbars = [build_curves(agent, config)[1] for agent in scenario.agents]
-                ear = ear_optimize([r if r.concave else concave_hull(r) for r in rbars])
+            ear = report.ear if report is not None else ear_optimize([rec.concave_rbar for rec in records])
             with open(out / "ear.csv", "w") as fh:
                 fh.write("scenario,mechanism,price,quantiles,revenue\n")
                 fh.write(ear.csv_row(scenario.name) + "\n")

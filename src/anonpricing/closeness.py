@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .oracle import DiscreteTypeSpace, ex_ante_curve_oracle
 RHO = math.e
 _ORIGIN_CUTOFF = 1e-6  # both curves vanish linearly at q=0; skip the 0/0 zone
 _KAPPA_CEILING = 50.0
+_LP_SLACK = 0.05      # relative slack on LP-backed comparisons
+_EXACT_SLACK = 1e-6   # relative slack on closed-form comparisons
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,6 @@ class OracleConfig:
     budgets: int = 20
     price_grid: int = 4096
     betas: tuple = ()
-    lp_slack: float = 0.05      # relative slack on LP-backed comparisons
-    exact_slack: float = 1e-6   # relative slack on closed-form comparisons
 
     def __post_init__(self):
         if any(b < 1.0 for b in self.betas):
@@ -52,23 +53,17 @@ def alpha_for_beta(P: RevenueCurve, R: RevenueCurve, beta: float) -> float:
     if beta < 1.0:
         raise ValueError("beta must be at least 1")
     qs = _ratio_grid(P, R, 1.0 / beta)
-    rp = np.asarray(R.eval(qs))
-    pp = np.asarray(P.eval(qs))
-    scale = max(float(np.max(rp, initial=0.0)), 1e-300)
-    live = rp > 1e-14 * scale
-    if not np.any(live):
-        return 1.0
-    dead = live & (pp <= 1e-14 * scale)
-    if np.any(dead):
-        return math.inf
-    return float(np.max(rp[live] / pp[live]))
+    return _max_ratio(np.asarray(R.eval(qs)), np.asarray(P.eval(qs)))
 
 
 def zeta(P: RevenueCurve, R: RevenueCurve) -> float:
     """Smallest z such that the running max of P covers R/z everywhere."""
     qs = _ratio_grid(P, R, 1.0)
-    rp = np.asarray(R.eval(qs))
-    pp = np.maximum.accumulate(np.asarray(P.eval(qs)))
+    return _max_ratio(np.asarray(R.eval(qs)), np.maximum.accumulate(np.asarray(P.eval(qs))))
+
+
+def _max_ratio(rp: np.ndarray, pp: np.ndarray) -> float:
+    """Largest rp/pp where rp is not negligible; inf if pp vanishes there."""
     scale = max(float(np.max(rp, initial=0.0)), 1e-300)
     live = rp > 1e-14 * scale
     if not np.any(live):
@@ -136,6 +131,7 @@ class AgentCloseness:
 @dataclass(frozen=True)
 class ClosenessReport:
     agents: tuple
+    curves: tuple           # the AgentCurves each agent's row was computed on
     betas: tuple
     alpha: dict             # aggregate alpha per beta (max over agents)
     zeta: float
@@ -170,8 +166,40 @@ class ClosenessReport:
             )
 
 
-def build_curves(agent: Agent, config: OracleConfig) -> tuple[RevenueCurve, RevenueCurve, str]:
-    """Per-agent (P, Rbar, label); Rbar is exact only when the model admits it.
+@dataclass(frozen=True)
+class AgentCurves:
+    """One agent's curves, built once by `build_curves`.
+
+    Rbar and its concave form are built on first use, so writing P alone
+    never runs the ex-ante oracle.
+    """
+
+    P: RevenueCurve
+    label: str                              # Rbar is "exact" | "upper bound"
+    _build_rbar: Callable[[], RevenueCurve]
+
+    @cached_property
+    def Rbar(self) -> RevenueCurve:
+        return self._build_rbar()
+
+    @cached_property
+    def concave_rbar(self) -> RevenueCurve:
+        """The curve EAR and AP-on-Rbar take: Rbar, or its hull if Rbar is not concave."""
+        return self.Rbar if self.Rbar.concave else concave_hull(self.Rbar)
+
+
+def _capacitated_rbar(P: RevenueCurve, capacity: float, hval: float) -> RevenueCurve:
+    # the only characterized handle on R is the two-priced upper bound;
+    # at mass q it is multiplier * P(min(q, q')), with q' the reserve quantile
+    hull = P if P.concave else concave_hull(P)
+    tb = risk_two_priced_bound(hull, capacity, hval, 1.0)
+    qs = np.unique(np.concatenate([hull.qs, np.linspace(0.0, 1.0, 257)]))
+    vals = tb.multiplier * np.asarray(hull.eval(np.minimum(qs, tb.q_prime)))
+    return RevenueCurve(qs, vals, name="Rbar")
+
+
+def build_curves(agent: Agent, config: OracleConfig) -> AgentCurves:
+    """The agent's curves P and Rbar; Rbar is exact only when the model admits it.
 
     For LP-backed models the posting curve is built on the same discrete
     type space as the oracle, so the closeness ratios compare like with
@@ -179,19 +207,13 @@ def build_curves(agent: Agent, config: OracleConfig) -> tuple[RevenueCurve, Reve
     revenue vanishes but the discrete one does not, reads as infinite).
     """
     if agent.model == "synthetic":
-        return synthetic_curve(agent.p_knots), synthetic_curve(agent.r_knots), "exact"
+        return AgentCurves(synthetic_curve(agent.p_knots), "exact", lambda: synthetic_curve(agent.r_knots))
     if agent.model == "linear":
         P = price_posting_curve(offer_curve(agent), grid=config.price_grid)
-        return P, concave_hull(P), "exact"
+        return AgentCurves(P, "exact", lambda: concave_hull(P))
     if agent.model == "capacitated":
-        # the only characterized handle on R is the two-priced upper bound;
-        # at mass q it is multiplier * P(min(q, q')), with q' the reserve quantile
         P = price_posting_curve(offer_curve(agent), grid=config.price_grid)
-        hull = P if P.concave else concave_hull(P)
-        tb = risk_two_priced_bound(hull, agent.capacity, agent.hval, 1.0)
-        qs = np.unique(np.concatenate([hull.qs, np.linspace(0.0, 1.0, 257)]))
-        vals = tb.multiplier * np.asarray(hull.eval(np.minimum(qs, tb.q_prime)))
-        return P, RevenueCurve(qs, vals, name="Rbar"), "upper bound"
+        return AgentCurves(P, "upper bound", lambda: _capacitated_rbar(P, agent.capacity, agent.hval))
     from .distributions import discretize
 
     Fd = agent.values if agent.values.kind == "discrete" else discretize(agent.values, config.values)
@@ -203,7 +225,7 @@ def build_curves(agent: Agent, config: OracleConfig) -> tuple[RevenueCurve, Reve
         space = DiscreteTypeSpace.private_budget(Fd, config.values, Gd, config.budgets)
         disc_agent = Agent(model="private-budget", values=Fd, budgets=Gd, id=agent.id)
     P = price_posting_curve(offer_curve(disc_agent), grid=config.price_grid)
-    return P, ex_ante_curve_oracle(space), "upper bound"
+    return AgentCurves(P, "upper bound", lambda: ex_ante_curve_oracle(space))
 
 
 def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None) -> ClosenessReport:
@@ -217,23 +239,14 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
     config = config or OracleConfig()
     if len(agents) == 0:
         raise ValueError("need at least one agent")
+    records = tuple(build_curves(agent, config) for agent in agents)
+    agent_kappas = [1.0 / max(a.budgets.exceed_mean_probability(), 1e-12) if a.model == "private-budget" else None
+                    for a in agents]
+    kappas = [k for k in agent_kappas if k is not None]
+    betas = tuple(sorted(set(config.betas) | {k + 1.0 for k in kappas} or {1.0}))
     per_agent = []
-    kappas = []
-    betas = set(config.betas)
-    infos = []
-    for agent in agents:
-        P, R, label = build_curves(agent, config)
-        kappa = None
-        if agent.model == "private-budget":
-            kappa = 1.0 / max(agent.budgets.exceed_mean_probability(), 1e-12)
-            kappas.append(kappa)
-            betas.add(kappa + 1.0)
-        infos.append((agent, P, R, label, kappa))
-    if not betas:
-        betas = {1.0}
-    betas = tuple(sorted(betas))
-    lp_backed = False
-    for agent, P, R, label, kappa in infos:
+    for agent, rec, kappa in zip(agents, records, agent_kappas):
+        P, R = rec.P, rec.Rbar
         val_reg = None if agent.model == "synthetic" else regularity_report(agent.values).regular
         bud_mhr = mhr_report(agent.budgets).mhr if agent.model == "private-budget" else None
         per_agent.append(
@@ -244,17 +257,16 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
                 zeta=zeta(P, R),
                 eta=eta(P, R),
                 kappa=kappa,
-                r_label=label,
+                r_label=rec.label,
                 value_regular=val_reg,
                 budget_mhr=bud_mhr,
             )
         )
-        lp_backed = lp_backed or label == "upper bound"
     alpha_agg = {b: max(max(a.alphas[b] for a in per_agent), 1.0) for b in betas}
     zeta_agg = max(max(a.zeta for a in per_agent), 1.0)
     eta_agg = max(max(a.eta for a in per_agent), 1.0)
     ap_post = ap_optimize([a.sellable() for a in agents], grid=config.price_grid)
-    r_curves = [concave_hull(info[2]) if not info[2].concave else info[2] for info in infos]
+    r_curves = [rec.concave_rbar for rec in records]
     ap_ex = ap_optimize(r_curves, grid=config.price_grid)
     ear = ear_optimize(r_curves)
     ratio = ear.revenue / ap_post.revenue if ap_post.revenue > 0 else math.inf
@@ -262,7 +274,7 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
     for b in betas:
         tb = transfer_bounds(alpha_agg[b], b, eta_agg)
         transfer[b] = TransferBounds(tb.basic * RHO, tb.improved * RHO)
-    all_p_concave = all(info[1].concave for info in infos)
+    all_p_concave = all(rec.P.concave for rec in records)
     zeta_bound = zeta_agg * RHO if all_p_concave and math.isfinite(zeta_agg) else math.inf
     candidates = [tb.basic for tb in transfer.values()] + [tb.improved for tb in transfer.values()] + [zeta_bound]
     bound = min(candidates)
@@ -289,11 +301,12 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
             flags.append(f"assumption violated: {a.agent_id} value distribution is not regular")
     if table1 is not None:
         bound = min(bound, table1)
-    slack = config.lp_slack if lp_backed else config.exact_slack
+    slack = _LP_SLACK if any(rec.label == "upper bound" for rec in records) else _EXACT_SLACK
     passed = ratio <= bound * (1.0 + slack) + slack
     kappa_agg = max(kappas) if kappas else None
     return ClosenessReport(
         agents=tuple(per_agent),
+        curves=records,
         betas=betas,
         alpha=alpha_agg,
         zeta=zeta_agg,

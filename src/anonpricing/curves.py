@@ -9,9 +9,8 @@ piecewise-linear representation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,8 +116,7 @@ class OfferCurve:
 class RevenueCurve:
     """Piecewise-linear function on [0, 1] given by strictly increasing knots.
 
-    Houses the price-posting curve P, ex-ante curves R, concave hulls, and
-    the Lagrangian curve (which may carry a negative intercept at q = 0).
+    Houses the price-posting curve P, ex-ante curves R and concave hulls.
     """
 
     __slots__ = ("qs", "values", "concave", "offer", "name")
@@ -180,12 +178,6 @@ class RevenueCurve:
 
     def __repr__(self):
         return f"RevenueCurve({self.name}, {len(self.qs)} knots, concave={self.concave})"
-
-
-class LagrangianCurve(NamedTuple):
-    curve: RevenueCurve      # the penalized posting curve sampled in quantile space
-    q_dagger: float          # smallest root of curve(q) = q * curve'(q)
-    hull: RevenueCurve       # linear on [0, q_dagger], equal to the curve beyond
 
 
 def synthetic_curve(knots: Sequence[tuple[float, float]]) -> RevenueCurve:
@@ -354,59 +346,3 @@ def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
         out[inner] = qs[k] + g0 / (g0 - g1) * (qs[k + 1] - qs[k])
     return out
 
-
-# -- Lagrangian price-posting curve -------------------------------------------
-
-
-def lagrangian_curve(F: Distribution, lam: float, grid: int = 4096) -> LagrangianCurve:
-    """Price-posting curve under a multiplier penalty on the top type's price.
-
-    The penalized curve is q*V(q) - lam*V(q).  Its concave hull is linear
-    out to the smallest q with curve(q) = q * curve'(q) and coincides with
-    the curve beyond, which is the ironing used for budgeted ex-ante
-    optima.  Derivatives are one-sided differences with step 1e-6.
-    """
-    if lam < 0:
-        raise ValueError("multiplier must be nonnegative")
-    h = 1e-6
-    qs = np.linspace(0.0, 1.0, grid)
-
-    def plam(q):
-        q = np.asarray(q, dtype=float)
-        return (q - lam) * np.asarray(F.inverse_demand(np.clip(q, 0.0, 1.0)))
-
-    vals = plam(qs)
-    curve = RevenueCurve(qs, vals, name="P_lambda")
-    if lam == 0.0:
-        return LagrangianCurve(curve, 0.0, concave_hull(curve))
-
-    def phi(q):
-        return plam(q) - q * (plam(np.minimum(q + h, 1.0)) - plam(q)) / h
-
-    interior = qs[(qs > h) & (qs < 1.0 - h)]
-    signs = phi(interior)
-    idx = np.nonzero(signs >= 0.0)[0]
-    if len(idx) == 0:
-        warnings.warn("penalized posting curve is nonpositive on (0,1); ironing spans everything")
-        q_dag = 1.0
-    elif idx[0] == 0:
-        q_dag = float(interior[0])
-    else:
-        lo_q, hi_q = float(interior[idx[0] - 1]), float(interior[idx[0]])
-        for _ in range(80):
-            mid = 0.5 * (lo_q + hi_q)
-            if phi(np.asarray(mid)) >= 0.0:
-                hi_q = mid
-            else:
-                lo_q = mid
-        q_dag = hi_q
-    slope_dag = float((plam(np.asarray(min(q_dag + h, 1.0))) - plam(np.asarray(q_dag))) / h)
-    tail = qs[qs > q_dag]
-    hull_q = np.concatenate([[0.0, q_dag], tail])
-    hull_v = np.concatenate([[0.0, q_dag * slope_dag], plam(tail)])
-    if len(tail) == 0 or hull_q[-1] < 1.0:
-        hull_q = np.append(hull_q, 1.0)
-        hull_v = np.append(hull_v, plam(np.asarray(1.0)))
-    keep = np.concatenate([[True], np.diff(hull_q) > 1e-15])
-    hull = RevenueCurve(hull_q[keep], hull_v[keep], name="hull(P_lambda)")
-    return LagrangianCurve(curve, q_dag, hull)

@@ -182,26 +182,6 @@ def ear_optimize(curves: Sequence[RevenueCurve]) -> EarResult:
     return EarResult(tuple(q.tolist()), revenue, binding=remaining <= 1e-12)
 
 
-def market_clearing_price(offer: OfferCurve, q: float) -> float:
-    """Price at which the offer sells mass exactly q (jump price at jumps)."""
-    if not 0.0 < q <= 1.0:
-        raise ValueError("quantile must lie in (0, 1]")
-    if q > float(offer.eval(0.0)) + 1e-12:
-        raise ValueError("unreachable mass: the offer never sells that much")
-    lo, hi = 0.0, float(offer.price_cap) * (1.0 + 1e-9) + 1e-30
-    if float(offer.eval(hi)) >= q:
-        return hi
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if float(offer.eval(mid)) >= q:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def random_price_revenue_public(F: Distribution, w: float) -> float:
     """Expected revenue of posting a price drawn from the value law itself
     to a buyer with a known budget: E_{r~F}[min(r, w) * Pr[v >= r]]."""

@@ -305,30 +305,3 @@ def ex_ante_curve_oracle(space: DiscreteTypeSpace) -> RevenueCurve:
     qs[-1] = 1.0   # the level masses sum to 1 only within PROB_ATOL
     return RevenueCurve(qs, vals, name="Rbar")
 
-
-def brute_force_ear(curves: Sequence[RevenueCurve], step: float = 0.01) -> float:
-    """Grid enumeration of max sum_i curve_i(q_i) with sum q_i <= 1.
-
-    Within Lipschitz * step of the optimum; restricted to at most three
-    curves on purpose, to stay a dumb cross-check.
-    """
-    if len(curves) == 0 or len(curves) > 3:
-        raise ValueError("brute force handles 1 to 3 curves")
-    if step > 0.01 + 1e-12:
-        raise ValueError("step must be at most 0.01")
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
-    G = len(grid)
-    vals = [np.asarray(c.eval(grid)) for c in curves]
-    if len(curves) == 1:
-        return float(np.max(vals[0]))
-    # best_k(r) = max over grid points <= r, exact on the grid
-    best_last = np.maximum.accumulate(vals[-1])
-    if len(curves) == 2:
-        totals = vals[0] + best_last[::-1]
-        return float(np.max(totals))
-    best = -np.inf
-    for i in range(G):
-        rem = G - 1 - i
-        inner = vals[1][: rem + 1] + best_last[rem::-1]
-        best = max(best, vals[0][i] + float(np.max(inner)))
-    return float(best)

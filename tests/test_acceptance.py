@@ -24,7 +24,7 @@ from anonpricing import (
 from anonpricing.cli import compute_fixture_value
 from anonpricing.fixtures import mhr_fail_curves
 
-from helpers import enumerate_lp_max, ex_ante_lp_matrices
+from helpers import brute_force_ear, enumerate_lp_max, ex_ante_lp_matrices
 
 E = math.e
 
@@ -209,7 +209,7 @@ def test_c10_budget_gap_ear_reaches_harmonic_target():
     S = sum(1.0 / i**2 for i in range(1, 31))
     feasible_opt = H - (S - 1.0)
     assert abs(ear - feasible_opt) <= 1e-6
-    bf = ap.brute_force_ear(r_curves[:3], step=0.01)
+    bf = brute_force_ear(r_curves[:3], step=0.01)
     assert bf <= ear + 1e-9  # the 3-curve restriction of the same program
     ok = ear >= 3.99
     report(10, ok, f"n=30 EAR = {ear:.4f} vs harmonic target 3.99 (feasible optimum is {feasible_opt:.4f})")
@@ -282,7 +282,7 @@ def test_c12_water_filling_matches_brute_force():
     worst = 0.0
     for _ in range(100):
         curves = [random_concave_curve(rng) for _ in range(3)]
-        bf = ap.brute_force_ear(curves, step=0.01)
+        bf = brute_force_ear(curves, step=0.01)
         wf = ap.ear_optimize(curves).revenue
         max_slope = max(float(np.max(np.abs(np.diff(c.values) / np.diff(c.qs)))) for c in curves)
         gap = abs(bf - wf) / max(1e-12, 3 * 0.01 * max_slope)

@@ -17,7 +17,7 @@ from anonpricing.cli import (
     parse_fixture_ref,
     run_scenario,
 )
-from anonpricing.closeness import OracleConfig
+from anonpricing.closeness import OracleConfig, build_curves
 
 
 def write_scenario(tmp_path, payload, name="scen.json"):
@@ -154,7 +154,7 @@ class TestComputedFixtureValues:
 class TestEmitCurve:
     def test_uniform_grid_five(self, tmp_path):
         agent = ap.Agent(model="linear", values=ap.Distribution.uniform(0, 1), id="u")
-        paths = emit_curve(agent, 5, tmp_path / "u.csv", include=("P",))
+        emit_curve(agent, build_curves(agent, OracleConfig()), 5, tmp_path / "u.csv")
         rows = (tmp_path / "u_P.csv").read_text().strip().splitlines()
         assert rows[0] == "q,P"
         got = [tuple(map(float, r.split(","))) for r in rows[1:]]
@@ -166,13 +166,13 @@ class TestEmitCurve:
     def test_synthetic_knots_verbatim(self, tmp_path):
         agent = ap.Agent(model="synthetic", p_knots=((0, 0), (0.25, 1.0), (1, 2.0)),
                          r_knots=((0, 0), (0.5, 4.0), (1, 4.0)), id="s")
-        emit_curve(agent, 5, tmp_path / "s.csv")
+        emit_curve(agent, build_curves(agent, OracleConfig()), 5, tmp_path / "s.csv")
         rows = (tmp_path / "s_P.csv").read_text().strip().splitlines()
         assert rows[1:] == ["0,0", "0.25,1", "1,2"]
 
     def test_equal_revenue_shape(self, tmp_path):
         agent = ap.Agent(model="linear", values=ap.Distribution.equal_revenue(10), id="er")
-        emit_curve(agent, 11, tmp_path / "er.csv", include=("P",))
+        emit_curve(agent, build_curves(agent, OracleConfig()), 11, tmp_path / "er.csv")
         rows = (tmp_path / "er_P.csv").read_text().strip().splitlines()[1:]
         vals = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
         assert vals[0.1] == pytest.approx(1.0, abs=1e-9)
@@ -226,13 +226,15 @@ class TestRunScenario:
 
 
 class TestBuildOnce:
-    def test_verify_computes_each_result_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def counter(monkeypatch, calls):
+        """count(name, key): tally calls of `name` wherever cli or closeness looks it up."""
         from anonpricing import cli, closeness
-
-        calls = {"build_curves": 0, "ap_optimize on posting": 0, "ear_optimize": 0}
 
         def count(name, key, applies=lambda *args: True):
             for module in (cli, closeness):
+                if not hasattr(module, name):
+                    continue
                 original = getattr(module, name)
 
                 def counted(*args, original=original, **kwargs):
@@ -241,6 +243,11 @@ class TestBuildOnce:
 
                 monkeypatch.setattr(module, name, counted)
 
+        return count
+
+    def test_verify_computes_each_result_once(self, tmp_path, monkeypatch):
+        calls = {"build_curves": 0, "ap_optimize on posting": 0, "ear_optimize": 0}
+        count = self.counter(monkeypatch, calls)
         count("build_curves", "build_curves")
         count("ap_optimize", "ap_optimize on posting",
               lambda sellables, *rest: any(isinstance(s, ap.OfferCurve) for s in sellables))
@@ -250,6 +257,37 @@ class TestBuildOnce:
         path = minimal(tmp_path, agents=agents, analyses=["verify"])
         assert main(["verify", str(path), "--grid", "256"]) == 0
         assert calls == {"build_curves": 2, "ap_optimize on posting": 1, "ear_optimize": 1}
+
+    def test_report_builds_each_posting_curve_once(self, tmp_path, monkeypatch, capsys):
+        from anonpricing import cli
+
+        calls = {"price_posting_curve": 0, "ex_ante_curve_oracle": 0}
+        count = self.counter(monkeypatch, calls)
+        count("price_posting_curve", "price_posting_curve")
+        count("ex_ante_curve_oracle", "ex_ante_curve_oracle")
+        # the report's seeded e-bound spot check draws its own curves and builds no P
+        monkeypatch.setattr(cli, "random_ebound_check", lambda seed: (True, 0.0))
+        U = {"kind": "uniform", "a": 0, "b": 1}
+        agents = [{"model": "linear", "id": "l1", "values": U},
+                  {"model": "linear", "id": "l2", "values": {"kind": "equal-revenue", "h": 5}},
+                  {"model": "public-budget", "id": "pub", "values": U, "budget": 0.4},
+                  {"model": "private-budget", "id": "priv", "values": U, "budgets": {"kind": "uniform", "a": 0, "b": 0.8}},
+                  {"model": "capacitated", "id": "cap", "values": {"kind": "equal-revenue", "h": 20}, "capacity": 4}]
+        path = minimal(tmp_path, agents=agents)
+        argv = ["report", str(path), "--grid", "256", "--oracle-values", "20", "--oracle-budgets", "5"]
+        assert main(argv) == 0
+        assert calls == {"price_posting_curve": 5, "ex_ante_curve_oracle": 2}
+        assert len(list((tmp_path / "out").glob("curve_*.csv"))) == 10
+
+    def test_curve_verb_runs_no_oracle(self, tmp_path, monkeypatch):
+        from anonpricing import closeness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the curve verb ran the ex-ante oracle")
+
+        monkeypatch.setattr(closeness, "ex_ante_curve_oracle", refuse)
+        assert main(["curve", "--fixture", "mhr-fail:n=5", "--grid", "256", "--out", str(tmp_path / "c")]) == 0
+        assert len(list((tmp_path / "c").glob("curve_*.csv"))) == 10
 
 
 class TestSizeRanges:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution, OracleConfig, RHO
@@ -90,11 +91,12 @@ class TestCapacitatedRbar:
     ])
     def test_closed_form_matches_per_knot_bound(self, values, C):
         agent = Agent(model="capacitated", values=values, capacity=C, id="c")
-        P, rbar, label = build_curves(agent, OracleConfig(price_grid=128))
+        curves = build_curves(agent, OracleConfig(price_grid=128))
+        P, rbar = curves.P, curves.Rbar
         hull = P if P.concave else ap.concave_hull(P)
         # the bound's definition: one full evaluation at each knot's mass
         ref = [ap.risk_two_priced_bound(hull, C, values.hi, float(q)).bound for q in rbar.qs]
-        assert label == "upper bound"
+        assert curves.label == "upper bound"
         np.testing.assert_allclose(rbar.values, ref, rtol=0, atol=1e-12)
 
 
@@ -187,8 +189,8 @@ class TestVerifyInstance:
         for a in rep.agents:
             assert min(a.alphas.values()) >= 1.0 - 1e-12, a
             assert a.zeta >= 1.0 - 1e-12 and a.eta >= 1.0 - 1e-12, a
-        for agent in agents:
-            P, R, _ = build_curves(agent, config)
+        for agent, curves in zip(agents, rep.curves):
+            P, R = curves.P, curves.Rbar
             assert np.all(np.asarray(R.eval(P.qs)) >= P.values - 1e-12), agent.id
 
     def test_mixed_models_allowed(self):
@@ -227,3 +229,45 @@ class TestTransferInequalities:
         ear_p = ap.ear_optimize([ap.concave_hull(P)]).revenue
         ear_r = ap.ear_optimize([R]).revenue
         assert ear_p >= ear_r / z - 1e-6 * max(ear_r, 1.0)
+
+
+@st.composite
+def value_laws(draw):
+    kind = draw(st.sampled_from(["uniform", "equal-revenue", "exponential", "discrete"]))
+    if kind == "uniform":
+        a = draw(st.floats(0.0, 2.0))
+        return Distribution.uniform(a, a + draw(st.floats(0.1, 3.0)))
+    if kind == "equal-revenue":
+        return Distribution.equal_revenue(draw(st.floats(1.5, 200.0)))
+    if kind == "exponential":
+        return Distribution.exponential(draw(st.floats(0.2, 5.0)), hi=draw(st.floats(0.5, 8.0)))
+    values = sorted(draw(st.sets(st.floats(0.05, 10.0), min_size=1, max_size=5)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+    return Distribution.discrete(values, [w / sum(weights) for w in weights])
+
+
+@st.composite
+def single_agents(draw):
+    model = draw(st.sampled_from(["linear", "capacitated", "synthetic"]))
+    if model == "synthetic":
+        # R >= P at every shared knot, so R >= P pointwise
+        inner = sorted(draw(st.sets(st.floats(0.01, 0.99), min_size=1, max_size=4)))
+        qs = [0.0] + inner + [1.0]
+        p_vals = [0.0] + draw(st.lists(st.floats(0.0, 5.0), min_size=len(qs) - 1, max_size=len(qs) - 1))
+        lifts = draw(st.lists(st.floats(1.0, 3.0), min_size=len(qs), max_size=len(qs)))
+        return Agent(model="synthetic", p_knots=tuple(zip(qs, p_vals)),
+                     r_knots=tuple((q, v * k) for q, v, k in zip(qs, p_vals, lifts)), id="s")
+    values = draw(value_laws())
+    if model == "linear":
+        return Agent(model="linear", values=values, id="l")
+    capacity = values.hi * draw(st.floats(0.05, 1.0))
+    return Agent(model="capacitated", values=values, capacity=capacity, id="c")
+
+
+@given(single_agents())
+@settings(max_examples=40, deadline=None)
+def test_every_closeness_parameter_at_least_one(agent):
+    rep = ap.verify_instance([agent], OracleConfig(price_grid=256, betas=(1.0, 2.0, 4.0)))
+    (row,) = rep.agents
+    assert min(row.alphas.values()) >= 1.0 - 1e-12, row
+    assert row.zeta >= 1.0 - 1e-12 and row.eta >= 1.0 - 1e-12, row

@@ -1,6 +1,4 @@
-"""Offer curves, posting curves, hulls, quantile maps, Lagrangian ironing."""
-
-import math
+"""Offer curves, posting curves, hulls, quantile maps."""
 
 import numpy as np
 import pytest
@@ -229,51 +227,6 @@ def test_quantiles_at_prices_matches_dense_reference(case):
     got = ap.quantiles_at_prices(prices, curve)
     ref = dense_quantiles_at_prices(prices, curve.qs, curve.values)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-
-
-class TestLagrangianCurve:
-    def test_zero_multiplier_identity(self, uniform_posting_curve):
-        lc = ap.lagrangian_curve(Distribution.uniform(0, 1), 0.0)
-        assert lc.q_dagger == 0.0
-        qs = np.linspace(0, 1, 101)
-        expect = qs * (1 - qs)
-        assert np.allclose(np.asarray(lc.curve.eval(qs)), expect, atol=1e-7)
-        assert np.allclose(np.asarray(lc.hull.eval(qs)), expect, atol=1e-7)
-
-    def test_uniform_point_one(self):
-        # bisection oracle for the ironing point: root of
-        # (q - 0.1)(1 - q) = q * (1.1 - 2q), i.e. q = sqrt(0.1)
-        lo, hi = 1e-6, 1.0
-
-        def phi(q):
-            return (q - 0.1) * (1 - q) - q * (1.1 - 2 * q)
-
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if phi(mid) >= 0:
-                hi = mid
-            else:
-                lo = mid
-        lc = ap.lagrangian_curve(Distribution.uniform(0, 1), 0.1)
-        assert hi == pytest.approx(math.sqrt(0.1), abs=1e-9)
-        assert lc.q_dagger == pytest.approx(math.sqrt(0.1), abs=1e-4)
-        # hull on the ironed stretch: linear with the curve's slope at q+
-        slope = 1.1 - 2 * math.sqrt(0.1)
-        assert lc.hull.eval(0.1) == pytest.approx(0.1 * slope, abs=1e-5)
-
-    def test_curve_values(self):
-        lc = ap.lagrangian_curve(Distribution.uniform(0, 1), 0.1)
-        qs = np.linspace(0.01, 1, 57)
-        assert np.allclose(np.asarray(lc.curve.eval(qs)), (qs - 0.1) * (1 - qs), atol=1e-6)
-
-    def test_oversized_multiplier_warns(self):
-        with pytest.warns(UserWarning):
-            lc = ap.lagrangian_curve(Distribution.uniform(0, 1), 1.5)
-        assert lc.q_dagger == 1.0
-
-    def test_negative_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            ap.lagrangian_curve(Distribution.uniform(0, 1), -0.1)
 
 
 class TestSyntheticAndEval:

@@ -1,4 +1,4 @@
-"""Anonymous pricing, water-filling, clearing prices, random-price revenue,
+"""Anonymous pricing, water-filling, random-price revenue,
 the posted-price reserve, and the capacitated upper bound."""
 
 import math
@@ -100,37 +100,6 @@ class TestEarOptimize:
             apv = ap.ap_optimize(curves, grid=256).revenue
             earv = ap.ear_optimize(curves).revenue
             assert apv <= earv + 1e-9 * max(1.0, earv)
-
-
-class TestMarketClearing:
-    def test_uniform(self):
-        assert ap.market_clearing_price(uniform_offer(), 0.5) == pytest.approx(0.5, abs=1e-9)
-
-    def test_private_budget_inverse(self):
-        a = Agent(model="private-budget", values=Distribution.uniform(0, 1),
-                  budgets=Distribution.uniform(0, 1), id="pr")
-        assert ap.market_clearing_price(ap.offer_curve(a), 0.375) == pytest.approx(0.5, abs=1e-9)
-
-    def test_public_budget_inverse(self):
-        a = Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=0.3, id="pb")
-        assert ap.market_clearing_price(ap.offer_curve(a), 0.3) == pytest.approx(0.5, abs=1e-9)
-
-    def test_round_trip(self):
-        offers = [
-            uniform_offer(),
-            ap.offer_curve(Agent(model="private-budget", values=Distribution.uniform(0, 1),
-                                 budgets=Distribution.uniform(0, 1), id="pr")),
-        ]
-        for off in offers:
-            for q in (0.1, 0.37, 0.62, 0.9):
-                p = ap.market_clearing_price(off, q)
-                assert off.eval(p) == pytest.approx(q, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ap.market_clearing_price(uniform_offer(), 0.0)
-        with pytest.raises(ValueError):
-            ap.market_clearing_price(uniform_offer(), 1.2)
 
 
 class TestRandomPriceRevenue:

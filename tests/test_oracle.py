@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import anonpricing as ap
 from anonpricing import DiscreteTypeSpace, Distribution, ex_ante_curve_oracle, simplex_solve
 
-from helpers import enumerate_lp_max, ex_ante_lp_matrices
+from helpers import brute_force_ear, enumerate_lp_max, ex_ante_lp_matrices
 
 
 class TestSimplex:
@@ -214,23 +214,23 @@ class TestCurveOracle:
 class TestBruteForceEar:
     def test_two_uniform_parabolas(self):
         c = ap.synthetic_curve([(q, q * (1 - q)) for q in np.linspace(0, 1, 101)])
-        got = ap.brute_force_ear([c, c], step=0.001)
+        got = brute_force_ear([c, c], step=0.001)
         assert got == pytest.approx(0.5, abs=2e-3)
 
     def test_single_curve_max(self):
         c = ap.synthetic_curve([(0, 0), (0.3, 0.7), (1, 0.2)])
-        assert ap.brute_force_ear([c], step=0.01) == pytest.approx(0.7, abs=1e-12)
+        assert brute_force_ear([c], step=0.01) == pytest.approx(0.7, abs=1e-12)
 
     def test_tightness_pair(self):
         r = ap.synthetic_curve([(0, 0), (0.5, 4.0), (1, 4.0)])
-        assert ap.brute_force_ear([r, r], step=0.001) == pytest.approx(8.0, abs=0.02)
+        assert brute_force_ear([r, r], step=0.001) == pytest.approx(8.0, abs=0.02)
 
     def test_too_many_curves(self):
         c = ap.synthetic_curve([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
-            ap.brute_force_ear([c] * 4, step=0.01)
+            brute_force_ear([c] * 4, step=0.01)
         with pytest.raises(ValueError):
-            ap.brute_force_ear([c], step=0.05)
+            brute_force_ear([c], step=0.05)
 
     def test_three_curves_vs_water_filling(self):
         rng = np.random.default_rng(11)
@@ -238,7 +238,7 @@ class TestBruteForceEar:
 
         for _ in range(10):
             curves = [random_concave_curve(rng) for _ in range(3)]
-            bf = ap.brute_force_ear(curves, step=0.01)
+            bf = brute_force_ear(curves, step=0.01)
             wf = ap.ear_optimize(curves).revenue
             max_slope = max(float(np.max(np.abs(np.diff(c.values) / np.diff(c.qs)))) for c in curves)
             assert abs(bf - wf) <= 3 * 0.01 * max_slope
