@@ -224,6 +224,47 @@ class TestRunScenario:
         assert code == 1
         assert "[FAIL]" in (tmp_path / "o" / "summary.txt").read_text()
 
+    def test_budget_curve_csv_is_the_compared_posting_curve(self, tmp_path):
+        # a budget agent's curve CSV shows the discretized P its closeness
+        # row is computed on, not the continuous-law P
+        agent = {"model": "public-budget", "id": "pb", "values": {"kind": "uniform", "a": 0, "b": 1}, "budget": 0.4}
+        scen = load_scenario(minimal(tmp_path, agents=[agent], analyses=["curves", "verify"],
+                                     grid=256, oracle={"values": 20, "budgets": 5}))
+        assert run_scenario(scen) == 0
+        rows = (tmp_path / "out" / "curve_pb_P.csv").read_text().strip().splitlines()[1:]
+        qs, vals = np.array([[float(x) for x in r.split(",")] for r in rows]).T
+        P = ap.verify_instance(list(scen.agents), scen.oracle).curves[0].P
+        np.testing.assert_array_equal(vals, np.asarray(P.eval(qs)))
+        continuous = ap.price_posting_curve(ap.offer_curve(scen.agents[0]), grid=256)
+        assert vals[-1] > 0.01 and continuous.eval(1.0) < 1e-12
+
+    def test_ear_verb_matches_verify(self, tmp_path):
+        agents = [{"model": "linear", "id": "u", "values": {"kind": "uniform", "a": 0, "b": 1}},
+                  {"model": "public-budget", "id": "pb", "values": {"kind": "uniform", "a": 0, "b": 1}, "budget": 0.3},
+                  {"model": "synthetic", "id": "s", "p_knots": [[0, 0], [0.25, 0.5], [1, 1.0]],
+                   "r_knots": [[0, 0], [0.25, 1.0], [0.5, 1.0], [0.75, 2.0], [1, 2.0]]}]
+        written = {}
+        for analyses in (["ear"], ["verify"]):
+            out = tmp_path / analyses[0]
+            scen = load_scenario(minimal(tmp_path, agents=agents, analyses=analyses, out=str(out),
+                                         grid=256, oracle={"values": 20, "budgets": 5}))
+            run_scenario(scen)
+            written[analyses[0]] = (out / "ear.csv").read_bytes()
+        assert written["ear"] == written["verify"]
+
+    def test_verify_error_writes_no_curve(self, tmp_path, monkeypatch):
+        from anonpricing import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("oracle unavailable")
+
+        monkeypatch.setattr(cli, "verify_instance", broken)
+        scen = load_scenario(minimal(tmp_path, analyses=["curves", "verify"]))
+        assert run_scenario(scen) == 1
+        out = tmp_path / "out"
+        assert (out / "summary.txt").read_text().splitlines()[-1] == "[ERROR] ValueError: oracle unavailable"
+        assert list(out.glob("curve_*.csv")) == []
+
 
 class TestBuildOnce:
     @staticmethod

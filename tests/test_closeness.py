@@ -211,6 +211,68 @@ class TestVerifyInstance:
         assert text.startswith("agent,model,alpha@1")
         assert "summary" in text
 
+    def test_rows_computed_on_the_reported_curves(self):
+        agents = [
+            Agent(model="linear", values=Distribution.uniform(0, 1), id="u"),
+            Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=0.4, id="pb"),
+            Agent(model="capacitated", values=Distribution.equal_revenue(10), capacity=2.0, id="c"),
+            Agent(model="synthetic", p_knots=((0, 0), (0.25, 0.5), (1, 1.0)),
+                  r_knots=((0, 0), (0.25, 1.0), (1, 1.5)), id="s"),
+        ]
+        rep = ap.verify_instance(agents, OracleConfig(values=20, budgets=5, price_grid=256))
+        assert len(rep.curves) == len(agents)
+        for row, rec in zip(rep.agents, rep.curves):
+            assert row.r_label == rec.label
+            assert row.alphas == {b: ap.alpha_for_beta(rec.P, rec.Rbar, b) for b in rep.betas}
+            assert row.zeta == ap.zeta(rec.P, rec.Rbar)
+            assert row.eta == ap.eta(rec.P, rec.Rbar)
+        assert rep.ear == ap.ear_optimize([rec.concave_rbar for rec in rep.curves])
+
+    @pytest.mark.parametrize("budgeted, slack", [(False, 1e-6), (True, 0.05)])
+    def test_slack_follows_rbar_labels(self, budgeted, slack):
+        # closed-form Rbar everywhere gets the tight slack; one LP-backed
+        # upper bound loosens the whole comparison
+        agents = [Agent(model="linear", values=Distribution.uniform(0, 1), id="u")]
+        if budgeted:
+            agents.append(Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=0.3, id="pb"))
+        rep = ap.verify_instance(agents, OracleConfig(values=20, price_grid=256))
+        assert [r.r_label == "upper bound" for r in rep.agents] == [False] + [True] * budgeted
+        assert rep.slack == slack
+
+
+class TestAgentCurves:
+    def test_concave_rbar_is_rbar_when_concave(self):
+        agent = Agent(model="linear", values=Distribution.equal_revenue(10), id="er")
+        rec = build_curves(agent, OracleConfig(price_grid=256))
+        assert rec.label == "exact"
+        assert rec.Rbar.concave
+        assert rec.concave_rbar is rec.Rbar
+        np.testing.assert_array_equal(rec.Rbar.values, ap.concave_hull(rec.P).values)
+
+    def test_non_concave_rbar_takes_its_hull(self):
+        agent = Agent(model="synthetic", p_knots=((0, 0), (0.25, 0.5), (1, 1.0)),
+                      r_knots=((0, 0), (0.25, 1.0), (0.5, 1.0), (0.75, 2.0), (1, 2.0)), id="s")
+        rec = build_curves(agent, OracleConfig())
+        assert not rec.Rbar.concave
+        assert rec.concave_rbar.concave
+        np.testing.assert_array_equal(rec.concave_rbar.qs, [0.0, 0.25, 0.75, 1.0])
+        np.testing.assert_array_equal(rec.concave_rbar.values, [0.0, 1.0, 2.0, 2.0])
+
+    def test_oracle_runs_on_first_use_only(self, monkeypatch):
+        from anonpricing import closeness
+
+        calls = []
+        oracle = closeness.ex_ante_curve_oracle
+        monkeypatch.setattr(closeness, "ex_ante_curve_oracle", lambda space: calls.append(space) or oracle(space))
+        agent = Agent(model="private-budget", values=Distribution.uniform(0, 1),
+                      budgets=Distribution.uniform(0, 0.8), id="pr")
+        rec = build_curves(agent, OracleConfig(values=20, budgets=5, price_grid=256))
+        assert rec.label == "upper bound" and len(rec.P.qs) > 2
+        assert calls == []
+        assert rec.Rbar is rec.Rbar
+        assert rec.concave_rbar is rec.concave_rbar
+        assert len(calls) == 1
+
 
 class TestTransferInequalities:
     def test_ap_transfer_inequality(self, private_uu_posting_curve, private_uu_rbar):
