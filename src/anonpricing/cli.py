@@ -141,13 +141,11 @@ def _agent_from_literal(obj, idx: int) -> Agent:
 
 def _integer(value, name: str, lo: float = -np.inf, hi: float = np.inf) -> int:
     """Check an integer, from a scenario file or a flag, against its documented range."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{value!r} is not an integer", name) from None
-    if not lo <= n <= hi:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{value!r} is not an integer", name)
+    if not lo <= value <= hi:
         raise ScenarioError(f"{value} is outside the documented range [{lo}, {hi}]", name)
-    return n
+    return value
 
 
 def _oracle_config(grid, values, budgets, betas: tuple) -> OracleConfig:
@@ -184,29 +182,34 @@ def load_scenario(path) -> Scenario:
             agents.extend(fix.agents)
         else:
             agents.append(_agent_from_literal(entry, i))
-    analyses = tuple(raw.get("analyses", ["verify"]))
+    analyses = raw.get("analyses", ["verify"])
+    if not isinstance(analyses, list):
+        raise ScenarioError(f"need a list of analyses from {ANALYSES}", "analyses")
     for a in analyses:
         if a not in ANALYSES:
             raise ScenarioError(f"unknown analysis {a!r} (choose from {ANALYSES})", "analyses")
     oracle_raw = raw.get("oracle", {})
+    if not isinstance(oracle_raw, dict):
+        raise ScenarioError("need an object", "oracle")
     extra = set(oracle_raw) - {"values", "budgets", "quantile_grid"}
     if extra:
         raise ScenarioError(f"unknown keys {sorted(extra)}", "oracle")
-    betas = tuple(raw.get("betas", ()))
-    if any(not isinstance(b, (int, float)) or b < 1 for b in betas):
-        raise ScenarioError("betas must be numbers >= 1", "betas")
+    betas = raw.get("betas", [])
+    if not isinstance(betas, list) or any(isinstance(b, bool) or not isinstance(b, (int, float))
+                                          or not 1 <= b < np.inf for b in betas):
+        raise ScenarioError("betas must be a list of finite numbers >= 1", "betas")
     config = _oracle_config(
         raw.get("grid", _DEFAULTS.price_grid),
         oracle_raw.get("values", _DEFAULTS.values),
         oracle_raw.get("budgets", _DEFAULTS.budgets),
-        betas,
+        tuple(betas),
     )
     if "quantile_grid" in oracle_raw:  # schema v1 key: Rbar is exact, so it has no effect
         _integer(oracle_raw["quantile_grid"], "oracle.quantile_grid", 8, 1025)
     return Scenario(
         name=str(raw.get("name", Path(path).stem)),
         agents=tuple(agents),
-        analyses=analyses,
+        analyses=tuple(analyses),
         oracle=config,
         seed=_integer(raw.get("seed", 20240801), "seed"),
         out_dir=str(raw.get("out", "out")),
@@ -231,20 +234,11 @@ def compute_fixture_value(fix: FixtureInstance, name: str, config: OracleConfig)
         else:
             r_curves = [concave_hull(a.price_curve()) for a in agents]
         return ear_optimize(r_curves).revenue
-    if name == "giveaway_revenue":
-        from scipy import integrate
-
-        agent = agents[0]
-        F, C = agent.values, agent.capacity
-        body, _ = integrate.quad(lambda v: max(v - C, 0.0) * F.pdf(v), F.lo, F.hi, points=[C], epsabs=1e-12)
-        return body + sum(m * max(a - C, 0.0) for a, m in F.atoms)
-    if name == "overpay_revenue":
-        from scipy import integrate
-
+    if name == "giveaway_revenue":   # E[(v - C)^+] = E[v] - E[min(v, C)]
         F = agents[0].values
-        welfare, _ = integrate.quad(lambda v: v * F.pdf(v), F.lo, F.hi, epsabs=1e-12)
-        welfare += sum(m * a for a, m in F.atoms)
-        return 0.5 * welfare
+        return F.mean() - float(F.expected_min(agents[0].capacity))
+    if name == "overpay_revenue":
+        return 0.5 * agents[0].values.mean()
     if name == "bound_multiplier":
         agent = agents[0]
         P = agent.price_curve()

@@ -35,6 +35,15 @@ def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> list[int]:
     return idx
 
 
+def _collapse(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort by q and merge near-equal q (gaps <= 1e-15) onto the run's
+    largest value: the upper boundary of a point cloud in quantile space."""
+    order = np.argsort(q, kind="stable")
+    q, v = q[order], v[order]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(q) > 1e-15]))
+    return q[starts], np.maximum.reduceat(v, starts)
+
+
 @dataclass(frozen=True)
 class Agent:
     """A buyer: a utility-model tag plus the distributions that define it.
@@ -119,7 +128,7 @@ class RevenueCurve:
     Houses the price-posting curve P, ex-ante curves R and concave hulls.
     """
 
-    __slots__ = ("qs", "values", "concave", "offer", "name")
+    __slots__ = ("qs", "values", "concave", "offer", "name", "_reach")
 
     def __init__(self, qs, values, offer: OfferCurve | None = None, name: str = "curve"):
         qs = np.asarray(qs, dtype=float)
@@ -139,6 +148,7 @@ class RevenueCurve:
         self.values = values
         self.offer = offer
         self.name = name
+        self._reach = None   # see _chord_reach; built on the first price lookup
         # concave iff the curve coincides with its own concave majorant
         # (immune to the slope noise of near-duplicate knots)
         hull_idx = _upper_hull_indices(qs, values)
@@ -246,9 +256,6 @@ def _price_grid(offer: OfferCurve, grid: int) -> np.ndarray:
     resulting curve uniform in q, which the sweep alone does not guarantee.
     """
     cap = offer.price_cap
-    prices = {0.0, cap, cap * (1.0 + 1e-9)}
-    for k in offer.knot_prices:
-        prices.update((k, k * (1.0 - 1e-9), k * (1.0 + 1e-9)))
     # quantile-spread: invert the offer on a uniform q grid by bisection
     qs = np.linspace(1e-6, 1.0 - 1e-6, grid // 2)
     lo_b = np.zeros_like(qs)
@@ -258,14 +265,15 @@ def _price_grid(offer: OfferCurve, grid: int) -> np.ndarray:
         accept = offer.eval(mid) >= qs
         lo_b = np.where(accept, mid, lo_b)
         hi_b = np.where(accept, hi_b, mid)
-    prices.update(lo_b.tolist())
+    prices = np.concatenate([[0.0, cap, cap * (1.0 + 1e-9)],
+                             np.outer(offer.knot_prices, [1.0, 1.0 - 1e-9, 1.0 + 1e-9]).ravel(), lo_b])
     # log-spaced sweep between the extreme swept prices
-    positive = [p for p in prices if p > 0]
-    lo = max(min(positive, default=cap * 1e-9), cap * 1e-12)
+    positive = prices[prices > 0]
+    lo = max(positive.min() if positive.size else cap * 1e-9, cap * 1e-12)
     if cap > 0 and 0 < lo < cap:
-        prices.update(np.geomspace(lo, cap, grid // 2).tolist())
-    arr = np.array(sorted(p for p in prices if np.isfinite(p) and p >= 0.0))
-    return arr
+        prices = np.concatenate([prices, np.geomspace(lo, cap, grid // 2)])
+    prices = np.unique(prices)
+    return prices[np.isfinite(prices) & (prices >= 0.0)]
 
 
 def price_posting_curve(offer: OfferCurve, grid: int = 4096) -> RevenueCurve:
@@ -280,24 +288,11 @@ def price_posting_curve(offer: OfferCurve, grid: int = 4096) -> RevenueCurve:
         raise ValueError("grid must be at least 64")
     prices = _price_grid(offer, grid)
     q = np.asarray(offer.eval(prices))
-    rev = prices * q
-    q = np.concatenate([q, [0.0, 1.0]])
-    rev = np.concatenate([rev, [0.0, float(offer.eval(0.0)) * 0.0]])
-    order = np.argsort(q, kind="stable")
-    q, rev = q[order], rev[order]
-    # collapse duplicate quantiles onto the max revenue
-    keep_q, keep_v = [q[0]], [rev[0]]
-    for qi, vi in zip(q[1:], rev[1:]):
-        if qi - keep_q[-1] <= 1e-15:
-            keep_v[-1] = max(keep_v[-1], vi)
-        else:
-            keep_q.append(qi)
-            keep_v.append(vi)
-    keep_q[0], keep_v[0] = 0.0, 0.0
-    if keep_q[-1] < 1.0:
-        keep_q.append(1.0)
-        keep_v.append(keep_v[-1])
-    return RevenueCurve(keep_q, keep_v, offer=offer, name="P")
+    q, rev = _collapse(np.concatenate([q, [0.0, 1.0]]), np.concatenate([prices * q, [0.0, 0.0]]))
+    q[0], rev[0] = 0.0, 0.0
+    if q[-1] < 1.0:
+        q, rev = np.append(q, 1.0), np.append(rev, rev[-1])
+    return RevenueCurve(q, rev, offer=offer, name="P")
 
 
 # -- hulls and price/quantile maps --------------------------------------------
@@ -311,6 +306,19 @@ def concave_hull(curve: RevenueCurve) -> RevenueCurve:
     return RevenueCurve(curve.qs[hull_idx], curve.values[hull_idx], name=f"hull({curve.name})")
 
 
+def _chord_reach(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Negated suffix maximum of the knots' chord thresholds (v_k + tol) / q_k,
+    so nondecreasing and ready for `searchsorted`; the q = 0 knot, whose
+    chord is not defined, never counts."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    thresholds = np.full(len(qs), -np.inf)
+    pos = qs > 0.0
+    thresholds[pos] = (vals[pos] + tol) / qs[pos]
+    neg_reach = -np.maximum.accumulate(thresholds[::-1])[::-1]
+    neg_reach.setflags(write=False)
+    return neg_reach
+
+
 def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
     """Largest q whose chord from the origin has slope p, for each price.
 
@@ -320,21 +328,18 @@ def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
     last affordable knot comes from a search in the suffix maximum of the
     thresholds, and the quantile is interpolated on the segment after it.
     Flat-revenue stretches return the largest quantile.  Valid for
-    non-concave curves; O((K + n) log K).
+    non-concave curves.  The curve keeps the suffix maximum from its first
+    lookup, O(K), so each call costs O(n log K).
     """
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
     if curve.offer is not None:
         return np.asarray(curve.offer.eval(prices))
     qs, vals = curve.qs, curve.values
     K = len(qs)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    # chords are taken from the origin; the q = 0 knot itself does not count
-    thresholds = np.full(K, -np.inf)
-    pos = qs > 0.0
-    thresholds[pos] = (vals[pos] + tol) / qs[pos]
-    reach = np.maximum.accumulate(thresholds[::-1])[::-1]
+    if curve._reach is None:
+        curve._reach = _chord_reach(qs, vals)
     # number of knots whose suffix maximum admits p; the last of them is affordable
-    last = np.searchsorted(-reach, -prices, side="right") - 1
+    last = np.searchsorted(curve._reach, -prices, side="right") - 1
     out = np.zeros(len(prices))
     out[last == K - 1] = 1.0
     inner = (last >= 0) & (last < K - 1)

@@ -25,7 +25,6 @@ class ApResult:
     price: float
     win_probabilities: tuple
     revenue: float
-    at_search_boundary: bool = False
 
     def csv_row(self, scenario: str = "") -> str:
         qs = ";".join(f"{q:.12g}" for q in self.win_probabilities)
@@ -71,26 +70,14 @@ def ap_revenue(sellables: Sequence[Sellable], p: float) -> ApResult:
 
 
 def _candidate_prices(sellables: Sequence[Sellable], grid: int) -> np.ndarray:
-    cands = set()
-    top = 0.0
-    for s in sellables:
-        if isinstance(s, OfferCurve):
-            cands.update(s.knot_prices)
-            if np.isfinite(s.price_cap):
-                top = max(top, s.price_cap)
-                cands.add(s.price_cap)
-        else:
-            nz = s.qs > 0
-            chords = s.values[nz] / s.qs[nz]
-            cands.update(chords.tolist())
-            top = max(top, float(np.max(chords, initial=0.0)))
-    top = max(top, max(cands, default=1.0))
-    if top <= 0:
-        top = 1.0
-    cands.update(np.geomspace(top * 1e-9, top, grid).tolist())
-    cands.update(np.linspace(top / grid, top, grid).tolist())
-    arr = np.array(sorted(c for c in cands if np.isfinite(c) and c > 0.0))
-    return arr
+    """Offer knots and price caps, curve chord slopes, and a log-spaced and a
+    linear sweep up to the largest of them."""
+    cands = np.concatenate([np.append(s.knot_prices, s.price_cap) if isinstance(s, OfferCurve)
+                            else s.values[s.qs > 0] / s.qs[s.qs > 0] for s in sellables])
+    cands = cands[np.isfinite(cands)]
+    top = float(np.max(cands, initial=0.0)) or 1.0
+    cands = np.unique(np.concatenate([cands, np.geomspace(top * 1e-9, top, grid), np.linspace(top / grid, top, grid)]))
+    return cands[cands > 0.0]
 
 
 def _golden(fn, lo, hi, rel_tol=1e-10, iters=200):
@@ -126,13 +113,12 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     cands = _candidate_prices(sellables, grid)
 
     def value(p: float) -> float:
-        qs = _sale_probabilities(sellables, p)[:, 0]
-        return p * (1.0 - float(np.prod(1.0 - qs)))
+        return ap_revenue(sellables, p).revenue
 
-    miss = np.ones(len(cands))
-    for qv in _sale_probabilities(sellables, cands):
-        miss *= 1.0 - qv
-    vals = cands * (1.0 - miss)
+    # 1 - Q_i(p) in place: a second agents x candidates table held the
+    # process's peak RSS about 9% higher on 16 agents
+    miss = _sale_probabilities(sellables, cands)
+    vals = cands * (1.0 - np.subtract(1.0, miss, out=miss).prod(axis=0))
     best_idx = int(np.argmax(vals))
     best_p = float(cands[best_idx])
     best_v = float(vals[best_idx])
@@ -145,9 +131,7 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
         v_ref = value(p_ref)
         if v_ref > best_v:
             best_p, best_v = p_ref, v_ref
-    qs = _sale_probabilities(sellables, best_p)[:, 0]
-    boundary = best_idx >= len(cands) - 1
-    return ApResult(best_p, tuple(qs.tolist()), best_v, at_search_boundary=boundary)
+    return ap_revenue(sellables, best_p)
 
 
 def ear_optimize(curves: Sequence[RevenueCurve]) -> EarResult:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import RevenueCurve, _upper_hull_indices
+from .curves import RevenueCurve, _collapse, _upper_hull_indices
 from .distributions import Distribution, PROB_ATOL
 
 _TOL = 1e-10
@@ -255,13 +255,8 @@ def _level_hull(s: np.ndarray, prices: np.ndarray, w: float) -> tuple[np.ndarray
     pa, sa = prices[below][:, None], s[below][:, None]
     pb, sb = prices[above][None, :], s[above][None, :]
     xb = (w - pa) / (pb - pa)
-    mass = np.concatenate([[0.0], s * x, (sa * (1.0 - xb) + sb * xb).ravel()])
-    rev = np.concatenate([[0.0], s * prices * x, (sa * pa * (1.0 - xb) + sb * pb * xb).ravel()])
-    order = np.argsort(mass, kind="stable")
-    mass, rev = mass[order], rev[order]
-    # collapse near-equal masses onto their best revenue (the upper boundary)
-    starts = np.flatnonzero(np.concatenate([[True], np.diff(mass) > 1e-15]))
-    mass, rev = mass[starts], np.maximum.reduceat(rev, starts)
+    mass, rev = _collapse(np.concatenate([[0.0], s * x, (sa * (1.0 - xb) + sb * xb).ravel()]),
+                          np.concatenate([[0.0], s * prices * x, (sa * pa * (1.0 - xb) + sb * pb * xb).ravel()]))
     # every upper-hull vertex is a strict prefix or suffix maximum of revenue
     ahead = np.concatenate([[-np.inf], np.maximum.accumulate(rev)[:-1]])
     behind = np.concatenate([np.maximum.accumulate(rev[::-1])[::-1][1:], [-np.inf]])

@@ -161,3 +161,21 @@ def brute_force_ear(curves, step: float = 0.01) -> float:
         inner = vals[1][: rem + 1] + best_last[rem::-1]
         best = max(best, vals[0][i] + float(np.max(inner)))
     return float(best)
+
+
+def loop_collapse(q, v):
+    """Sort by q, then walk the points one by one: a q within 1e-15 of the
+    current run's first q joins that run and the run keeps its largest
+    value.  The per-element reference for `curves._collapse`, which splits
+    runs where consecutive gaps exceed 1e-15; the two agree whenever every
+    gap is 0 or at least 1e-12."""
+    order = np.argsort(q, kind="stable")
+    q, v = np.asarray(q)[order], np.asarray(v)[order]
+    keep_q, keep_v = [q[0]], [v[0]]
+    for qi, vi in zip(q[1:], v[1:]):
+        if qi - keep_q[-1] <= 1e-15:
+            keep_v[-1] = max(keep_v[-1], vi)
+        else:
+            keep_q.append(qi)
+            keep_v.append(vi)
+    return np.array(keep_q), np.array(keep_v)

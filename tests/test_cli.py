@@ -3,6 +3,10 @@ command-line entry point."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,18 +90,36 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="analyses"):
             load_scenario(path)
 
-    def test_non_integer_size_rejected(self, tmp_path):
+    def test_non_integer_size_rejected(self, tmp_path, capsys):
         with pytest.raises(ScenarioError, match="oracle.values"):
             load_scenario(minimal(tmp_path, oracle={"values": "many"}))
         with pytest.raises(ScenarioError, match="grid"):   # JSON Infinity
             load_scenario(minimal(tmp_path, grid=math.inf))
+        # wrong JSON types are named, never truncated, read as 1 or split into letters
+        for field, override in [
+            ("betas", {"betas": 3}),
+            ("betas", {"betas": [True]}),
+            ("betas", {"betas": [math.nan]}),
+            ("betas", {"betas": [math.inf]}),
+            ("oracle", {"oracle": 5}),
+            ("oracle.budgets", {"oracle": {"budgets": True}}),
+            ("grid", {"grid": 4096.7}),
+            ("oracle.values", {"oracle": {"values": 60.9}}),
+            ("analyses", {"analyses": "verify"}),
+        ]:
+            path = minimal(tmp_path, **override)
+            with pytest.raises(ScenarioError, match=field):
+                load_scenario(path)
+            assert main(["verify", str(path)]) == 2, override
+            assert f"input error: {field}:" in capsys.readouterr().err
 
     def test_non_integer_seed_exits_2(self, tmp_path, capsys):
-        path = minimal(tmp_path, seed="x")
-        with pytest.raises(ScenarioError, match="seed"):
-            load_scenario(path)
-        assert main(["verify", str(path)]) == 2
-        assert "input error: seed:" in capsys.readouterr().err
+        for seed in ("x", 1.5, True):
+            path = minimal(tmp_path, seed=seed)
+            with pytest.raises(ScenarioError, match="seed"):
+                load_scenario(path)
+            assert main(["verify", str(path)]) == 2
+            assert "input error: seed:" in capsys.readouterr().err
 
     def test_quantile_grid_checked_but_ignored(self, tmp_path):
         with pytest.raises(ScenarioError, match="oracle.quantile_grid"):
@@ -378,6 +400,21 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
+
+    def test_fixture_moments_need_no_quadrature(self, tmp_path):
+        """The capacitated and overpay fixtures' expected quantities come from
+        exact moments, so verifying them never loads scipy's integrator."""
+        script = (
+            "import sys\n"
+            "from anonpricing.cli import main\n"
+            f"codes = [main(['verify', '--fixture', f, '--out', {str(tmp_path)!r} + '/' + f])\n"
+            "         for f in ('risk-equal-revenue', 'overpay')]\n"
+            "print(codes, 'scipy.integrate' in sys.modules)\n"
+        )
+        src = str(Path(ap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
     def test_curve_verb(self, tmp_path):
         code = main(["curve", "--fixture", "equal-revenue:h=10", "--grid", "128",

@@ -8,7 +8,8 @@ from scipy import integrate
 import anonpricing as ap
 from anonpricing import Agent, Distribution
 
-from helpers import dense_quantiles_at_prices
+from anonpricing.curves import _chord_reach, _collapse
+from helpers import dense_quantiles_at_prices, loop_collapse
 
 
 def linear_uniform():
@@ -227,6 +228,60 @@ def test_quantiles_at_prices_matches_dense_reference(case):
     got = ap.quantiles_at_prices(prices, curve)
     ref = dense_quantiles_at_prices(prices, curve.qs, curve.values)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_thresholds_built_on_first_lookup_only(monkeypatch):
+    """200 lookups on one offer-less curve build its chord thresholds once."""
+    builds = []
+
+    def counting(qs, vals, real=_chord_reach):
+        builds.append(len(qs))
+        return real(qs, vals)
+
+    monkeypatch.setattr("anonpricing.curves._chord_reach", counting)
+    rng = np.random.default_rng(7)
+    qs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 30)), [1.0]])
+    curve = ap.RevenueCurve(qs, rng.uniform(0.0, 2.0, 32))   # not concave
+    assert curve.offer is None and not curve.concave
+    prices = [0.7] + [rng.uniform(0.0, 20.0, int(n)) for n in rng.integers(1, 50, 199)]
+    for p in prices:
+        assert np.array_equal(ap.quantiles_at_prices(p, curve), dense_quantiles_at_prices(p, qs, curve.values))
+    assert builds == [32]
+
+
+@st.composite
+def point_cloud(draw, min_gap):
+    """Points whose sorted q gaps are all 0 or at least `min_gap`, with values."""
+    levels = np.unique(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)))
+    levels = levels[np.concatenate([[True], np.diff(levels) >= 1e-12])]
+    if min_gap == 0.0:   # also place points 1e-16 to 1e-15 above a level
+        levels = np.concatenate([levels, levels + draw(st.sampled_from([1e-16, 5e-16, 1e-15]))])
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=1, max_size=40))
+    q = levels[picks]
+    v = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=len(q), max_size=len(q))))
+    return q, v
+
+
+@given(point_cloud(min_gap=0.0))
+@settings(max_examples=200, deadline=None)
+def test_collapse_keeps_the_largest_value_of_each_run(cloud):
+    q, v = cloud
+    cq, cv = _collapse(q, v)
+    assert np.all(np.diff(cq) > 1e-15)   # strictly increasing, no two knots within the merge gap
+    assert set(cq) <= set(q)
+    # every input point belongs to the run that starts at the last output q <= it
+    run = np.searchsorted(cq, q, side="right") - 1
+    assert np.all(run >= 0)
+    assert np.array_equal(cv, [v[run == j].max() for j in range(len(cq))])
+
+
+@given(point_cloud(min_gap=1e-12))
+@settings(max_examples=200, deadline=None)
+def test_collapse_equals_the_per_point_loop(cloud):
+    q, v = cloud
+    cq, cv = _collapse(q, v)
+    lq, lv = loop_collapse(q, v)
+    assert np.array_equal(cq, lq) and np.array_equal(cv, lv)
 
 
 class TestSyntheticAndEval:
