@@ -37,7 +37,6 @@ from .mechanisms import (
     ap_optimize,
     ear_optimize,
     random_price_revenue_public,
-    random_price_revenue_floor,
     myerson_reserve,
     risk_two_priced_bound,
 )

@@ -53,6 +53,27 @@ class Scenario:
     fixture: FixtureInstance | None = None
 
 
+def _number(value, name: str) -> float:
+    """A finite number from a scenario file: never a bool, null, string, list, NaN or infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{value!r} is not a finite number", name)
+    return float(value)
+
+
+def _numbers(value, name: str, size: int | None = None) -> list[float]:
+    """A list of finite numbers, of exactly `size` entries if given."""
+    if not isinstance(value, list) or (size is not None and len(value) != size):
+        raise ScenarioError(f"need a list of {size or 'finite'} numbers", name)
+    return [_number(x, f"{name}[{i}]") for i, x in enumerate(value)]
+
+
+def _knots(value, name: str) -> list[tuple[float, float]]:
+    """A list of [x, y] pairs of finite numbers."""
+    if not isinstance(value, list):
+        raise ScenarioError("need a list of [x, y] pairs", name)
+    return [tuple(_numbers(k, f"{name}[{i}]", 2)) for i, k in enumerate(value)]
+
+
 def _dist_from_literal(obj, fieldname: str) -> Distribution:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ScenarioError("distribution literal needs a 'kind' tag", fieldname)
@@ -62,20 +83,27 @@ def _dist_from_literal(obj, fieldname: str) -> Distribution:
     extra = set(obj) - _DIST_KEYS[kind] - {"kind"}
     if extra:
         raise ScenarioError(f"unknown keys {sorted(extra)} for kind {kind!r}", fieldname)
+
+    def num(key):
+        return _number(obj[key], f"{fieldname}.{key}")
+
     try:
         if kind == "uniform":
-            return Distribution.uniform(obj["a"], obj["b"])
+            return Distribution.uniform(num("a"), num("b"))
         if kind == "equal-revenue":
-            return Distribution.equal_revenue(obj["h"])
+            return Distribution.equal_revenue(num("h"))
         if kind == "exponential":
-            return Distribution.exponential(obj["rate"], obj.get("hi"))
+            return Distribution.exponential(num("rate"), num("hi") if "hi" in obj else None)
         if kind == "point-mass":
-            return Distribution.point_mass(obj["v"])
+            return Distribution.point_mass(num("v"))
         if kind == "discrete":
-            return Distribution.discrete(obj["values"], obj["probs"])
-        return Distribution.piecewise_linear_cdf([tuple(k) for k in obj["knots"]])
+            return Distribution.discrete(_numbers(obj["values"], f"{fieldname}.values"),
+                                         _numbers(obj["probs"], f"{fieldname}.probs"))
+        return Distribution.piecewise_linear_cdf(_knots(obj["knots"], f"{fieldname}.knots"))
     except KeyError as exc:
         raise ScenarioError(f"missing parameter {exc}", fieldname) from None
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(str(exc), fieldname) from None
 
@@ -120,21 +148,23 @@ def _agent_from_literal(obj, idx: int) -> Agent:
         if model == "synthetic":
             return Agent(
                 model=model,
-                p_knots=tuple(tuple(k) for k in obj["p_knots"]),
-                r_knots=tuple(tuple(k) for k in obj["r_knots"]),
+                p_knots=tuple(_knots(obj["p_knots"], f"{fieldname}.p_knots")),
+                r_knots=tuple(_knots(obj["r_knots"], f"{fieldname}.r_knots")),
                 id=obj.get("id", f"agent{idx+1}"),
             )
         values = _dist_from_literal(obj["values"], f"{fieldname}.values")
         kwargs = {"model": model, "values": values, "id": obj.get("id", f"agent{idx+1}")}
         if model == "public-budget":
-            kwargs["budget"] = float(obj["budget"])
+            kwargs["budget"] = _number(obj["budget"], f"{fieldname}.budget")
         if model == "private-budget":
             kwargs["budgets"] = _dist_from_literal(obj["budgets"], f"{fieldname}.budgets")
         if model == "capacitated":
-            kwargs["capacity"] = float(obj["capacity"])
+            kwargs["capacity"] = _number(obj["capacity"], f"{fieldname}.capacity")
         return Agent(**kwargs)
     except KeyError as exc:
         raise ScenarioError(f"missing field {exc}", fieldname) from None
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(str(exc), fieldname) from None
 
@@ -375,37 +405,16 @@ def random_ebound_check(seed: int, rounds: int = 200) -> tuple[bool, float]:
 def _scenario_from_args(args, analyses) -> Scenario:
     if args.scenario:
         base = load_scenario(args.scenario)
-        merged = _oracle_config(
-            args.grid or base.oracle.price_grid,
-            args.oracle_values or base.oracle.values,
-            args.oracle_budgets or base.oracle.budgets,
-            base.oracle.betas,
-        )
-        return replace(
-            base,
-            analyses=analyses or base.analyses,
-            oracle=merged,
-            seed=args.seed or base.seed,
-            out_dir=args.out or base.out_dir,
-        )
-    if args.fixture:
-        config = _oracle_config(
-            args.grid or _DEFAULTS.price_grid,
-            args.oracle_values or _DEFAULTS.values,
-            args.oracle_budgets or _DEFAULTS.budgets,
-            (),
-        )
+    elif args.fixture:
         fix = parse_fixture_ref(args.fixture)
-        return Scenario(
-            name=args.fixture,
-            agents=fix.agents,
-            analyses=analyses or ("verify",),
-            oracle=config,
-            seed=args.seed or 20240801,
-            out_dir=args.out or "out",
-            fixture=fix,
-        )
-    raise ScenarioError("provide a scenario file or --fixture reference")
+        base = Scenario(name=args.fixture, agents=fix.agents, analyses=("verify",), oracle=_DEFAULTS, fixture=fix)
+    else:
+        raise ScenarioError("provide a scenario file or --fixture reference")
+    # flags override the file's (or the default) sizes and pass the same range check
+    oracle = _oracle_config(args.grid or base.oracle.price_grid, args.oracle_values or base.oracle.values,
+                            args.oracle_budgets or base.oracle.budgets, base.oracle.betas)
+    return replace(base, analyses=analyses or base.analyses, oracle=oracle, seed=args.seed or base.seed,
+                   out_dir=args.out or base.out_dir)
 
 
 def main(argv=None) -> int:

@@ -108,17 +108,11 @@ class OfferCurve:
 
     fn: Callable[[np.ndarray], np.ndarray]
     knot_prices: tuple
-    agent_id: str = "agent"
     price_cap: float = np.inf   # q(p) = 0 beyond this price
 
     def eval(self, p):
         pv = np.asarray(p, dtype=float)
         out = self.fn(pv)
-        return float(out) if np.ndim(p) == 0 else out
-
-    def revenue(self, p):
-        pv = np.asarray(p, dtype=float)
-        out = pv * self.fn(pv)
         return float(out) if np.ndim(p) == 0 else out
 
 
@@ -128,7 +122,7 @@ class RevenueCurve:
     Houses the price-posting curve P, ex-ante curves R and concave hulls.
     """
 
-    __slots__ = ("qs", "values", "concave", "offer", "name", "_reach")
+    __slots__ = ("qs", "values", "offer", "name", "_reach", "_hull")
 
     def __init__(self, qs, values, offer: OfferCurve | None = None, name: str = "curve"):
         qs = np.asarray(qs, dtype=float)
@@ -149,12 +143,23 @@ class RevenueCurve:
         self.offer = offer
         self.name = name
         self._reach = None   # see _chord_reach; built on the first price lookup
-        # concave iff the curve coincides with its own concave majorant
-        # (immune to the slope noise of near-duplicate knots)
-        hull_idx = _upper_hull_indices(qs, values)
-        hull_vals = np.interp(qs, qs[hull_idx], values[hull_idx])
-        gap = float(np.max(hull_vals - values))
-        self.concave = gap <= CONCAVITY_SLOPE_TOL * max(1.0, float(np.max(np.abs(values))))
+        self._hull = None    # see _hull_indices; found on first use
+
+    def _hull_indices(self) -> np.ndarray | slice:
+        """Index of the knots on the curve's least concave majorant, found on
+        first use and kept: an index array (all knots, for a hull), not a
+        hull curve, so a curve never refers to itself."""
+        if self._hull is None:
+            self._hull = np.asarray(_upper_hull_indices(self.qs, self.values))
+        return self._hull
+
+    @property
+    def concave(self) -> bool:
+        """True iff the curve coincides with its own concave majorant
+        (immune to the slope noise of near-duplicate knots)."""
+        idx = self._hull_indices()
+        gap = float(np.max(np.interp(self.qs, self.qs[idx], self.values[idx]) - self.values))
+        return gap <= CONCAVITY_SLOPE_TOL * max(1.0, float(np.max(np.abs(self.values))))
 
     def eval(self, q):
         qv = np.asarray(q, dtype=float)
@@ -191,16 +196,12 @@ class RevenueCurve:
 
 
 def synthetic_curve(knots: Sequence[tuple[float, float]]) -> RevenueCurve:
-    """Curve from explicit (quantile, value) knots; validates monotone q."""
-    if len(knots) < 2:
-        raise ValueError("need at least two knots")
+    """Curve from explicit (quantile, value) knots, quantiles in [0, 1]; the
+    curve itself checks the knot count and that q strictly increases."""
     qs = [k[0] for k in knots]
-    vals = [k[1] for k in knots]
     if any(q < 0 or q > 1 for q in qs):
         raise ValueError("knot quantiles must lie in [0, 1]")
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise ValueError("knot quantiles must be strictly increasing")
-    return RevenueCurve(qs, vals, name="synthetic")
+    return RevenueCurve(qs, [k[1] for k in knots], name="synthetic")
 
 
 # -- offer curves -------------------------------------------------------------
@@ -245,7 +246,7 @@ def offer_curve(agent: Agent) -> OfferCurve:
         knots.update((G.lo, G.hi))
         knots.update(a for a, _ in G.atoms)
     knots = tuple(sorted(k for k in knots if np.isfinite(k) and k >= 0))
-    return OfferCurve(fn=fn, knot_prices=knots, agent_id=agent.id, price_cap=F.hi)
+    return OfferCurve(fn=fn, knot_prices=knots, price_cap=F.hi)
 
 
 def _price_grid(offer: OfferCurve, grid: int) -> np.ndarray:
@@ -300,10 +301,26 @@ def price_posting_curve(offer: OfferCurve, grid: int = 4096) -> RevenueCurve:
 
 def concave_hull(curve: RevenueCurve) -> RevenueCurve:
     """Least concave majorant; knots are a subset of the input knots."""
-    hull_idx = _upper_hull_indices(curve.qs, curve.values)
+    idx = curve._hull_indices()
     # the hull is an ex-ante object: price lookups use its chords, never the
     # generating offer, so no offer backpointer is carried over
-    return RevenueCurve(curve.qs[hull_idx], curve.values[hull_idx], name=f"hull({curve.name})")
+    hull = RevenueCurve(curve.qs[idx], curve.values[idx], name=f"hull({curve.name})")
+    hull._hull = slice(None)   # every knot of a hull is on its hull
+    return hull
+
+
+def _slope_merge(pieces: Sequence[tuple[np.ndarray, np.ndarray]], weights: Sequence[float]):
+    """The segments of concave pieces (qs, values), each piece scaled by its
+    weight, in order of decreasing slope (ties keep piece order): the
+    water-fill order.  Returns each segment's piece index, slope, and
+    weighted quantile and value increments."""
+    dq = [np.diff(q) for q, _ in pieces]
+    dv = [np.diff(v) for _, v in pieces]
+    slope = np.concatenate([b / a for a, b in zip(dq, dv)])
+    order = np.argsort(-slope, kind="stable")
+    owner = np.repeat(np.arange(len(pieces)), [len(a) for a in dq])
+    return (owner[order], slope[order], np.concatenate([w * a for w, a in zip(weights, dq)])[order],
+            np.concatenate([w * b for w, b in zip(weights, dv)])[order])
 
 
 def _chord_reach(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:

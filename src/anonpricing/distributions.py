@@ -163,6 +163,12 @@ class Distribution:
 
     # -- evaluators --------------------------------------------------------
 
+    def _cum(self) -> np.ndarray:
+        """A discrete law's CDF table 0, f_1, f_1 + f_2, ..., capped at 1: the
+        running sum can overshoot 1 by rounding, and no survival probability
+        1 - F may go negative."""
+        return np.minimum(np.concatenate([[0.0], np.cumsum(self.params["probs"])]), 1.0)
+
     def cdf(self, x):
         """Right-continuous CDF."""
         xv, scalar = _as_array(x)
@@ -176,9 +182,7 @@ class Distribution:
         elif k == "point-mass":
             out = np.where(xv >= p["v"], 1.0, 0.0)
         elif k == "discrete":
-            idx = np.searchsorted(p["values"], xv, side="right")
-            cum = np.concatenate([[0.0], np.cumsum(p["probs"])])
-            out = cum[idx]
+            out = self._cum()[np.searchsorted(p["values"], xv, side="right")]
         else:
             out = np.interp(xv, p["xs"], p["fs"], left=0.0, right=1.0)
         return float(out) if scalar else out
@@ -194,9 +198,7 @@ class Distribution:
         elif k == "point-mass":
             out = np.where(xv > p["v"], 1.0, 0.0)
         elif k == "discrete":
-            idx = np.searchsorted(p["values"], xv, side="left")
-            cum = np.concatenate([[0.0], np.cumsum(p["probs"])])
-            out = cum[idx]
+            out = self._cum()[np.searchsorted(p["values"], xv, side="left")]
         else:
             return self.cdf(x)
         return float(out) if scalar else out

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Agent, OfferCurve, RevenueCurve, offer_curve, quantiles_at_prices
+from .curves import OfferCurve, RevenueCurve, _slope_merge, quantiles_at_prices
 from .distributions import Distribution
 
 Sellable = RevenueCurve | OfferCurve
@@ -76,7 +76,9 @@ def _candidate_prices(sellables: Sequence[Sellable], grid: int) -> np.ndarray:
                             else s.values[s.qs > 0] / s.qs[s.qs > 0] for s in sellables])
     cands = cands[np.isfinite(cands)]
     top = float(np.max(cands, initial=0.0)) or 1.0
-    cands = np.unique(np.concatenate([cands, np.geomspace(top * 1e-9, top, grid), np.linspace(top / grid, top, grid)]))
+    # the log sweep spans nine decades, fewer when top * 1e-9 underflows to 0
+    sweep = np.geomspace(max(top * 1e-9, np.nextafter(0.0, 1.0)), top, grid)
+    cands = np.unique(np.concatenate([cands, sweep, np.linspace(top / grid, top, grid)]))
     return cands[cands > 0.0]
 
 
@@ -141,26 +143,19 @@ def ear_optimize(curves: Sequence[RevenueCurve]) -> EarResult:
     consume quantile mass until the unit is spent or slopes stop being
     positive (leftover ex-ante supply is free to dispose).
     """
+    if len(curves) == 0:
+        raise ValueError("need at least one curve")
     for i, c in enumerate(curves):
         if not c.concave:
             raise ValueError(f"curve {i} is not concave; take its hull first")
-    seg_curve, seg_slope, seg_mass = [], [], []
-    for i, c in enumerate(curves):
-        slopes = np.diff(c.values) / np.diff(c.qs)
-        seg_curve.extend([i] * len(slopes))
-        seg_slope.extend(slopes.tolist())
-        seg_mass.extend(np.diff(c.qs).tolist())
-    seg_curve = np.asarray(seg_curve)
-    seg_slope = np.asarray(seg_slope)
-    seg_mass = np.asarray(seg_mass)
-    order = np.argsort(-seg_slope, kind="stable")
+    owner, slope, mass, _ = _slope_merge([(c.qs, c.values) for c in curves], [1.0] * len(curves))
     remaining = 1.0
     q = np.zeros(len(curves))
-    for idx in order:
-        if remaining <= 1e-15 or seg_slope[idx] <= 0.0:
+    for i, s, m in zip(owner, slope, mass):   # lazily: the unit of mass runs out early
+        if remaining <= 1e-15 or s <= 0.0:
             break
-        take = min(seg_mass[idx], remaining)
-        q[seg_curve[idx]] += take
+        take = min(m, remaining)
+        q[i] += take
         remaining -= take
     revenue = float(sum(c.eval(qi) for c, qi in zip(curves, q)))
     return EarResult(tuple(q.tolist()), revenue, binding=remaining <= 1e-12)
@@ -181,34 +176,6 @@ def random_price_revenue_public(F: Distribution, w: float) -> float:
     for a, mass in F.atoms:
         total += mass * min(a, w) * float(F.survival_left(a))
     return float(total)
-
-
-def random_price_revenue_floor(agent: Agent, floor: float) -> float:
-    """Expected posting revenue of r = max(floor, r0) with r0 ~ F.
-
-    Draws below the floor are bumped up to it, which is how a market
-    clearing price is respected while randomizing.
-    """
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
-    from scipy import integrate
-
-    F = agent.values
-    off = offer_curve(agent)
-    base = float(F.cdf(floor)) * float(off.revenue(floor))
-
-    def integrand(r):
-        return float(off.revenue(r)) * float(F.pdf(r))
-
-    lo = max(floor, F.lo)
-    if lo < F.hi:
-        tail, _ = integrate.quad(integrand, lo, F.hi, epsabs=1e-9, limit=200)
-    else:
-        tail = 0.0
-    for a, mass in F.atoms:
-        if a > floor:
-            tail += mass * float(off.revenue(a))
-    return float(base + tail)
 
 
 def myerson_reserve(curve: RevenueCurve) -> tuple[float, float]:

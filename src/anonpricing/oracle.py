@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import RevenueCurve, _collapse, _upper_hull_indices
+from .curves import RevenueCurve, _collapse, _slope_merge, _upper_hull_indices
 from .distributions import Distribution, PROB_ATOL
 
 _TOL = 1e-10
@@ -285,15 +285,10 @@ def ex_ante_curve_oracle(space: DiscreteTypeSpace) -> RevenueCurve:
     s = np.cumsum(space.value_probs[::-1])[::-1]   # s_k = mass of values >= v_k
     prices = np.concatenate([[0.0], v[:-1], v])
     s = np.concatenate([s, s])
-    slopes, dq, dr = [], [], []
-    for w, g in zip(space.budgets, space.budget_probs):
-        mass, rev = _level_hull(s, prices, float(w))
-        slopes.append(np.diff(rev) / np.diff(mass))
-        dq.append(g * np.diff(mass))
-        dr.append(g * np.diff(rev))
-    order = np.argsort(-np.concatenate(slopes), kind="stable")
-    qs = np.concatenate([[0.0], np.cumsum(np.concatenate(dq)[order])])
-    vals = np.concatenate([[0.0], np.cumsum(np.concatenate(dr)[order])])
+    levels = [_level_hull(s, prices, float(w)) for w in space.budgets]
+    _, _, dq, dr = _slope_merge(levels, space.budget_probs)
+    qs = np.concatenate([[0.0], np.cumsum(dq)])
+    vals = np.concatenate([[0.0], np.cumsum(dr)])
     # a tiny segment can vanish in the running sum; keep the later knot
     keep = np.append(np.diff(qs) > 0.0, True)
     qs, vals = qs[keep], vals[keep]

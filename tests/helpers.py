@@ -1,7 +1,10 @@
 """Independent cross-check oracles used by the tests.
 
 These deliberately avoid the library's solution paths: LP optima come from
-explicit vertex enumeration, expectations from generic quadrature.
+explicit vertex enumeration, expectations from generic quadrature.  The
+one exception is `eager_concave`/`eager_hull`, which run the library's hull
+scan the way a curve used to on every construction: they pin what a
+curve's cached hull must reproduce.
 """
 
 import itertools
@@ -9,6 +12,8 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from anonpricing.curves import CONCAVITY_SLOPE_TOL, _upper_hull_indices
 
 
 def survival_quadrature_mean(dist) -> float:
@@ -179,3 +184,19 @@ def loop_collapse(q, v):
             keep_q.append(qi)
             keep_v.append(vi)
     return np.array(keep_q), np.array(keep_v)
+
+
+def eager_concave(qs, vals) -> bool:
+    """The concavity test a curve used to run on construction: the curve is
+    concave iff its concave majorant, read at its own knots, exceeds it by
+    at most CONCAVITY_SLOPE_TOL of its largest absolute value."""
+    hull_idx = _upper_hull_indices(qs, vals)
+    hull_vals = np.interp(qs, qs[hull_idx], vals[hull_idx])
+    gap = float(np.max(hull_vals - vals))
+    return gap <= CONCAVITY_SLOPE_TOL * max(1.0, float(np.max(np.abs(vals))))
+
+
+def eager_hull(qs, vals):
+    """The hull knots `concave_hull` used to compute afresh on every call."""
+    hull_idx = _upper_hull_indices(qs, vals)
+    return qs[hull_idx], vals[hull_idx]

@@ -121,6 +121,28 @@ class TestLoadScenario:
             assert main(["verify", str(path)]) == 2
             assert "input error: seed:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("agent, field", [
+        ({"model": "public-budget", "budget": None}, "agents[0].budget"),
+        ({"model": "public-budget", "budget": math.nan}, "agents[0].budget"),
+        ({"model": "public-budget", "budget": True}, "agents[0].budget"),
+        ({"model": "capacitated", "capacity": [1]}, "agents[0].capacity"),
+        ({"model": "linear", "values": {"kind": "uniform", "a": None, "b": 1}}, "agents[0].values.a"),
+        ({"model": "linear", "values": {"kind": "piecewise-linear-cdf", "knots": [[0, 0], [1]]}},
+         "agents[0].values.knots[1]"),
+        ({"model": "linear", "values": {"kind": "discrete", "values": [1, "2"], "probs": [0.5, 0.5]}},
+         "agents[0].values.values[1]"),
+        ({"model": "synthetic", "p_knots": [[0, 0], [1, None]], "r_knots": [[0, 0], [1, 1]]},
+         "agents[0].p_knots[1][1]"),
+    ])
+    def test_literal_number_of_wrong_type_exits_2(self, tmp_path, capsys, agent, field):
+        """Budgets, capacities, distribution parameters and knot coordinates
+        must be finite JSON numbers: no traceback, no NaN, no bool read as 1."""
+        if agent["model"] != "synthetic":
+            agent = {"values": {"kind": "uniform", "a": 0, "b": 1}, **agent}
+        path = minimal(tmp_path, agents=[agent])
+        assert main(["verify", str(path)]) == 2
+        assert f"input error: {field}:" in capsys.readouterr().err
+
     def test_quantile_grid_checked_but_ignored(self, tmp_path):
         with pytest.raises(ScenarioError, match="oracle.quantile_grid"):
             load_scenario(minimal(tmp_path, oracle={"quantile_grid": 4}))
@@ -400,6 +422,17 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
+
+    @pytest.mark.parametrize("w", [0.9, 1.0, 5.0])
+    def test_public_budget_at_or_above_the_monopoly_price(self, tmp_path, w):
+        """60 discretized masses of 1/60 sum past 1 by rounding; the sale
+        probability above the top value must still be 0, not negative."""
+        assert main(["verify", "--fixture", f"public-budget:w={w}", "--out", str(tmp_path)]) == 0
+
+    def test_linear_sixty_atom_law(self, tmp_path):
+        law = {"kind": "discrete", "values": list(np.arange(1, 61) / 60), "probs": [1 / 60] * 60}
+        path = minimal(tmp_path, agents=[{"model": "linear", "values": law}], analyses=["verify"])
+        assert main(["verify", str(path)]) == 0
 
     def test_fixture_moments_need_no_quadrature(self, tmp_path):
         """The capacitated and overpay fixtures' expected quantities come from

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import anonpricing as ap
 from anonpricing import Agent, Distribution, OracleConfig, RHO
 from anonpricing.closeness import build_curves
+from anonpricing.curves import _upper_hull_indices
 
 
 def collapse_pair():
@@ -333,3 +334,20 @@ def test_every_closeness_parameter_at_least_one(agent):
     (row,) = rep.agents
     assert min(row.alphas.values()) >= 1.0 - 1e-12, row
     assert row.zeta >= 1.0 - 1e-12 and row.eta >= 1.0 - 1e-12, row
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_verify_scans_each_linear_hull_once(k, monkeypatch):
+    """k linear agents cost k hull scans, one per posting curve: its
+    concavity and its hull (which is Rbar) share the scan, and Rbar knows
+    its own hull from the start."""
+    scans = []
+
+    def counting(qs, vals, real=_upper_hull_indices):
+        scans.append(len(qs))
+        return real(qs, vals)
+
+    monkeypatch.setattr("anonpricing.curves._upper_hull_indices", counting)
+    agents = [Agent(model="linear", values=Distribution.uniform(0, 1.0 + i), id=f"u{i}") for i in range(k)]
+    rep = ap.verify_instance(agents, OracleConfig(price_grid=256))
+    assert sorted(scans) == sorted(len(rec.P.qs) for rec in rep.curves)

@@ -8,8 +8,8 @@ from scipy import integrate
 import anonpricing as ap
 from anonpricing import Agent, Distribution
 
-from anonpricing.curves import _chord_reach, _collapse
-from helpers import dense_quantiles_at_prices, loop_collapse
+from anonpricing.curves import _chord_reach, _collapse, _upper_hull_indices
+from helpers import dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse
 
 
 def linear_uniform():
@@ -160,6 +160,66 @@ class TestConcaveHull:
         h = ap.concave_hull(c)
         input_pts = {(q, v) for q, v in zip(c.qs, c.values)}
         assert all((q, v) in input_pts for q, v in zip(h.qs, h.values))
+
+
+@st.composite
+def hull_case(draw):
+    """Knots on [0, 1], some of them 1e-16 to 1e-12 apart, with concave,
+    near-linear or arbitrary values."""
+    inner = draw(st.lists(st.floats(0.001, 0.999), max_size=15))
+    base = np.concatenate([[0.0], inner])
+    near = draw(st.lists(st.sampled_from([0.0, 1e-16, 3e-16, 1e-15, 1e-14, 1e-13, 1e-12]),
+                         min_size=len(base), max_size=len(base)))
+    qs = np.unique(np.concatenate([base, base + np.array(near), [1.0]]))
+    shape = draw(st.sampled_from(["concave", "linear", "arbitrary"]))
+    if shape == "concave":   # a min of lines, one through the origin
+        lines = draw(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=4))
+        vals = np.minimum(draw(st.floats(0.1, 10.0)) * qs, np.min([a + b * qs for a, b in lines], axis=0))
+    elif shape == "linear":  # collinear knots nudged by up to 1e-13
+        noise = draw(st.lists(st.floats(-1e-13, 1e-13), min_size=len(qs), max_size=len(qs)))
+        vals = draw(st.floats(-2.0, 2.0)) * qs + np.array(noise)
+    else:
+        vals = np.array(draw(st.lists(st.floats(-1.0, 5.0), min_size=len(qs), max_size=len(qs))))
+    return qs, vals
+
+
+@given(hull_case(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_cached_hull_equals_eager_reference(case, hull_first):
+    """`concave` and `concave_hull` read one cached scan, in either order,
+    and give what the eager construction-time expressions gave."""
+    curve = ap.RevenueCurve(*case)
+    if hull_first:
+        h = ap.concave_hull(curve)
+        concave = curve.concave
+    else:
+        concave = curve.concave
+        h = ap.concave_hull(curve)
+    assert concave == eager_concave(curve.qs, curve.values)
+    ref_qs, ref_vals = eager_hull(curve.qs, curve.values)
+    assert np.array_equal(h.qs, ref_qs) and np.array_equal(h.values, ref_vals)
+    # a hull starts out knowing that all its knots are on its hull
+    assert [a.tolist() for a in eager_hull(h.qs, h.values)] == [h.qs.tolist(), h.values.tolist()]
+    assert h.concave == eager_concave(h.qs, h.values)
+    hh = ap.concave_hull(h)
+    assert np.array_equal(hh.qs, h.qs) and np.array_equal(hh.values, h.values)
+
+
+def test_hull_scan_runs_once_per_curve(monkeypatch):
+    scans = []
+
+    def counting(qs, vals, real=_upper_hull_indices):
+        scans.append(len(qs))
+        return real(qs, vals)
+
+    monkeypatch.setattr("anonpricing.curves._upper_hull_indices", counting)
+    curve = ap.synthetic_curve([(0, 0), (0.2, 0.1), (0.4, 0.5), (0.7, 0.2), (1, 0.4)])
+    assert scans == []
+    assert not curve.concave and not curve.concave
+    h = ap.concave_hull(curve)
+    assert ap.concave_hull(curve).qs.tolist() == h.qs.tolist()
+    assert h.concave and ap.concave_hull(h).concave
+    assert scans == [5]
 
 
 class TestQuantileAtPrice:

@@ -51,6 +51,17 @@ class TestCdf:
             Distribution.discrete([1, 2], [0.5, 0.6])
 
 
+    def test_discrete_table_capped_at_one(self):
+        # 60 masses of 1/60 sum to 1 + 1.3e-15; no probability may leave [0, 1]
+        probs = np.full(60, 1 / 60)
+        assert np.cumsum(probs)[-1] > 1.0
+        d = Distribution.discrete(np.arange(1, 61) / 60, probs)
+        above = np.array([1.0, 1.5])
+        assert np.array_equal(d.cdf(above), [1.0, 1.0]) and np.array_equal(d.cdf_left(above[1:]), [1.0])
+        assert np.array_equal(d.survival_left(above[1:]), [0.0]) and np.array_equal(d.survival(above), [0.0, 0.0])
+        assert d.survival_left(1.0) == pytest.approx(1 / 60, abs=1e-14)
+
+
 class TestInverseDemand:
     def test_uniform(self):
         assert Distribution.uniform(0, 1).inverse_demand(0.3) == pytest.approx(0.7, abs=1e-15)

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import anonpricing as ap
-from anonpricing import Agent, Distribution
+from anonpricing import RHO, Agent, Distribution
+from helpers import brute_force_ear
 
 
 def uniform_offer():
@@ -66,6 +68,12 @@ class TestApOptimize:
         with pytest.raises(ValueError):
             ap.ap_optimize([])
 
+    def test_subnormal_revenue_curve(self):
+        # the largest chord slope times 1e-9 underflows to 0; the log sweep
+        # must still start above 0
+        res = ap.ap_optimize([ap.synthetic_curve([(0, 0), (1, 5e-324)])], grid=64)
+        assert res.revenue == 5e-324   # the price 5e-324 sells surely
+
 
 class TestEarOptimize:
     def test_two_uniform(self, uniform_posting_curve):
@@ -91,6 +99,10 @@ class TestEarOptimize:
         with pytest.raises(ValueError):
             ap.ear_optimize([bad])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one curve"):
+            ap.ear_optimize([])
+
     def test_ap_below_ear_on_random_concave(self):
         rng = np.random.default_rng(2024)
         from anonpricing import random_concave_curve
@@ -100,6 +112,32 @@ class TestEarOptimize:
             apv = ap.ap_optimize(curves, grid=256).revenue
             earv = ap.ear_optimize(curves).revenue
             assert apv <= earv + 1e-9 * max(1.0, earv)
+
+
+@st.composite
+def concave_set(draw):
+    """One to three concave curves: hulls of random nonnegative knots."""
+    curves = []
+    for _ in range(draw(st.integers(1, 3))):
+        inner = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6))
+        qs = np.unique(np.concatenate([[0.0, 1.0], inner]))
+        vals = np.concatenate([[0.0], draw(st.lists(st.floats(0.0, 5.0), min_size=len(qs) - 1, max_size=len(qs) - 1))])
+        curves.append(ap.concave_hull(ap.RevenueCurve(qs, vals)))
+    return curves
+
+
+@given(concave_set())
+@settings(max_examples=40, deadline=None)
+def test_ear_matches_brute_force_and_sits_within_e_of_ap(curves):
+    """Water-filling equals grid enumeration up to its rounding (each q_i
+    rounded down to the grid loses at most step times the curve's first
+    slope), and AP <= EAR <= e * AP on concave curves."""
+    ear, grid_best = ap.ear_optimize(curves).revenue, brute_force_ear(curves, step=0.01)
+    rounding = 0.01 * sum(max(0.0, float(c.slope(0.0))) for c in curves)
+    assert grid_best - 1e-9 <= ear <= grid_best + rounding + 1e-9
+    apv = ap.ap_optimize(curves, grid=256).revenue
+    assert apv <= ear + 1e-9 * max(1.0, ear)
+    assert ear <= RHO * apv + 1e-9
 
 
 class TestRandomPriceRevenue:
@@ -128,25 +166,6 @@ class TestRandomPriceRevenue:
         # every posted price earns 1, so any price mix does too
         got = ap.random_price_revenue_public(Distribution.equal_revenue(10), 100.0)
         assert got == pytest.approx(1.0, abs=1e-6)
-
-
-class TestRandomPriceFloor:
-    def test_zero_floor_equals_unfloored(self):
-        a = Agent(model="linear", values=Distribution.uniform(0, 1), id="u")
-        got = ap.random_price_revenue_floor(a, 0.0)
-        ref = ap.random_price_revenue_public(Distribution.uniform(0, 1), 1.0)
-        assert got == pytest.approx(ref, abs=1e-9)
-
-    def test_uniform_floor(self):
-        a = Agent(model="linear", values=Distribution.uniform(0, 1), id="u")
-        ref = 0.2 * 0.16 + integrate.quad(lambda r: r * (1 - r), 0.2, 1.0)[0]
-        got = ap.random_price_revenue_floor(a, 0.2)
-        assert got == pytest.approx(ref, abs=1e-9)
-        assert got == pytest.approx(0.1813333333, abs=1e-6)
-
-    def test_top_floor_sells_nothing(self):
-        a = Agent(model="linear", values=Distribution.uniform(0, 1), id="u")
-        assert ap.random_price_revenue_floor(a, 1.0) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestMyersonReserve:
