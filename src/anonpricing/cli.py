@@ -109,21 +109,25 @@ def _dist_from_literal(obj, fieldname: str) -> Distribution:
 
 
 def parse_fixture_ref(ref: str) -> FixtureInstance:
-    """Parse "name" or "name:key=value,key=value" fixture references."""
+    """Parse "name" or "name:key=value,key=value" fixture references; each
+    value must be a finite number, and the fixture checks it against its domain."""
     name, _, rest = ref.partition(":")
+    name = name.strip()
     params = {}
     if rest:
         for part in rest.split(","):
             key, eq, val = part.partition("=")
+            key = key.strip()
             if not eq:
                 raise ScenarioError(f"bad fixture parameter {part!r}", "agents")
             try:
-                params[key.strip()] = float(val) if "." in val or "e" in val.lower() else int(val)
+                value = float(val)
             except ValueError:
                 raise ScenarioError(f"fixture parameter {key!r} is not numeric", "agents") from None
+            params[key] = _number(value, f"{name}.{key}")
     try:
-        return get_fixture(name.strip(), **params)
-    except (KeyError, ValueError, TypeError) as exc:
+        return get_fixture(name, **params)
+    except (KeyError, ValueError) as exc:
         raise ScenarioError(str(exc), "agents") from None
 
 
@@ -410,10 +414,14 @@ def _scenario_from_args(args, analyses) -> Scenario:
         base = Scenario(name=args.fixture, agents=fix.agents, analyses=("verify",), oracle=_DEFAULTS, fixture=fix)
     else:
         raise ScenarioError("provide a scenario file or --fixture reference")
+
+    def given(flag, fallback):
+        return fallback if flag is None else flag
+
     # flags override the file's (or the default) sizes and pass the same range check
-    oracle = _oracle_config(args.grid or base.oracle.price_grid, args.oracle_values or base.oracle.values,
-                            args.oracle_budgets or base.oracle.budgets, base.oracle.betas)
-    return replace(base, analyses=analyses or base.analyses, oracle=oracle, seed=args.seed or base.seed,
+    oracle = _oracle_config(given(args.grid, base.oracle.price_grid), given(args.oracle_values, base.oracle.values),
+                            given(args.oracle_budgets, base.oracle.budgets), base.oracle.betas)
+    return replace(base, analyses=analyses or base.analyses, oracle=oracle, seed=given(args.seed, base.seed),
                    out_dir=args.out or base.out_dir)
 
 
@@ -424,10 +432,10 @@ def main(argv=None) -> int:
         sp = sub.add_parser(verb)
         sp.add_argument("scenario", nargs="?", help="scenario JSON file")
         sp.add_argument("--fixture", help="fixture reference like mhr-fail:n=5")
-        sp.add_argument("--grid", type=int, default=0)
-        sp.add_argument("--oracle-values", type=int, default=0)
-        sp.add_argument("--oracle-budgets", type=int, default=0)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--grid", type=int)
+        sp.add_argument("--oracle-values", type=int)
+        sp.add_argument("--oracle-budgets", type=int)
+        sp.add_argument("--seed", type=int)
         sp.add_argument("--out", default="")
     sub.add_parser("fixtures")
     args = parser.parse_args(argv)

@@ -216,12 +216,12 @@ def build_curves(agent: Agent, config: OracleConfig) -> AgentCurves:
         return AgentCurves(P, "upper bound", lambda: _capacitated_rbar(P, agent.capacity, agent.hval))
     from .distributions import discretize
 
-    Fd = agent.values if agent.values.kind == "discrete" else discretize(agent.values, config.values)
+    Fd = discretize(agent.values, config.values)
     if agent.model == "public-budget":
         space = DiscreteTypeSpace.public_budget(Fd, config.values, agent.budget)
         disc_agent = Agent(model="public-budget", values=Fd, budget=agent.budget, id=agent.id)
     else:
-        Gd = agent.budgets if agent.budgets.kind == "discrete" else discretize(agent.budgets, config.budgets)
+        Gd = discretize(agent.budgets, config.budgets)
         space = DiscreteTypeSpace.private_budget(Fd, config.values, Gd, config.budgets)
         disc_agent = Agent(model="private-budget", values=Fd, budgets=Gd, id=agent.id)
     P = price_posting_curve(offer_curve(disc_agent), grid=config.price_grid)

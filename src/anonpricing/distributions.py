@@ -409,11 +409,14 @@ def mhr_report(d: Distribution, grid_size: int = 1024) -> MhrReport:
 def discretize(d: Distribution, n: int) -> Distribution:
     """Quantile-midpoint discretization keeping every atom exactly.
 
-    Atoms are carried over unchanged; the continuous mass is split into
+    A discrete law is returned unchanged, whatever n.  Otherwise atoms are
+    carried over unchanged; the continuous mass is split into
     n - (#atoms) equal quantile chunks, each represented by the inverse
     demand at its midpoint.  Working in quantile space keeps the induced
     revenue-curve error uniform across quantiles and the mean error O(1/n).
     """
+    if d.kind == "discrete":
+        return d
     if n < 2:
         raise ValueError("n must be at least 2")
     atoms = d.atoms

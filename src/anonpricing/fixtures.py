@@ -14,6 +14,8 @@ import numpy as np
 from .curves import Agent, RevenueCurve, concave_hull, synthetic_curve
 from .distributions import Distribution
 
+MAX_AGENTS = 1000   # largest agent count a fixture builds
+
 
 @dataclass(frozen=True)
 class ExpectedValue:
@@ -111,9 +113,24 @@ def _correlated_agent(h: float) -> Agent:
 
 
 def get_fixture(name: str, **params) -> FixtureInstance:
-    """Instantiate a built-in fixture by name with keyword parameters."""
+    """Instantiate a built-in fixture by name with keyword parameters.
+
+    A parameter outside its fixture's domain (an agent count above
+    MAX_AGENTS, for one) raises ValueError before any agent is built.
+    """
+    def real(key, default, ok, domain):
+        value = float(params.pop(key, default))
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"fixture {name!r} needs {key} {domain}, got {value:g}")
+        return value
+
+    def count(default):
+        n = real("n", default, lambda n: n.is_integer() and 1 <= n <= MAX_AGENTS,
+                 f"an integer from 1 to {MAX_AGENTS}")
+        return int(n)
+
     if name == "uniform-linear":
-        n = int(params.pop("n", 2))
+        n = count(2)
         _reject_extra(name, params)
         agents = tuple(Agent(model="linear", values=_uniform01(), id=f"agent{i+1}") for i in range(n))
         expected = []
@@ -125,7 +142,7 @@ def get_fixture(name: str, **params) -> FixtureInstance:
             ]
         return FixtureInstance(name, {"n": n}, agents, tuple(expected))
     if name == "equal-revenue":
-        h = float(params.pop("h", 10.0))
+        h = real("h", 10.0, lambda h: h > 1.0, "> 1")
         _reject_extra(name, params)
         agents = (Agent(model="linear", values=Distribution.equal_revenue(h), id="agent1"),)
         expected = (
@@ -134,7 +151,7 @@ def get_fixture(name: str, **params) -> FixtureInstance:
         )
         return FixtureInstance(name, {"h": h}, agents, expected)
     if name == "public-budget":
-        w = float(params.pop("w", 0.3))
+        w = real("w", 0.3, lambda w: w > 0.0, "> 0")
         _reject_extra(name, params)
         agents = (Agent(model="public-budget", values=_uniform01(), budget=w, id="agent1"),)
         expected = (
@@ -151,7 +168,7 @@ def get_fixture(name: str, **params) -> FixtureInstance:
         )
         return FixtureInstance(name, {}, agents, expected)
     if name == "mhr-fail":
-        n = int(params.pop("n", 5))
+        n = count(5)
         _reject_extra(name, params)
         agents = _mhr_fail_agents(n)
         H = sum(1.0 / i for i in range(1, n + 1))
@@ -168,7 +185,7 @@ def get_fixture(name: str, **params) -> FixtureInstance:
         return FixtureInstance(name, {"n": n}, agents, expected,
                                notes="anonymous pricing earns O(1) while the ex-ante optimum grows like ln n")
     if name == "correlated-fail":
-        h = float(params.pop("h", 100.0))
+        h = real("h", 100.0, lambda h: h > 1.0, "> 1")
         _reject_extra(name, params)
         agent = _correlated_agent(h)
         expected = (
@@ -180,8 +197,8 @@ def get_fixture(name: str, **params) -> FixtureInstance:
         )
         return FixtureInstance(name, {"h": h}, (agent,), expected)
     if name == "risk-equal-revenue":
-        h = float(params.pop("h", 100.0))
-        C = float(params.pop("C", 5.0))
+        h = real("h", 100.0, lambda h: h > 1.0, "> 1")
+        C = real("C", 5.0, lambda C: 1.0 <= C <= h, "in [1, h]")   # ln(h/C) needs C >= 1
         _reject_extra(name, params)
         agents = (Agent(model="capacitated", values=Distribution.equal_revenue(h), capacity=C, id="agent1"),)
         expected = (
@@ -193,7 +210,7 @@ def get_fixture(name: str, **params) -> FixtureInstance:
         )
         return FixtureInstance(name, {"h": h, "C": C}, agents, expected)
     if name == "overpay":
-        h = float(params.pop("h", 100.0))
+        h = real("h", 100.0, lambda h: h > 1.0, "> 1")
         _reject_extra(name, params)
         agents = (Agent(model="capacitated", values=Distribution.equal_revenue(h), capacity=h, id="agent1"),)
         expected = (
@@ -204,8 +221,9 @@ def get_fixture(name: str, **params) -> FixtureInstance:
         return FixtureInstance(name, {"h": h}, agents, expected,
                                notes="needs winners charged above value; computed as a closed form, never simulated")
     if name == "tightness":
-        alpha = float(params.pop("alpha", 2.0))
-        beta = float(params.pop("beta", 4.0))
+        alpha = real("alpha", 2.0, lambda a: a >= 1.0, ">= 1")
+        # round(sqrt(beta)) agents, so beta caps the agent count as n does
+        beta = real("beta", 4.0, lambda b: 1.0 < b <= MAX_AGENTS**2, f"in (1, {MAX_AGENTS**2}]")
         _reject_extra(name, params)
         agents = _tightness_agents(alpha, beta)
         n = len(agents)

@@ -1,10 +1,10 @@
-"""Optimization oracles: a dense simplex solver, the exact ex-ante curve of
-the discretized single-agent revenue LP, and grid-search ex-ante relaxation.
+"""The exact ex-ante revenue curve of the discretized single-agent LP, and a
+generic LP solve that the tests use to cross-check it.
 
-The simplex and the grid EAR exist to cross-check the analytic machinery,
-so they avoid sharing code paths with it: the simplex is self-contained
-(two-phase, Bland's anti-cycling rule) and the grid EAR is plain
-enumeration.  The ex-ante curve is built from the LP's own structure.
+The curve is built from the LP's own structure (per budget level, the upper
+hull of the LP's vertices; the levels merged by slope).  The generic solve
+shares no code path with it: it hands the LP to HiGHS through scipy, which
+is imported on the first solve, so `import anonpricing` loads no scipy.
 """
 
 from __future__ import annotations
@@ -18,63 +18,12 @@ import numpy as np
 from .curves import RevenueCurve, _collapse, _slope_merge, _upper_hull_indices
 from .distributions import Distribution, PROB_ATOL
 
-_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SimplexSolution:
     status: str               # optimal | infeasible | unbounded
     x: np.ndarray | None
     objective: float | None
-
-
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    basis[row] = col
-
-
-def _run_simplex(T, basis, allowed):
-    """Iterate a tableau whose last row holds reduced costs.
-
-    Entering column: most negative reduced cost (Dantzig) while the
-    objective is moving; after a stretch of degenerate pivots the rule
-    drops to Bland's smallest-index choice, whose termination guarantee
-    rules out cycling.  Leaving row: min ratio, ties to the smallest basis
-    index.  Returns 'optimal' or 'unbounded'.
-    """
-    m = T.shape[0] - 1
-    basis_arr = basis
-    stall = 0
-    last_obj = T[-1, -1]
-    while True:
-        red = T[-1, :-1]
-        cand = allowed & (red < -_TOL)
-        if not cand.any():
-            return "optimal"
-        if stall <= 64:
-            masked = np.where(cand, red, np.inf)
-            col = int(np.argmin(masked))
-        else:
-            col = int(np.argmax(cand))
-        colvec = T[:m, col]
-        pos = colvec > _TOL
-        if not pos.any():
-            return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / colvec[pos]
-        rmin = ratios.min()
-        near = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
-        row = int(min(near, key=lambda r: basis_arr[r]))
-        _pivot(T, basis_arr, row, col)
-        obj = T[-1, -1]
-        if obj > last_obj + 1e-12 * (1.0 + abs(last_obj)):
-            stall = 0
-        else:
-            stall += 1
-        last_obj = obj
 
 
 def simplex_solve(
@@ -85,110 +34,34 @@ def simplex_solve(
     upper: Sequence[float] | None = None,
     maximize: bool = True,
 ) -> SimplexSolution:
-    """Dense two-phase simplex for max/min c'x s.t. A x (<=|=|>=) b, 0 <= x <= upper.
+    """Solve max/min c'x s.t. A x (<=|=|>=) b, 0 <= x <= upper with HiGHS.
 
-    Finite upper bounds become extra rows.  Bland's rule guarantees
-    termination; intended for desk-scale problems (~1e4 nonzeros).
+    An `upper` entry of None or +inf leaves its variable unbounded above.
+    A solver outcome other than optimal, infeasible or unbounded (a time or
+    iteration limit, an undecided status) raises RuntimeError.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     c = np.asarray(objective, dtype=float)
     A = np.asarray(constraints, dtype=float).reshape(len(senses), -1) if len(senses) else np.zeros((0, len(c)))
     b = np.asarray(rhs, dtype=float)
     if A.shape[1] != len(c):
         raise ValueError("objective/constraint dimension mismatch")
-    if not maximize:
-        c = -c
-    senses = list(senses)
-    rows = [A[i].copy() for i in range(A.shape[0])]
-    bs = list(b)
-    if upper is not None:
-        for j, ub in enumerate(upper):
-            if ub is not None and np.isfinite(ub):
-                row = np.zeros(len(c))
-                row[j] = 1.0
-                rows.append(row)
-                senses.append("<=")
-                bs.append(float(ub))
-    m, n = len(rows), len(c)
-    # orient every row so the rhs is nonnegative
-    for i in range(m):
-        if bs[i] < 0:
-            rows[i] = -rows[i]
-            bs[i] = -bs[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-    n_slack = sum(1 for s in senses if s in ("<=", ">="))
-    n_art = sum(1 for s in senses if s in ("=", ">="))
-    ncols = n + n_slack + n_art
-    T = np.zeros((m + 1, ncols + 1))
-    basis = [-1] * m
-    art_cols = []
-    si = n
-    ai = n + n_slack
-    for i, (row, sense, bi) in enumerate(zip(rows, senses, bs)):
-        T[i, :n] = row
-        T[i, -1] = bi
-        if sense == "<=":
-            T[i, si] = 1.0
-            basis[i] = si
-            si += 1
-        elif sense == ">=":
-            T[i, si] = -1.0
-            si += 1
-            T[i, ai] = 1.0
-            basis[i] = ai
-            art_cols.append(ai)
-            ai += 1
-        else:
-            T[i, ai] = 1.0
-            basis[i] = ai
-            art_cols.append(ai)
-            ai += 1
-    art_set = set(art_cols)
-    allowed = np.ones(ncols, dtype=bool)
-    if art_cols:
-        # phase 1: minimize artificial mass
-        for i in range(m):
-            if basis[i] in art_set:
-                T[-1, :-1] -= T[i, :-1]
-                T[-1, -1] -= T[i, -1]
-        for j in art_cols:
-            T[-1, j] = 0.0
-        _run_simplex(T, basis, allowed)
-        if T[-1, -1] < -1e-7:
-            return SimplexSolution("infeasible", None, None)
-        # force leftover artificial basics out (or drop redundant rows)
-        drop = []
-        for r in range(m):
-            if basis[r] in art_set:
-                piv = next((j for j in range(n + n_slack) if abs(T[r, j]) > _TOL), None)
-                if piv is None:
-                    drop.append(r)
-                else:
-                    _pivot(T, basis, r, piv)
-        if drop:
-            keep = [r for r in range(m) if r not in drop] + [m]
-            T = T[keep]
-            basis = [basis[r] for r in range(m) if r not in drop]
-            m = len(basis)
-        allowed[list(art_set)] = False
-    # phase 2 objective row: reduced costs for the real objective
-    full_c = np.zeros(ncols)
-    full_c[:n] = c
-    T[-1, :-1] = -full_c
-    T[-1, -1] = 0.0
-    for r in range(m):
-        if full_c[basis[r]] != 0.0:
-            T[-1, :-1] += full_c[basis[r]] * T[r, :-1]
-            T[-1, -1] += full_c[basis[r]] * T[r, -1]
-    status = _run_simplex(T, basis, allowed)
-    if status == "unbounded":
-        return SimplexSolution("unbounded", None, None)
-    x = np.zeros(ncols)
-    for r in range(m):
-        x[basis[r]] = T[r, -1]
-    obj = float(full_c @ x)
-    if not maximize:
-        obj = -obj
-    return SimplexSolution("optimal", x[:n].copy(), obj)
+    sense = np.asarray(senses, dtype=object)
+    if len(b) != len(sense) or not np.isin(sense, ("<=", "=", ">=")).all():
+        raise ValueError("need one rhs and one of '<=', '=', '>=' per constraint row")
+    ub = np.inf if upper is None else np.array([np.inf if u is None else u for u in upper], dtype=float)
+    # HiGHS reads a NaN bound as a model error and a NaN coefficient as absent
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()) or np.isnan(ub).any():
+        raise ValueError("LP data must be finite")
+    # the row bounds lo <= A x <= hi take all three senses without sign flips
+    rows = LinearConstraint(A, np.where(sense == "<=", -np.inf, b), np.where(sense == ">=", np.inf, b))
+    res = milp(-c if maximize else c, constraints=rows, bounds=Bounds(0.0, ub))
+    if res.status == 0:
+        return SimplexSolution("optimal", res.x, float(c @ res.x))
+    if res.status in (2, 3):
+        return SimplexSolution("infeasible" if res.status == 2 else "unbounded", None, None)
+    raise RuntimeError(f"LP solve failed: {res.message}")
 
 
 # -- discretized ex-ante revenue maximization ---------------------------------
@@ -228,16 +101,15 @@ class DiscreteTypeSpace:
     def public_budget(cls, F: Distribution, n_values: int, w: float) -> "DiscreteTypeSpace":
         from .distributions import discretize
 
-        d = F if F.kind == "discrete" else discretize(F, n_values)
-        return cls(d.params["values"], d.params["probs"], np.array([float(w)]), np.array([1.0]), "public-budget")
+        F = discretize(F, n_values)
+        return cls(F.params["values"], F.params["probs"], np.array([float(w)]), np.array([1.0]), "public-budget")
 
     @classmethod
     def private_budget(cls, F: Distribution, n_values: int, G: Distribution, n_budgets: int) -> "DiscreteTypeSpace":
         from .distributions import discretize
 
-        dv = F if F.kind == "discrete" else discretize(F, n_values)
-        dw = G if G.kind == "discrete" else discretize(G, n_budgets)
-        return cls(dv.params["values"], dv.params["probs"], dw.params["values"], dw.params["probs"], "private-budget")
+        F, G = discretize(F, n_values), discretize(G, n_budgets)
+        return cls(F.params["values"], F.params["probs"], G.params["values"], G.params["probs"], "private-budget")
 
 
 def _level_hull(s: np.ndarray, prices: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:

@@ -273,7 +273,7 @@ def test_c12_simplex_matches_vertex_enumeration():
                         assert abs(sol.objective - ref) <= 1e-9, (v1, v2, f1, w1, w2, g1, q)
                         assert abs(ex_ante_curve_oracle(sp).eval(q) - ref) <= 1e-9, (v1, v2, f1, w1, w2, g1, q)
                         checked += 1
-    assert report(12, True, f"simplex and the exact ex-ante curve equal exhaustive vertex enumeration "
+    assert report(12, True, f"the HiGHS LP solve and the exact ex-ante curve equal exhaustive vertex enumeration "
                             f"on {checked} two-by-two spaces (1e-9)")
 
 

@@ -22,6 +22,7 @@ from anonpricing.cli import (
     run_scenario,
 )
 from anonpricing.closeness import OracleConfig, build_curves
+from anonpricing.fixtures import MAX_AGENTS
 
 
 def write_scenario(tmp_path, payload, name="scen.json"):
@@ -172,6 +173,42 @@ class TestFixtureRefs:
     def test_listing_names_resolve(self):
         for fx in ap.fixtures():
             assert parse_fixture_ref(fx["name"]).agents
+
+    @pytest.mark.parametrize("ref, named", [
+        ("equal-revenue:h=1e400", "equal-revenue.h"),
+        ("tightness:beta=1e400", "tightness.beta"),
+        ("equal-revenue:h=nan", "equal-revenue.h"),
+        ("correlated-fail:h=1", "needs h"),
+        ("uniform-linear:n=0", "needs n"),
+        ("uniform-linear:n=-3", "needs n"),
+        ("mhr-fail:n=0", "needs n"),
+        ("uniform-linear:n=2.5", "needs n"),
+        ("uniform-linear:n=1001", "needs n"),
+        ("tightness:beta=1e300", "needs beta"),
+        ("tightness:beta=0.1", "needs beta"),
+        ("risk-equal-revenue:C=0.5", "needs C"),
+        ("public-budget:w=0", "needs w"),
+    ])
+    def test_out_of_domain_exits_2_before_any_agent(self, tmp_path, capsys, monkeypatch, ref, named):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an agent was built for a rejected parameter")
+
+        # the package's `fixtures` attribute is the listing function, so reach the module itself
+        monkeypatch.setattr(sys.modules["anonpricing.fixtures"], "Agent", refuse)
+        assert main(["verify", "--fixture", ref, "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, params", [
+        ("uniform-linear", {"n": 2.5}), ("mhr-fail", {"n": 0}), ("mhr-fail", {"n": MAX_AGENTS + 1}),
+        ("tightness", {"beta": math.inf}), ("tightness", {"alpha": 0.5}), ("overpay", {"h": math.nan}),
+        ("equal-revenue", {"h": math.inf}),
+    ])
+    def test_library_rejects_out_of_domain(self, name, params):
+        with pytest.raises(ValueError, match=f"needs {next(iter(params))} "):
+            ap.get_fixture(name, **params)
+
+    def test_integral_count_accepted(self):
+        assert parse_fixture_ref("mhr-fail:n=3.0").params == {"n": 3}
 
 
 class TestComputedFixtureValues:
@@ -382,6 +419,10 @@ class TestSizeRanges:
         ("--grid", "grid", 5_000_000, "grid"),
         ("--oracle-values", "values", 1, "oracle.values"),
         ("--oracle-budgets", "budgets", 100_000, "oracle.budgets"),
+        # 0 is a value like any other, never "flag not given"
+        ("--grid", "grid", 0, "grid"),
+        ("--oracle-values", "values", 0, "oracle.values"),
+        ("--oracle-budgets", "budgets", 0, "oracle.budgets"),
     ])
     def test_out_of_range_exits_2_before_any_build(self, tmp_path, capsys, monkeypatch,
                                                    source, flag, key, value, field):
@@ -416,6 +457,10 @@ class TestMain:
 
     def test_missing_scenario_exit_2(self):
         assert main(["verify"]) == 2
+
+    def test_seed_zero_is_kept(self, tmp_path, capsys):
+        assert main(["verify", "--fixture", "equal-revenue", "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert "seed: 0\n" in capsys.readouterr().out
 
     def test_verify_fixture_ok(self, tmp_path, capsys):
         code = main(["verify", "--fixture", "uniform-linear:n=2", "--out", str(tmp_path / "o")])

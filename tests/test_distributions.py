@@ -176,6 +176,12 @@ class TestDiscretize:
         assert d.params["values"].tolist() == [3.0]
         assert d.params["probs"].tolist() == [1.0]
 
+    def test_discrete_law_returned_unchanged(self):
+        # a discrete law is already its own discretization, for every n
+        d = Distribution.discrete([0.5, 1.0, 2.0, 4.0], [0.1, 0.2, 0.3, 0.4])
+        for n in (1, 2, 3, 100):
+            assert ap.discretize(d, n) is d
+
     def test_equal_revenue_keeps_atom(self):
         d = ap.discretize(Distribution.equal_revenue(10), 4)
         vals, probs = d.params["values"], d.params["probs"]

@@ -1,4 +1,4 @@
-"""Simplex solver, the exact ex-ante curve of the discrete LP, and the grid-search EAR."""
+"""The generic LP solve, the exact ex-ante curve of the discrete LP, and the grid-search EAR."""
 
 import math
 
@@ -46,8 +46,46 @@ class TestSimplex:
         with pytest.raises(ValueError):
             simplex_solve([1, 1], [[1]], ["<="], [1])
 
+    @pytest.mark.parametrize("cap", [None, math.inf])
+    def test_unbounded_upper_entry(self, cap):
+        sol = simplex_solve([1, 1], [[1, 1]], ["<="], [5], upper=[cap, 2.0])
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(5.0, abs=1e-9)
+
+    def test_ge_row_with_negative_rhs(self):
+        sol = simplex_solve([1, 1], [[-1, -1], [1, 0]], [">=", "<="], [-3, 1])
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(3.0, abs=1e-9)
+
+    def test_duplicate_equality_rows(self):
+        sol = simplex_solve([1, 1], [[1, 1], [1, 1]], ["=", "="], [1, 1])
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1.0, abs=1e-9)
+
+    def test_unreachable_equality(self):
+        assert simplex_solve([1, 1], [[1, 1]], ["="], [3], upper=[1, 1]).status == "infeasible"
+
+    @pytest.mark.parametrize("bad", [
+        dict(objective=[1, math.nan]), dict(constraints=[[1, math.nan]]), dict(rhs=[math.nan]),
+        dict(upper=[math.nan, 1.0]), dict(senses=["<"]), dict(rhs=[1, 2]),
+    ])
+    def test_bad_data_rejected(self, bad):
+        lp = dict(objective=[1, 1], constraints=[[1, 1]], senses=["<="], rhs=[1]) | bad
+        with pytest.raises(ValueError):
+            simplex_solve(**lp)
+
+    def test_unexpected_solver_status_raises(self, monkeypatch):
+        import scipy.optimize
+
+        def limit_hit(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=1, message="Iteration limit reached.", x=None, fun=None)
+
+        monkeypatch.setattr(scipy.optimize, "milp", limit_hit)
+        with pytest.raises(RuntimeError, match="Iteration limit"):
+            simplex_solve([1, 1], [[1, 1]], ["<="], [1])
+
     def test_degenerate_cycling_guard(self):
-        # classic Beale-style degeneracy; Bland's rule must terminate
+        # classic Beale-style degeneracy, on which a textbook simplex can cycle
         c = [0.75, -150, 0.02, -6]
         A = [[0.25, -60, -0.04, 9], [0.5, -90, -0.02, 3], [0, 0, 1, 0]]
         sol = simplex_solve(c, A, ["<=", "<=", "<="], [0, 0, 1])
@@ -69,7 +107,7 @@ class TestSimplex:
 
 
 def lp_mechanism(sp, q):
-    """Solve the slab-menu LP at mass q with the generic simplex and read off
+    """Solve the slab-menu LP at mass q with the generic LP solve and read off
     each level's menu: allocations x[i, j] and payments p[i, j]."""
     c, a_ub, b_ub, a_eq, b_eq = ex_ante_lp_matrices(sp.values, sp.value_probs, sp.budgets, sp.budget_probs, q)
     sol = simplex_solve(c, a_ub + a_eq, ["<="] * len(a_ub) + ["="], b_ub + b_eq)
