@@ -24,7 +24,6 @@ from .curves import (
     synthetic_curve,
 )
 from .oracle import (
-    DiscreteTypeSpace,
     SimplexSolution,
     simplex_solve,
     ex_ante_curve_oracle,

@@ -185,7 +185,7 @@ def _integer(value, name: str, lo: float = -np.inf, hi: float = np.inf) -> int:
 def _oracle_config(grid, values, budgets, betas: tuple) -> OracleConfig:
     return OracleConfig(price_grid=_integer(grid, "grid", 64, 1_000_000),
                         values=_integer(values, "oracle.values", 2, 2000),
-                        budgets=_integer(budgets, "oracle.budgets", 1, 500), betas=betas)
+                        budgets=_integer(budgets, "oracle.budgets", 2, 500), betas=betas)
 
 
 def load_scenario(path) -> Scenario:
@@ -407,6 +407,7 @@ def random_ebound_check(seed: int, rounds: int = 200) -> tuple[bool, float]:
 
 
 def _scenario_from_args(args, analyses) -> Scenario:
+    """The scenario a verb runs: the verb's analyses replace a file's `analyses`."""
     if args.scenario:
         base = load_scenario(args.scenario)
     elif args.fixture:
@@ -421,7 +422,7 @@ def _scenario_from_args(args, analyses) -> Scenario:
     # flags override the file's (or the default) sizes and pass the same range check
     oracle = _oracle_config(given(args.grid, base.oracle.price_grid), given(args.oracle_values, base.oracle.values),
                             given(args.oracle_budgets, base.oracle.budgets), base.oracle.betas)
-    return replace(base, analyses=analyses or base.analyses, oracle=oracle, seed=given(args.seed, base.seed),
+    return replace(base, analyses=analyses, oracle=oracle, seed=given(args.seed, base.seed),
                    out_dir=args.out or base.out_dir)
 
 

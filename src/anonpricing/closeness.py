@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curves import Agent, RevenueCurve, concave_hull, offer_curve, price_posting_curve, synthetic_curve
-from .distributions import mhr_report, regularity_report
+from .distributions import Distribution, mhr_report, regularity_report
 from .mechanisms import ApResult, EarResult, ap_optimize, ear_optimize, risk_two_priced_bound
-from .oracle import DiscreteTypeSpace, ex_ante_curve_oracle
+from .oracle import ex_ante_curve_oracle
 
 RHO = math.e
 _ORIGIN_CUTOFF = 1e-6  # both curves vanish linearly at q=0; skip the 0/0 zone
@@ -40,16 +40,16 @@ class OracleConfig:
             raise ValueError("betas must be at least 1")
 
 
-def _ratio_grid(P: RevenueCurve, R: RevenueCurve, hi: float, n: int = 4096) -> np.ndarray:
-    qs = np.concatenate([P.qs, R.qs, np.linspace(_ORIGIN_CUTOFF, hi, n), [hi]])
-    qs = qs[(qs >= _ORIGIN_CUTOFF) & (qs <= hi)]
-    return np.unique(qs)
+def _ratio_grid(P: RevenueCurve, R: RevenueCurve, hi: float) -> np.ndarray:
+    """The knots of both curves in the window [_ORIGIN_CUTOFF, hi], and its ends."""
+    qs = np.concatenate([P.qs, R.qs, [_ORIGIN_CUTOFF, hi]])
+    return np.unique(qs[(qs >= _ORIGIN_CUTOFF) & (qs <= hi)])
 
 
 def alpha_for_beta(P: RevenueCurve, R: RevenueCurve, beta: float) -> float:
     """Smallest alpha with P >= R/alpha on [0, 1/beta]; inf if P vanishes
-    where R does not.  Exact for piecewise-linear curves because the grid
-    contains every knot of both."""
+    where R does not.  Exact for piecewise-linear curves: between knots of
+    both, R/P is a ratio of linear functions, so it peaks at a knot."""
     if beta < 1.0:
         raise ValueError("beta must be at least 1")
     qs = _ratio_grid(P, R, 1.0 / beta)
@@ -57,9 +57,21 @@ def alpha_for_beta(P: RevenueCurve, R: RevenueCurve, beta: float) -> float:
 
 
 def zeta(P: RevenueCurve, R: RevenueCurve) -> float:
-    """Smallest z such that the running max of P covers R/z everywhere."""
+    """Smallest z such that the running max of P covers R/z everywhere.
+
+    Exact for piecewise-linear curves.  Between knots of both, the running
+    max M is constant until P climbs through it and equal to P after, so
+    R/M peaks at a knot or at such a crossing.  M counts P's knots below
+    the window too."""
+    head = np.max(P.values[P.qs < _ORIGIN_CUTOFF], initial=-np.inf)
     qs = _ratio_grid(P, R, 1.0)
-    return _max_ratio(np.asarray(R.eval(qs)), np.maximum.accumulate(np.asarray(P.eval(qs))))
+    p = np.asarray(P.eval(qs))
+    top = np.maximum.accumulate(np.maximum(p, head))[:-1]
+    lo, up = p[:-1], p[1:]
+    climb = (lo < top) & (up > top)
+    t = (top[climb] - lo[climb]) / (up[climb] - lo[climb])
+    qs = np.unique(np.concatenate([qs, qs[:-1][climb] + t * np.diff(qs)[climb]]))
+    return _max_ratio(np.asarray(R.eval(qs)), np.maximum.accumulate(np.maximum(np.asarray(P.eval(qs)), head)))
 
 
 def _max_ratio(rp: np.ndarray, pp: np.ndarray) -> float:
@@ -214,18 +226,17 @@ def build_curves(agent: Agent, config: OracleConfig) -> AgentCurves:
     if agent.model == "capacitated":
         P = price_posting_curve(offer_curve(agent), grid=config.price_grid)
         return AgentCurves(P, "upper bound", lambda: _capacitated_rbar(P, agent.capacity, agent.hval))
-    from .distributions import discretize
+    from .distributions import discretize  # looked up per call: perfbench's traced mode wraps this attribute
 
     Fd = discretize(agent.values, config.values)
     if agent.model == "public-budget":
-        space = DiscreteTypeSpace.public_budget(Fd, config.values, agent.budget)
+        Gd = Distribution.point_mass(agent.budget)
         disc_agent = Agent(model="public-budget", values=Fd, budget=agent.budget, id=agent.id)
     else:
         Gd = discretize(agent.budgets, config.budgets)
-        space = DiscreteTypeSpace.private_budget(Fd, config.values, Gd, config.budgets)
         disc_agent = Agent(model="private-budget", values=Fd, budgets=Gd, id=agent.id)
     P = price_posting_curve(offer_curve(disc_agent), grid=config.price_grid)
-    return AgentCurves(P, "upper bound", lambda: ex_ante_curve_oracle(space))
+    return AgentCurves(P, "upper bound", lambda: ex_ante_curve_oracle(Fd, Gd))
 
 
 def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None) -> ClosenessReport:

@@ -73,8 +73,8 @@ class Agent:
             return
         if self.values is None:
             raise ValueError(f"{self.model} agent needs a value distribution")
-        if self.model == "public-budget" and (self.budget is None or self.budget < 0):
-            raise ValueError("public-budget agent needs a nonnegative budget")
+        if self.model == "public-budget" and (self.budget is None or not 0 <= self.budget < np.inf):
+            raise ValueError("public-budget agent needs a finite nonnegative budget")
         if self.model == "private-budget" and self.budgets is None:
             raise ValueError("private-budget agent needs a budget distribution")
         if self.model == "capacitated":

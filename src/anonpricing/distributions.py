@@ -1,9 +1,9 @@
 """Evaluable value and budget distributions.
 
 One class covers the whole palette (uniform, equal-revenue, truncated
-exponential, point mass, finite discrete, piecewise-linear CDF).  Instances
-are immutable after construction; every evaluator is pure and accepts
-scalars or numpy arrays.
+exponential, finite discrete, piecewise-linear CDF); a point mass is the
+one-atom discrete law.  Instances are immutable after construction; every
+evaluator is pure and accepts scalars or numpy arrays.
 
 Conventions baked in here and relied on everywhere else:
   - quantile q of a value v is the mass of stronger types, q = 1 - F(v);
@@ -62,12 +62,17 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, v: float) -> "Distribution":
-        return cls("point-mass", v=float(v))
+        """The one-atom discrete law at v."""
+        if not math.isfinite(v):
+            raise ValueError("point mass must be finite")
+        return cls.discrete([v], [1.0])
 
     @classmethod
     def discrete(cls, values: Sequence[float], probs: Sequence[float]) -> "Distribution":
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
+        if values.ndim != 1 or values.shape != probs.shape:   # checked here, before the sort indexes probs
+            raise ValueError("discrete needs matching 1-d values/probs")
         order = np.argsort(values)
         return cls("discrete", values=values[order], probs=probs[order])
 
@@ -91,9 +96,6 @@ class Distribution:
         elif k == "exponential":
             if p["rate"] <= 0 or p["hi"] <= 0:
                 raise ValueError("exponential needs positive rate and truncation point")
-        elif k == "point-mass":
-            if not math.isfinite(p["v"]):
-                raise ValueError("point mass must be finite")
         elif k == "discrete":
             v, f = p["values"], p["probs"]
             if len(v) != len(f) or len(v) == 0:
@@ -126,8 +128,6 @@ class Distribution:
             return 1.0
         if k == "exponential":
             return 0.0
-        if k == "point-mass":
-            return p["v"]
         if k == "discrete":
             return float(p["values"][0])
         return float(p["xs"][0])
@@ -141,8 +141,6 @@ class Distribution:
             return p["h"]
         if k == "exponential":
             return p["hi"]
-        if k == "point-mass":
-            return p["v"]
         if k == "discrete":
             return float(p["values"][-1])
         return float(p["xs"][-1])
@@ -155,8 +153,6 @@ class Distribution:
             return [(p["h"], 1.0 / p["h"])]
         if k == "exponential":
             return [(p["hi"], math.exp(-p["rate"] * p["hi"]))]
-        if k == "point-mass":
-            return [(p["v"], 1.0)]
         if k == "discrete":
             return list(zip(p["values"].tolist(), p["probs"].tolist()))
         return []
@@ -179,8 +175,6 @@ class Distribution:
             out = np.where(xv < 1.0, 0.0, np.where(xv >= p["h"], 1.0, 1.0 - 1.0 / np.maximum(xv, 1.0)))
         elif k == "exponential":
             out = np.where(xv < 0.0, 0.0, np.where(xv >= p["hi"], 1.0, 1.0 - np.exp(-p["rate"] * np.maximum(xv, 0.0))))
-        elif k == "point-mass":
-            out = np.where(xv >= p["v"], 1.0, 0.0)
         elif k == "discrete":
             out = self._cum()[np.searchsorted(p["values"], xv, side="right")]
         else:
@@ -195,8 +189,6 @@ class Distribution:
             out = np.where(xv <= 1.0, 0.0, np.where(xv > p["h"], 1.0, 1.0 - 1.0 / np.maximum(xv, 1.0)))
         elif k == "exponential":
             out = np.where(xv <= 0.0, 0.0, np.where(xv > p["hi"], 1.0, 1.0 - np.exp(-p["rate"] * np.maximum(xv, 0.0))))
-        elif k == "point-mass":
-            out = np.where(xv > p["v"], 1.0, 0.0)
         elif k == "discrete":
             out = self._cum()[np.searchsorted(p["values"], xv, side="left")]
         else:
@@ -233,7 +225,7 @@ class Distribution:
             out = np.where((xv >= 1.0) & (xv < p["h"]), 1.0 / np.maximum(xv, 1.0) ** 2, 0.0)
         elif k == "exponential":
             out = np.where((xv >= 0.0) & (xv < p["hi"]), p["rate"] * np.exp(-p["rate"] * np.maximum(xv, 0.0)), 0.0)
-        elif k in ("point-mass", "discrete"):
+        elif k == "discrete":
             out = np.zeros_like(xv)
         else:
             xs, fs = p["xs"], p["fs"]
@@ -256,8 +248,6 @@ class Distribution:
             with np.errstate(divide="ignore"):
                 body = -np.log(np.maximum(qv, atom)) / p["rate"]
             out = np.where(qv <= atom, p["hi"], body)
-        elif k == "point-mass":
-            out = np.full_like(qv, p["v"])
         elif k == "discrete":
             # survival-left at v_i: s_i = sum_{j >= i} f_j, decreasing in i;
             # V(q) is the largest v_i with s_i >= q
@@ -301,8 +291,6 @@ class Distribution:
             pc = np.clip(pv, 0.0, hi)
             out = -np.expm1(-lam * pc) / lam
             out = np.where(pv <= 0.0, np.maximum(pv, 0.0) * 0.0, out)
-        elif k == "point-mass":
-            out = np.minimum(pv, par["v"])
         elif k == "discrete":
             out = np.minimum(pv[..., None], par["values"]).dot(par["probs"])
         else:

@@ -9,14 +9,13 @@ is imported on the first solve, so `import anonpricing` loads no scipy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .curves import RevenueCurve, _collapse, _slope_merge, _upper_hull_indices
-from .distributions import Distribution, PROB_ATOL
+from .distributions import Distribution
 
 
 @dataclass(frozen=True)
@@ -67,51 +66,6 @@ def simplex_solve(
 # -- discretized ex-ante revenue maximization ---------------------------------
 
 
-@dataclass(frozen=True)
-class DiscreteTypeSpace:
-    """Product law of discrete values and budgets for one agent.
-
-    The linear model carries a single infinite sentinel budget so the same
-    LP covers all three models.
-    """
-
-    values: np.ndarray
-    value_probs: np.ndarray
-    budgets: np.ndarray
-    budget_probs: np.ndarray
-    model: str
-
-    def __post_init__(self):
-        for name, vals, probs in (
-            ("value", self.values, self.value_probs),
-            ("budget", self.budgets, self.budget_probs),
-        ):
-            if len(vals) != len(probs) or len(vals) == 0:
-                raise ValueError(f"{name} axis needs matching nonempty arrays")
-            if np.any(np.diff(vals) <= 0):
-                raise ValueError(f"{name}s must be strictly increasing")
-            if np.any(probs <= 0) or abs(probs.sum() - 1.0) > PROB_ATOL:
-                raise ValueError(f"{name} masses must be positive and sum to 1")
-        if self.model not in ("linear", "public-budget", "private-budget"):
-            raise ValueError(f"unsupported model {self.model!r}")
-        if self.model == "linear" and not (len(self.budgets) == 1 and math.isinf(self.budgets[0])):
-            raise ValueError("linear spaces use the single +inf budget sentinel")
-
-    @classmethod
-    def public_budget(cls, F: Distribution, n_values: int, w: float) -> "DiscreteTypeSpace":
-        from .distributions import discretize
-
-        F = discretize(F, n_values)
-        return cls(F.params["values"], F.params["probs"], np.array([float(w)]), np.array([1.0]), "public-budget")
-
-    @classmethod
-    def private_budget(cls, F: Distribution, n_values: int, G: Distribution, n_budgets: int) -> "DiscreteTypeSpace":
-        from .distributions import discretize
-
-        F, G = discretize(F, n_values), discretize(G, n_budgets)
-        return cls(F.params["values"], F.params["probs"], G.params["values"], G.params["probs"], "private-budget")
-
-
 def _level_hull(s: np.ndarray, prices: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Upper hull, in the (mass, revenue) plane, of one budget level's LP.
 
@@ -138,8 +92,14 @@ def _level_hull(s: np.ndarray, prices: np.ndarray, w: float) -> tuple[np.ndarray
     return mass[idx], rev[idx]
 
 
-def ex_ante_curve_oracle(space: DiscreteTypeSpace) -> RevenueCurve:
-    """Exact ex-ante revenue curve of the discrete value-IC relaxation.
+def ex_ante_curve_oracle(values: Distribution, budgets: Distribution) -> RevenueCurve:
+    """Exact ex-ante revenue curve of the discrete value-IC relaxation over
+    the product of two discrete laws, values and budgets.
+
+    A public budget w is the one-atom law `Distribution.point_mass(w)`; a
+    budget atom at +inf is a level with no budget, so the one-atom law at
+    +inf gives a linear buyer.  A law that is not discrete raises: pass it
+    through `discretize` first.
 
     Per budget level the mechanism is a convex nondecreasing menu: slab k
     (values >= v_k) is sold at marginal price v_{k-1} (v_0 = 0) or v_k,
@@ -153,12 +113,15 @@ def ex_ante_curve_oracle(space: DiscreteTypeSpace) -> RevenueCurve:
     true ex-ante revenue because incentive constraints across budget
     levels are dropped.
     """
-    v = space.values
-    s = np.cumsum(space.value_probs[::-1])[::-1]   # s_k = mass of values >= v_k
+    for axis, law in (("value", values), ("budget", budgets)):
+        if law.kind != "discrete":
+            raise ValueError(f"the {axis} law is {law.kind}, not discrete: discretize it first")
+    v = values.params["values"]
+    s = np.cumsum(values.params["probs"][::-1])[::-1]   # s_k = mass of values >= v_k
     prices = np.concatenate([[0.0], v[:-1], v])
     s = np.concatenate([s, s])
-    levels = [_level_hull(s, prices, float(w)) for w in space.budgets]
-    _, _, dq, dr = _slope_merge(levels, space.budget_probs)
+    levels = [_level_hull(s, prices, float(w)) for w in budgets.params["values"]]
+    _, _, dq, dr = _slope_merge(levels, budgets.params["probs"])
     qs = np.concatenate([[0.0], np.cumsum(dq)])
     vals = np.concatenate([[0.0], np.cumsum(dr)])
     # a tiny segment can vanish in the running sum; keep the later knot

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import anonpricing as ap
-from anonpricing import DiscreteTypeSpace, ex_ante_curve_oracle
+from anonpricing import ex_ante_curve_oracle
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +35,6 @@ def private_uu_posting_curve(private_uu_agent):
 
 @pytest.fixture(scope="session")
 def private_uu_rbar():
-    space = DiscreteTypeSpace.private_budget(
-        ap.Distribution.uniform(0, 1), 60, ap.Distribution.uniform(0, 1), 20
+    return ex_ante_curve_oracle(
+        ap.discretize(ap.Distribution.uniform(0, 1), 60), ap.discretize(ap.Distribution.uniform(0, 1), 20)
     )
-    return ex_ante_curve_oracle(space)

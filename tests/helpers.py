@@ -75,18 +75,17 @@ def enumerate_lp_max(c, a_ub, b_ub, a_eq, b_eq, tol=1e-9):
     return best
 
 
-def ex_ante_lp_matrices(values, f, budgets, g, q):
-    """The slab-menu LP for the discrete ex-ante problem, rebuilt from
-    scratch so vertex enumeration is a genuinely independent route.
+def ex_ante_lp_matrices(F, G, q):
+    """The slab-menu LP for the discrete ex-ante problem over the discrete
+    value law F and budget law G, rebuilt from scratch so vertex
+    enumeration is a genuinely independent route.
 
     Variable layout (mirroring the math, not the library's code): for each
     budget level j, m slabs priced at the bracket bottom (v_{k-1}, with
     v_0 = 0) followed by m slabs priced at the bracket top v_k.
     """
-    values = np.asarray(values, float)
-    f = np.asarray(f, float)
-    budgets = np.asarray(budgets, float)
-    g = np.asarray(g, float)
+    values, f = F.params["values"], F.params["probs"]
+    budgets, g = G.params["values"], G.params["probs"]
     m, n = len(values), len(budgets)
     s = np.cumsum(f[::-1])[::-1]
     v_lo = np.concatenate([[0.0], values[:-1]])

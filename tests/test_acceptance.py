@@ -14,7 +14,6 @@ from scipy import integrate
 import anonpricing as ap
 from anonpricing import (
     Agent,
-    DiscreteTypeSpace,
     Distribution,
     OracleConfig,
     ex_ante_curve_oracle,
@@ -71,8 +70,7 @@ def test_c01_two_uniform_values():
 @pytest.mark.parametrize("w", [0.1, 0.3, 0.7])
 def test_c02_public_budget_posting_equals_oracle(w):
     Fd = ap.discretize(Distribution.uniform(0, 1), 50)
-    space = DiscreteTypeSpace.public_budget(Fd, 50, w)
-    rbar = ex_ante_curve_oracle(space)
+    rbar = ex_ante_curve_oracle(Fd, Distribution.point_mass(w))
     Pd = ap.price_posting_curve(ap.offer_curve(Agent(model="public-budget", values=Fd, budget=w, id="d")))
     qs = np.linspace(0.0, 1.0, 33)
     rv = np.asarray(rbar.eval(qs))
@@ -262,16 +260,14 @@ def test_c12_simplex_matches_vertex_enumeration():
             for (w1, w2) in ((0.5, 1.5), (1.0, 3.0)):
                 for g1 in (0.3, 0.7):
                     for q in (0.2, 0.5, 0.75, 1.0):
-                        sp = DiscreteTypeSpace(np.array([v1, v2]), np.array([f1, 1 - f1]),
-                                               np.array([w1, w2]), np.array([g1, 1 - g1]),
-                                               "private-budget")
-                        c, aub, bub, aeq, beq = ex_ante_lp_matrices(
-                            sp.values, sp.value_probs, sp.budgets, sp.budget_probs, q)
+                        F = Distribution.discrete([v1, v2], [f1, 1 - f1])
+                        G = Distribution.discrete([w1, w2], [g1, 1 - g1])
+                        c, aub, bub, aeq, beq = ex_ante_lp_matrices(F, G, q)
                         sol = simplex_solve(c, aub + aeq, ["<="] * len(aub) + ["="], bub + beq)
                         ref = enumerate_lp_max(c, aub, bub, aeq, beq)
                         assert ref is not None
                         assert abs(sol.objective - ref) <= 1e-9, (v1, v2, f1, w1, w2, g1, q)
-                        assert abs(ex_ante_curve_oracle(sp).eval(q) - ref) <= 1e-9, (v1, v2, f1, w1, w2, g1, q)
+                        assert abs(ex_ante_curve_oracle(F, G).eval(q) - ref) <= 1e-9, (v1, v2, f1, w1, w2, g1, q)
                         checked += 1
     assert report(12, True, f"the HiGHS LP solve and the exact ex-ante curve equal exhaustive vertex enumeration "
                             f"on {checked} two-by-two spaces (1e-9)")
@@ -331,8 +327,7 @@ def test_c13_transfer_bounds_hold(private_uu_rbar):
     Pd = ap.price_posting_curve(ap.offer_curve(Agent(model="private-budget", values=Fd, budgets=Gd, id="d")))
     instances["private-uniform"] = ([Pd], [private_uu_rbar], (1.0, 2.0, 3.0))
     Fp = ap.discretize(Distribution.uniform(0, 1), 50)
-    spw = DiscreteTypeSpace.public_budget(Fp, 50, 0.3)
-    rbw = ex_ante_curve_oracle(spw)
+    rbw = ex_ante_curve_oracle(Fp, Distribution.point_mass(0.3))
     Pw = ap.price_posting_curve(ap.offer_curve(Agent(model="public-budget", values=Fp, budget=0.3, id="pb")))
     instances["public-budget"] = ([Pw], [rbw], (1.0, 2.0))
     all_ok = True

@@ -54,7 +54,7 @@ class TestLoadScenario:
         scen = load_scenario(path)
         assert len(scen.agents) == 5
         assert all(a.model == "private-budget" for a in scen.agents)
-        assert scen.agents[2].values.kind == "point-mass"
+        assert scen.agents[2].values.atoms == [(3.0, 1.0)]   # the fixture's point mass at 3
 
     def test_unknown_top_key_rejected(self, tmp_path):
         path = minimal(tmp_path, bogus=1)
@@ -419,6 +419,8 @@ class TestSizeRanges:
         ("--grid", "grid", 5_000_000, "grid"),
         ("--oracle-values", "values", 1, "oracle.values"),
         ("--oracle-budgets", "budgets", 100_000, "oracle.budgets"),
+        # discretizing a budget law needs at least 2 levels
+        ("--oracle-budgets", "budgets", 1, "oracle.budgets"),
         # 0 is a value like any other, never "flag not given"
         ("--grid", "grid", 0, "grid"),
         ("--oracle-values", "values", 0, "oracle.values"),
@@ -457,6 +459,13 @@ class TestMain:
 
     def test_missing_scenario_exit_2(self):
         assert main(["verify"]) == 2
+
+    def test_verb_chooses_the_analyses(self, tmp_path, capsys):
+        # the file's analyses apply to run_scenario(load_scenario(path)) only
+        path = minimal(tmp_path, analyses=["curves", "ap"])
+        assert main(["verify", str(path), "--grid", "256"]) == 0
+        assert list((tmp_path / "out").glob("curve_*.csv")) == []
+        assert (tmp_path / "out" / "closeness.csv").exists()
 
     def test_seed_zero_is_kept(self, tmp_path, capsys):
         assert main(["verify", "--fixture", "equal-revenue", "--seed", "0", "--out", str(tmp_path)]) == 0

@@ -58,6 +58,34 @@ class TestZetaEta:
         P, R = collapse_pair()
         assert ap.zeta(P, R) == pytest.approx(1.0, abs=1e-6)
 
+    def test_zeta_peaks_where_posting_climbs_through_its_earlier_max(self):
+        # P dips after 0.3 and climbs back through its earlier peak 1 at q* = 0.64,
+        # between two knots; R/max(P) rises to R(q*) = 1.92 there and falls after
+        P = ap.synthetic_curve([(0, 0), (0.3, 1.0), (0.4, 0.2), (1, 2.2)])
+        R = ap.synthetic_curve([(0, 0), (1, 3.0)])
+        assert ap.zeta(P, R) == pytest.approx(1.92, rel=1e-12)
+
+    def test_zeta_running_max_counts_knots_below_the_window(self):
+        # P peaks at q = 1e-7, below the 1e-6 cutoff, and that peak already covers R
+        P = ap.synthetic_curve([(0, 0), (1e-7, 1.0), (2e-7, 0.0), (1, 1.0)])
+        R = ap.synthetic_curve([(0, 0), (1e-7, 1.0), (1, 1.0)])
+        assert ap.zeta(P, R) == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_zeta_covers_a_dense_grid(self, data):
+        def curve(label):
+            k = data.draw(st.integers(1, 6), label=f"{label} inner knots")
+            qs = sorted(data.draw(st.sets(st.floats(0.001, 0.999), min_size=k, max_size=k), label=f"{label} qs"))
+            vals = data.draw(st.lists(st.floats(0.01, 10.0), min_size=k + 1, max_size=k + 1), label=f"{label} values")
+            return ap.synthetic_curve(list(zip([0.0] + qs + [1.0], [0.0] + vals)))
+
+        P, R = curve("P"), curve("R")
+        # the running max of P is exact on a grid that holds P's knots
+        qs = np.union1d(np.linspace(1e-6, 1.0, 200_001), P.qs[P.qs >= 1e-6])
+        dense = float(np.max(np.asarray(R.eval(qs)) / np.maximum.accumulate(np.asarray(P.eval(qs)))))
+        assert ap.zeta(P, R) >= dense * (1.0 - 1e-12)
+
     def test_private_uniform_within_three(self, private_uu_posting_curve, private_uu_rbar):
         z = ap.zeta(private_uu_posting_curve, private_uu_rbar)
         assert z <= 3.05
@@ -264,7 +292,7 @@ class TestAgentCurves:
 
         calls = []
         oracle = closeness.ex_ante_curve_oracle
-        monkeypatch.setattr(closeness, "ex_ante_curve_oracle", lambda space: calls.append(space) or oracle(space))
+        monkeypatch.setattr(closeness, "ex_ante_curve_oracle", lambda *laws: calls.append(laws) or oracle(*laws))
         agent = Agent(model="private-budget", values=Distribution.uniform(0, 1),
                       budgets=Distribution.uniform(0, 0.8), id="pr")
         rec = build_curves(agent, OracleConfig(values=20, budgets=5, price_grid=256))

@@ -1,5 +1,7 @@
 """Offer curves, posting curves, hulls, quantile maps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,12 @@ class TestAgentValidation:
     def test_synthetic_needs_dominating_r(self):
         with pytest.raises(ValueError):
             Agent(model="synthetic", p_knots=((0, 0), (1, 2)), r_knots=((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("w", [None, -0.1, math.inf, math.nan])
+    def test_public_needs_finite_nonnegative_budget(self, w):
+        # the oracle takes a public budget as the point mass at w
+        with pytest.raises(ValueError, match="finite nonnegative budget"):
+            Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=w)
 
     def test_private_needs_budget_law(self):
         with pytest.raises(ValueError):

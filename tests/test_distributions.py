@@ -172,9 +172,18 @@ class TestDiscretize:
         assert np.allclose(d.params["probs"], [0.5, 0.5])
 
     def test_point_mass_identity(self):
-        d = ap.discretize(Distribution.point_mass(3.0), 7)
+        # a point mass is the one-atom discrete law, so it is its own discretization
+        d = Distribution.point_mass(3.0)
+        assert d.kind == "discrete"
         assert d.params["values"].tolist() == [3.0]
         assert d.params["probs"].tolist() == [1.0]
+        for n in (1, 2, 7):
+            assert ap.discretize(d, n) is d
+
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+    def test_point_mass_must_be_finite(self, v):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution.point_mass(v)
 
     def test_discrete_law_returned_unchanged(self):
         # a discrete law is already its own discretization, for every n

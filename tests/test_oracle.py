@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import anonpricing as ap
-from anonpricing import DiscreteTypeSpace, Distribution, ex_ante_curve_oracle, simplex_solve
+from anonpricing import Distribution, ex_ante_curve_oracle, simplex_solve
 
 from helpers import brute_force_ear, enumerate_lp_max, ex_ante_lp_matrices
 
@@ -106,80 +106,79 @@ class TestSimplex:
                 assert sol.objective == pytest.approx(ref, abs=1e-8)
 
 
-def lp_mechanism(sp, q):
-    """Solve the slab-menu LP at mass q with the generic LP solve and read off
-    each level's menu: allocations x[i, j] and payments p[i, j]."""
-    c, a_ub, b_ub, a_eq, b_eq = ex_ante_lp_matrices(sp.values, sp.value_probs, sp.budgets, sp.budget_probs, q)
+# the one-atom budget law at +inf: a budget level with no budget, i.e. a linear buyer
+NO_BUDGET = Distribution.discrete([math.inf], [1.0])
+
+
+def lp_mechanism(F, G, q):
+    """Solve the slab-menu LP of value law F and budget law G at mass q with
+    the generic LP solve and read off each level's menu: allocations x[i, j]
+    and payments p[i, j]."""
+    c, a_ub, b_ub, a_eq, b_eq = ex_ante_lp_matrices(F, G, q)
     sol = simplex_solve(c, a_ub + a_eq, ["<="] * len(a_ub) + ["="], b_ub + b_eq)
     assert sol.status == "optimal"
-    m, n = len(sp.values), len(sp.budgets)
+    v = F.params["values"]
+    m, n = len(v), len(G.params["values"])
     d = np.clip(sol.x, 0.0, None).reshape(n, 2, m).transpose(1, 2, 0)   # [lo|hi, slab, level]
-    v_lo = np.concatenate([[0.0], sp.values[:-1]])
+    v_lo = np.concatenate([[0.0], v[:-1]])
     x = np.minimum(np.cumsum(d[0] + d[1], axis=0), 1.0)
-    p = np.cumsum(d[0] * v_lo[:, None] + d[1] * sp.values[:, None], axis=0)
+    p = np.cumsum(d[0] * v_lo[:, None] + d[1] * v[:, None], axis=0)
     return sol.objective, x, p
 
 
 class TestExAnteLp:
     def test_point_mass_full_service(self):
-        sp = DiscreteTypeSpace(np.array([1.0]), np.array([1.0]), np.array([math.inf]), np.array([1.0]), "linear")
-        assert ex_ante_curve_oracle(sp).eval(1.0) == pytest.approx(1.0, abs=1e-9)
-        _, x, p = lp_mechanism(sp, 1.0)
+        F = Distribution.point_mass(1.0)
+        assert ex_ante_curve_oracle(F, NO_BUDGET).eval(1.0) == pytest.approx(1.0, abs=1e-9)
+        _, x, p = lp_mechanism(F, NO_BUDGET, 1.0)
         assert x[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert p[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_values_linear(self):
-        sp = DiscreteTypeSpace(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
-                               np.array([math.inf]), np.array([1.0]), "linear")
-        assert ex_ante_curve_oracle(sp).eval(0.75) == pytest.approx(1.0, abs=1e-9)
-        _, x, _ = lp_mechanism(sp, 0.75)
+        F = Distribution.discrete([1.0, 2.0], [0.5, 0.5])
+        assert ex_ante_curve_oracle(F, NO_BUDGET).eval(0.75) == pytest.approx(1.0, abs=1e-9)
+        _, x, _ = lp_mechanism(F, NO_BUDGET, 0.75)
         assert np.allclose(x.ravel(), [0.5, 1.0], atol=1e-9)
 
     def test_public_budget_slack(self):
-        sp = DiscreteTypeSpace(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
-                               np.array([10.0]), np.array([1.0]), "public-budget")
-        assert ex_ante_curve_oracle(sp).eval(0.5) == pytest.approx(1.0, abs=1e-9)
+        F = Distribution.discrete([1.0, 2.0], [0.5, 0.5])
+        assert ex_ante_curve_oracle(F, Distribution.point_mass(10.0)).eval(0.5) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_budget_level_feasible_at_full_mass(self):
         # free bottom slabs keep the exact-mass constraint feasible even
         # when a budget level cannot pay anything
-        sp = DiscreteTypeSpace(np.array([2.0]), np.array([1.0]),
-                               np.array([0.0, 2.0]), np.array([0.75, 0.25]), "private-budget")
-        assert ex_ante_curve_oracle(sp).eval(1.0) == pytest.approx(0.25 * 2.0, abs=1e-9)
-        _, x, p = lp_mechanism(sp, 1.0)
+        F, G = Distribution.point_mass(2.0), Distribution.discrete([0.0, 2.0], [0.75, 0.25])
+        assert ex_ante_curve_oracle(F, G).eval(1.0) == pytest.approx(0.25 * 2.0, abs=1e-9)
+        _, x, p = lp_mechanism(F, G, 1.0)
         assert p[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert x[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_solution_invariants(self):
         values = ap.discretize(Distribution.uniform(0, 1), 12)
         budgets = ap.discretize(Distribution.uniform(0, 1), 5)
-        sp = DiscreteTypeSpace(values.params["values"], values.params["probs"],
-                               budgets.params["values"], budgets.params["probs"], "private-budget")
-        rb = ex_ante_curve_oracle(sp)
+        rb = ex_ante_curve_oracle(values, budgets)
         for q in (0.0, 0.3, 0.8, 1.0):
-            obj, x, p = lp_mechanism(sp, q)
+            obj, x, p = lp_mechanism(values, budgets, q)
             assert rb.eval(q) == pytest.approx(obj, abs=1e-9)
             assert np.all(np.diff(x, axis=0) >= -1e-9)              # monotone in value
             assert np.all((x >= -1e-9) & (x <= 1 + 1e-9))
-            assert np.all(p <= sp.budgets[None, :] + 1e-9)          # budget caps
+            assert np.all(p <= budgets.params["values"][None, :] + 1e-9)   # budget caps
             assert np.all(p >= -1e-9)
             # local incentive brackets: v_{i-1} dx <= dp <= v_i dx
-            v = sp.values
+            v = values.params["values"]
             dx = np.diff(x, axis=0)
             dp = np.diff(p, axis=0)
             assert np.all(dp <= v[1:, None] * dx + 1e-8)
             assert np.all(dp >= v[:-1, None] * dx - 1e-8)
             assert np.all(p[0] <= v[0] * x[0] + 1e-8)
-            mass = float(np.sum(sp.value_probs[:, None] * sp.budget_probs[None, :] * x))
+            mass = float(np.sum(values.params["probs"][:, None] * budgets.params["probs"][None, :] * x))
             assert mass == pytest.approx(q, abs=1e-9)
 
     def test_dominates_price_posting(self):
         # posting any real price (support value or not) is LP-feasible
         values = ap.discretize(Distribution.uniform(0, 1), 20)
         for w in (0.1, 0.3):
-            sp = DiscreteTypeSpace(values.params["values"], values.params["probs"],
-                                   np.array([w]), np.array([1.0]), "public-budget")
-            rb = ex_ante_curve_oracle(sp)
+            rb = ex_ante_curve_oracle(values, Distribution.point_mass(w))
             agent = ap.Agent(model="public-budget", values=values, budget=w, id="d")
             off = ap.offer_curve(agent)
             for p in (0.08, 0.1, 0.25, 0.5, 0.8):
@@ -195,29 +194,45 @@ class TestExAnteLp:
                         for q in (0.25, 0.6, 1.0):
                             cases.append((v1, v2, f1, w1, w2, g1, q))
         for v1, v2, f1, w1, w2, g1, q in cases:
-            sp = DiscreteTypeSpace(np.array([v1, v2]), np.array([f1, 1 - f1]),
-                                   np.array([w1, w2]), np.array([g1, 1 - g1]), "private-budget")
-            c, a_ub, b_ub, a_eq, b_eq = ex_ante_lp_matrices(
-                sp.values, sp.value_probs, sp.budgets, sp.budget_probs, q)
-            ref = enumerate_lp_max(c, a_ub, b_ub, a_eq, b_eq)
+            F = Distribution.discrete([v1, v2], [f1, 1 - f1])
+            G = Distribution.discrete([w1, w2], [g1, 1 - g1])
+            ref = enumerate_lp_max(*ex_ante_lp_matrices(F, G, q))
             assert ref is not None
-            assert ex_ante_curve_oracle(sp).eval(q) == pytest.approx(ref, abs=1e-9)
+            assert ex_ante_curve_oracle(F, G).eval(q) == pytest.approx(ref, abs=1e-9)
+
+
+class TestOracleInputs:
+    @pytest.mark.parametrize("axis", ["value", "budget"])
+    def test_continuous_law_rejected(self, axis):
+        laws = {"value": Distribution.point_mass(1.0), "budget": NO_BUDGET}
+        laws[axis] = Distribution.uniform(0, 1)
+        with pytest.raises(ValueError, match=f"{axis} law is uniform, not discrete: discretize it first"):
+            ex_ante_curve_oracle(laws["value"], laws["budget"])
+
+    @pytest.mark.parametrize("values, probs, match", [
+        ([1.0, 1.0], [0.5, 0.5], "distinct"),
+        ([1.0, 2.0], [1.0, 0.0], "positive"),
+        ([1.0, 2.0], [1.5, -0.5], "positive"),
+        ([1.0, 2.0], [0.5, 0.6], "sum"),
+        ([], [], "nonempty"),
+        ([1.0, 2.0], [1.0], "matching"),
+    ])
+    def test_bad_discrete_law_rejected(self, values, probs, match):
+        # the oracle's value and budget axes are discrete laws, checked on construction
+        with pytest.raises(ValueError, match=match):
+            Distribution.discrete(values, probs)
 
 
 class TestCurveOracle:
     def test_uniform_midpoint(self):
         values = ap.discretize(Distribution.uniform(0, 1), 100)
-        sp = DiscreteTypeSpace(values.params["values"], values.params["probs"],
-                               np.array([math.inf]), np.array([1.0]), "linear")
-        rb = ex_ante_curve_oracle(sp)
+        rb = ex_ante_curve_oracle(values, NO_BUDGET)
         assert rb.eval(0.5) == pytest.approx(0.25, abs=0.01)
         assert rb.eval(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_concavity_and_domination(self):
         values = ap.discretize(Distribution.uniform(0, 1), 30)
-        sp = DiscreteTypeSpace(values.params["values"], values.params["probs"],
-                               np.array([0.4]), np.array([1.0]), "public-budget")
-        rb = ex_ante_curve_oracle(sp)
+        rb = ex_ante_curve_oracle(values, Distribution.point_mass(0.4))
         slopes = np.diff(rb.values) / np.diff(rb.qs)
         assert np.all(np.diff(slopes) <= 1e-7 * max(1.0, rb.max_value()))
         agent = ap.Agent(model="public-budget", values=values, budget=0.4, id="d")
@@ -231,21 +246,20 @@ class TestCurveOracle:
         values = np.array(sorted(data.draw(st.sets(st.integers(1, 40), min_size=m, max_size=m)))) / 8.0
         f = np.array(data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=float)
         if data.draw(st.booleans(), label="linear"):
-            budgets, model = np.array([math.inf]), "linear"
+            budgets = np.array([math.inf])
         else:
             # w = 0, w on a support value, w above the top value, a generic w, the +inf sentinel
             pool = st.one_of(st.just(0.0), st.sampled_from(values.tolist()), st.just(values[-1] + 1.0),
                              st.floats(0.01, 6.0), st.just(math.inf))
             budgets = np.array(sorted(data.draw(st.sets(pool, min_size=1, max_size=3), label="budgets")))
-            model = "private-budget" if len(budgets) > 1 else "public-budget"
         g = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(budgets), max_size=len(budgets))), dtype=float)
-        sp = DiscreteTypeSpace(values, f / f.sum(), budgets, g / g.sum(), model)
-        rb = ex_ante_curve_oracle(sp)
+        F, G = Distribution.discrete(values, f / f.sum()), Distribution.discrete(budgets, g / g.sum())
+        rb = ex_ante_curve_oracle(F, G)
         assert rb.eval(0.0) == 0.0
         assert rb.concave
         assert np.all(np.diff(rb.qs) > 0.0)
         for q in data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), label="qs"):
-            obj, _, _ = lp_mechanism(sp, q)
+            obj, _, _ = lp_mechanism(F, G, q)
             assert rb.eval(q) == pytest.approx(obj, abs=1e-9)
 
 
