@@ -100,6 +100,10 @@ class Distribution:
             v, f = p["values"], p["probs"]
             if len(v) != len(f) or len(v) == 0:
                 raise ValueError("discrete needs matching nonempty values/probs")
+            if np.isnan(v).any() or np.any(v == -np.inf):
+                raise ValueError("discrete values must not be NaN or -inf")
+            if not np.all(np.isfinite(f)):
+                raise ValueError("discrete probabilities must be finite")
             if np.any(f <= 0):
                 raise ValueError("discrete probabilities must be positive")
             if abs(f.sum() - 1.0) > PROB_ATOL:
@@ -320,7 +324,7 @@ class Distribution:
         return float(self.survival_left(self.mean()))
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.params.items() if not isinstance(v, np.ndarray))
+        inner = ", ".join(f"{k}={v.tolist() if isinstance(v, np.ndarray) else v}" for k, v in self.params.items())
         return f"Distribution.{self.kind.replace('-', '_')}({inner})"
 
 

@@ -60,13 +60,21 @@ def _sale_probabilities(sellables: Sequence[Sellable], prices) -> np.ndarray:
                      for s in sellables])
 
 
+def _ap_values(prices, sale: np.ndarray) -> np.ndarray:
+    """Anonymous-pricing revenue p * (1 - prod_i(1 - Q_i(p))) at each price,
+    from the agents x prices table of sale probabilities.  The table is
+    overwritten with 1 - Q_i(p): a second table held the process's peak RSS
+    about 9% higher on 16 agents."""
+    return prices * (1.0 - np.subtract(1.0, sale, out=sale).prod(axis=0))
+
+
 def ap_revenue(sellables: Sequence[Sellable], p: float) -> ApResult:
     """Revenue of posting anonymous per-unit price p."""
     if p < 0:
         raise ValueError("price must be nonnegative")
-    qs = _sale_probabilities(sellables, p)[:, 0]
-    rev = p * (1.0 - np.prod(1.0 - qs))
-    return ApResult(float(p), tuple(qs.tolist()), float(rev))
+    sale = _sale_probabilities(sellables, p)
+    qs = tuple(sale[:, 0].tolist())
+    return ApResult(float(p), qs, float(_ap_values(p, sale)[0]))
 
 
 def _candidate_prices(sellables: Sequence[Sellable], grid: int) -> np.ndarray:
@@ -82,57 +90,65 @@ def _candidate_prices(sellables: Sequence[Sellable], grid: int) -> np.ndarray:
     return cands[cands > 0.0]
 
 
-def _golden(fn, lo, hi, rel_tol=1e-10, iters=200):
+def _golden(fn, lo, hi, rel_tol=1e-10, iters=200) -> np.ndarray:
+    """Golden-section search for a maximizer in every bracket [lo_j, hi_j]
+    at once; `fn` maps an array of prices to an array of values.
+
+    Each bracket takes exactly the steps it would take alone: it stops once
+    its width is at most rel_tol * max(1, |hi|) and is frozen from then on,
+    only live brackets are evaluated, and each returns the better of its two
+    interior points, the larger price on a tie.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
     for _ in range(iters):
-        if b - a <= rel_tol * max(1.0, abs(b)):
+        live = np.flatnonzero(b - a > rel_tol * np.maximum(1.0, np.abs(b)))
+        if live.size == 0:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    xs = [(fc, c), (fd, d)]
-    return max(xs)[1]
+        # a bracket whose left point wins keeps [a, d]: d becomes c and a
+        # new c is placed; otherwise it keeps [c, b] and places a new d
+        left = fc[live] >= fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        new = fn(np.concatenate([c[lt], d[rt]]))
+        fc[lt], fd[rt] = new[: lt.size], new[lt.size :]
+    return np.where((fd > fc) | ((fd == fc) & (d > c)), d, c)
 
 
 def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
-    """Best anonymous price: knot candidates plus a price sweep, then
-    golden-section refinement inside the best brackets.
+    """Best anonymous price: knot candidates plus a price sweep, then one
+    golden-section search over the brackets around the 3 best candidates.
 
     Knot prices matter because revenue is non-smooth exactly there; golden
-    section is only trusted between candidates.
+    section is only trusted between candidates.  The brackets are stepped
+    together, so each step evaluates every live bracket in one call.
     """
     if len(sellables) == 0:
         raise ValueError("need at least one agent")
     cands = _candidate_prices(sellables, grid)
 
-    def value(p: float) -> float:
-        return ap_revenue(sellables, p).revenue
+    def values(prices: np.ndarray) -> np.ndarray:
+        return _ap_values(prices, _sale_probabilities(sellables, prices))
 
-    # 1 - Q_i(p) in place: a second agents x candidates table held the
-    # process's peak RSS about 9% higher on 16 agents
-    miss = _sale_probabilities(sellables, cands)
-    vals = cands * (1.0 - np.subtract(1.0, miss, out=miss).prod(axis=0))
+    vals = values(cands)
     best_idx = int(np.argmax(vals))
     best_p = float(cands[best_idx])
     best_v = float(vals[best_idx])
     # refine within the brackets around the few best candidates
     order = np.argsort(vals)[::-1][:3]
-    for i in order:
-        lo = cands[i - 1] if i > 0 else cands[i] * 0.5
-        hi = cands[i + 1] if i + 1 < len(cands) else cands[i]
-        p_ref = _golden(value, float(lo), float(hi))
-        v_ref = value(p_ref)
-        if v_ref > best_v:
-            best_p, best_v = p_ref, v_ref
+    lo = np.where(order > 0, cands[np.maximum(order - 1, 0)], cands[order] * 0.5)
+    hi = cands[np.minimum(order + 1, len(cands) - 1)]
+    p_ref = _golden(values, lo, hi)
+    for p, v in zip(p_ref.tolist(), values(p_ref).tolist()):
+        if v > best_v:
+            best_p, best_v = p, v
     return ap_revenue(sellables, best_p)
 
 
@@ -198,11 +214,8 @@ def myerson_reserve(curve: RevenueCurve) -> tuple[float, float]:
         lo = float(cands[i_star - 1]) if i_star > 0 else p_star * 0.5
         hi = float(cands[i_star + 1]) if i_star + 1 < len(cands) else p_star
 
-        def value(p):
-            return p * float(off.eval(p))
-
-        p_ref = _golden(value, lo, hi)
-        if value(p_ref) > v_star + tol:
+        p_ref = float(_golden(lambda p: p * off.eval(p), [lo], [hi])[0])
+        if p_ref * float(off.eval(p_ref)) > v_star + tol:
             p_star = p_ref
         return p_star, float(off.eval(p_star))
     q_star = curve.argmax_quantile()

@@ -1,10 +1,9 @@
 """Independent cross-check oracles used by the tests.
 
 These deliberately avoid the library's solution paths: LP optima come from
-explicit vertex enumeration, expectations from generic quadrature.  The
-one exception is `eager_concave`/`eager_hull`, which run the library's hull
-scan the way a curve used to on every construction: they pin what a
-curve's cached hull must reproduce.
+explicit vertex enumeration, expectations from generic quadrature, hulls
+from a monotone chain on numpy scalars, golden section one bracket at a
+time.
 """
 
 import itertools
@@ -13,7 +12,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from anonpricing.curves import CONCAVITY_SLOPE_TOL, _upper_hull_indices
+from anonpricing.curves import CONCAVITY_SLOPE_TOL
 
 
 def survival_quadrature_mean(dist) -> float:
@@ -185,11 +184,52 @@ def loop_collapse(q, v):
     return np.array(keep_q), np.array(keep_v)
 
 
+def numpy_scalar_hull_indices(qs, vals) -> list[int]:
+    """Knot indices of the upper convex hull by a monotone chain that reads
+    the arrays one numpy scalar at a time: the reference for
+    `curves._upper_hull_indices`, which runs the same chain on Python floats
+    and must drop exactly the same knots (collinear ones included)."""
+    idx = [0]
+    for i in range(1, len(qs)):
+        while len(idx) >= 2:
+            i0, i1 = idx[-2], idx[-1]
+            cross = (qs[i1] - qs[i0]) * (vals[i] - vals[i0]) - (qs[i] - qs[i0]) * (vals[i1] - vals[i0])
+            if cross >= 0.0:
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return idx
+
+
+def scalar_golden(fn, lo, hi, rel_tol=1e-10, iters=200):
+    """Golden-section search for a maximizer of a scalar function in one
+    bracket: the reference for `mechanisms._golden`, which steps many
+    brackets at once and must return, for each, what this returns alone."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if b - a <= rel_tol * max(1.0, abs(b)):
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return max([(fc, c), (fd, d)])[1]
+
+
 def eager_concave(qs, vals) -> bool:
     """The concavity test a curve used to run on construction: the curve is
     concave iff its concave majorant, read at its own knots, exceeds it by
     at most CONCAVITY_SLOPE_TOL of its largest absolute value."""
-    hull_idx = _upper_hull_indices(qs, vals)
+    hull_idx = numpy_scalar_hull_indices(qs, vals)
     hull_vals = np.interp(qs, qs[hull_idx], vals[hull_idx])
     gap = float(np.max(hull_vals - vals))
     return gap <= CONCAVITY_SLOPE_TOL * max(1.0, float(np.max(np.abs(vals))))
@@ -197,5 +237,5 @@ def eager_concave(qs, vals) -> bool:
 
 def eager_hull(qs, vals):
     """The hull knots `concave_hull` used to compute afresh on every call."""
-    hull_idx = _upper_hull_indices(qs, vals)
+    hull_idx = numpy_scalar_hull_indices(qs, vals)
     return qs[hull_idx], vals[hull_idx]

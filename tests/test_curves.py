@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution
 
 from anonpricing.curves import _chord_reach, _collapse, _upper_hull_indices
-from helpers import dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse
+from helpers import dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse, numpy_scalar_hull_indices
 
 
 def linear_uniform():
@@ -211,6 +211,32 @@ def test_cached_hull_equals_eager_reference(case, hull_first):
     assert h.concave == eager_concave(h.qs, h.values)
     hh = ap.concave_hull(h)
     assert np.array_equal(hh.qs, h.qs) and np.array_equal(hh.values, h.values)
+
+
+@st.composite
+def chain_case(draw):
+    """A `hull_case`, or knots on a 1/64 grid joined by runs of small integer
+    slopes: there every cross product is exact, so collinear knots give a
+    cross product of exactly 0."""
+    if draw(st.booleans()):
+        return draw(hull_case())
+    qs = np.array([0, *sorted(set(draw(st.lists(st.integers(1, 63), max_size=20)))), 64]) / 64.0
+    n = len(qs) - 1
+    slopes = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=len(slopes) - 1, max_size=len(slopes) - 1)))
+    run_slopes = np.repeat(slopes, np.diff([0, *cuts, n]))
+    return qs, np.concatenate([[0.0], np.cumsum(run_slopes * np.diff(qs))])
+
+
+@given(chain_case())
+@example((np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 0.25, 0.5, 0.5])))   # collinear middle knot drops
+@settings(max_examples=200, deadline=None)
+def test_hull_chain_equals_numpy_scalar_reference(case):
+    """The chain on Python floats keeps exactly the knots the chain on numpy
+    scalars keeps: on exactly collinear runs, on runs within 1e-13 of a line
+    and on knots 1e-16 to 1e-12 apart."""
+    qs, vals = case
+    assert _upper_hull_indices(qs, vals) == numpy_scalar_hull_indices(qs, vals)
 
 
 def test_hull_scan_runs_once_per_curve(monkeypatch):

@@ -50,6 +50,27 @@ class TestCdf:
         with pytest.raises(ValueError):
             Distribution.discrete([1, 2], [0.5, 0.6])
 
+    @pytest.mark.parametrize("values, probs, match", [
+        ([math.nan, 1.0], [0.5, 0.5], "NaN or -inf"),
+        ([-math.inf, 1.0], [0.5, 0.5], "NaN or -inf"),
+        ([1.0, 2.0], [math.nan, 1.0], "finite"),   # NaN passes both f <= 0 and the sum check
+        ([1.0, 2.0], [math.inf, 1.0], "finite"),
+    ])
+    def test_non_finite_discrete_law_rejected(self, values, probs, match):
+        with pytest.raises(ValueError, match=match):
+            Distribution.discrete(values, probs)
+
+    def test_infinite_value_atom_allowed(self):
+        # the oracle reads a +inf budget atom as "no budget"
+        d = Distribution.discrete([1.0, math.inf], [0.5, 0.5])
+        assert d.hi == math.inf and Distribution.discrete([math.inf], [1.0]).lo == math.inf
+
+    def test_repr_shows_array_parameters(self):
+        assert repr(Distribution.point_mass(3.0)) == "Distribution.discrete(values=[3.0], probs=[1.0])"
+        d = Distribution.piecewise_linear_cdf([(0, 0), (1, 0.5), (2, 1)])
+        assert repr(d) == "Distribution.piecewise_linear_cdf(xs=[0.0, 1.0, 2.0], fs=[0.0, 0.5, 1.0])"
+        assert repr(Distribution.uniform(0, 1)) == "Distribution.uniform(a=0.0, b=1.0)"
+
 
     def test_discrete_table_capped_at_one(self):
         # 60 masses of 1/60 sum to 1 + 1.3e-15; no probability may leave [0, 1]

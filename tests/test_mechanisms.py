@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import anonpricing as ap
-from anonpricing import RHO, Agent, Distribution
-from helpers import brute_force_ear
+from anonpricing import RHO, Agent, Distribution, mechanisms
+from helpers import brute_force_ear, scalar_golden
 
 
 def uniform_offer():
@@ -73,6 +73,52 @@ class TestApOptimize:
         # must still start above 0
         res = ap.ap_optimize([ap.synthetic_curve([(0, 0), (1, 5e-324)])], grid=64)
         assert res.revenue == 5e-324   # the price 5e-324 sells surely
+
+    def test_brackets_are_refined_together(self, monkeypatch):
+        # the sweep, one table per golden step for all 3 brackets, the refined
+        # prices and the final revenue: 37 tables, where refining the brackets
+        # one after another built 110
+        calls = []
+        real = mechanisms._sale_probabilities
+        monkeypatch.setattr(mechanisms, "_sale_probabilities", lambda s, p: calls.append(1) or real(s, p))
+        ap.ap_optimize([uniform_offer(), uniform_offer()])
+        assert len(calls) <= 45
+
+
+# functions of price, exact in every elementwise operation so that an array
+# and a one-element array give the same bits
+GOLDEN_SHAPES = {
+    "peak": lambda m: lambda p: -(p - m) ** 2,
+    "flat": lambda m: lambda p: 0.0 * p + m,               # every comparison ties
+    "steps": lambda m: lambda p: np.floor(p / m),          # flat runs between jumps
+    "two peaks": lambda m: lambda p: -np.abs(np.abs(p - m) - 1.0),   # not unimodal
+}
+
+
+@given(st.sampled_from(sorted(GOLDEN_SHAPES)), st.floats(0.01, 50.0),
+       st.lists(st.tuples(st.floats(0.0, 50.0), st.one_of(st.just(0.0), st.floats(1e-12, 100.0))),
+                min_size=1, max_size=6))
+@example("peak", 3.0, [(0.0, 10.0), (2.0, 1e-6), (5.0, 0.0), (1.0, 100.0)])   # 51, 18, 0 and 56 steps
+@settings(max_examples=100, deadline=None)
+def test_batched_golden_equals_one_bracket_at_a_time(shape, m, brackets):
+    """Each bracket gets exactly the price the scalar search finds for it
+    alone, and only live brackets are evaluated: the batched search asks for
+    as many prices as the scalar searches together."""
+    fn = GOLDEN_SHAPES[shape](m)
+    lo, hi = [a for a, _ in brackets], [a + w for a, w in brackets]
+    scalar_evals, batched_evals = [], []
+
+    def one(p):
+        scalar_evals.append(p)
+        return float(fn(np.array([p]))[0])
+
+    def many(prices):
+        batched_evals.extend(prices.tolist())
+        return fn(prices)
+
+    want = [scalar_golden(one, a, b) for a, b in zip(lo, hi)]
+    assert mechanisms._golden(many, lo, hi).tolist() == want
+    assert sorted(batched_evals) == sorted(scalar_evals)
 
 
 class TestEarOptimize:
