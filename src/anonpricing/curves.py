@@ -148,8 +148,15 @@ class RevenueCurve:
         self.values = values
         self.offer = offer
         self.name = name
-        self._reach = None   # see _chord_reach; built on the first price lookup
+        self._reach = None   # see _price_reach; built on the first price lookup
         self._hull = None    # see _hull_indices; found on first use
+
+    def _price_reach(self) -> np.ndarray:
+        """The negated chord reach of `_chord_reach`, built on the first price
+        lookup and kept: O(K) once, so each later lookup is a search."""
+        if self._reach is None:
+            self._reach = _chord_reach(self.qs, self.values)
+        return self._reach
 
     def _hull_indices(self) -> np.ndarray | slice:
         """Index of the knots on the curve's least concave majorant, found on
@@ -231,7 +238,7 @@ def offer_curve(agent: Agent) -> OfferCurve:
 
         def fn(p, w=w):
             p = np.asarray(p, dtype=float)
-            take = np.where(p <= w, 1.0, np.divide(w, p, out=np.ones_like(p), where=p > 0))
+            take = np.divide(w, p, out=np.ones_like(p), where=p > w)
             return np.asarray(F.survival_left(p)) * take
 
     else:  # private-budget
@@ -342,35 +349,75 @@ def _chord_reach(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return neg_reach
 
 
+def _last_by_search(neg_reach: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Each price's last affordable knot, -1 for none: the number of reach
+    entries at or below -p, less one, by one search per price."""
+    return np.searchsorted(neg_reach, -prices, side="right") - 1
+
+
+def _last_by_merge(neg_reach: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """The same indices for sorted prices, by one search per knot: knot k
+    counts for every price at or below its reach -neg_reach[k], so a price's
+    count is the number of knots whose reach position lies past it."""
+    pos = np.searchsorted(prices, -neg_reach, side="right")
+    return len(neg_reach) - 1 - np.cumsum(np.bincount(pos, minlength=len(prices) + 1))[:-1]
+
+
+def selling_window(sellable: "RevenueCurve | OfferCurve") -> tuple[float, float]:
+    """(low, top): the sale probability is exactly 1.0 at prices at or below
+    low and exactly 0.0 at prices above top.
+
+    An offer, or a curve priced through its offer, sells nothing above its
+    price cap and has no sure-sale stretch it can name (low = -inf).  An
+    offer-less curve sells surely up to its last knot's chord threshold and
+    nothing above its top one: the two ends of its chord reach.
+    """
+    offer = sellable if isinstance(sellable, OfferCurve) else sellable.offer
+    if offer is not None:
+        return -np.inf, float(offer.price_cap)
+    neg_reach = sellable._price_reach()
+    return -float(neg_reach[-1]), -float(neg_reach[0])
+
+
 def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
     """Largest q whose chord from the origin has slope p, for each price.
 
     Offer-derived curves delegate to the generating offer so non-concave
     shapes resolve the way the mechanism actually sells.  Otherwise knot k
     (q_k > 0) stays affordable up to the threshold (v_k + tol) / q_k; the
-    last affordable knot comes from a search in the suffix maximum of the
-    thresholds, and the quantile is interpolated on the segment after it.
-    Flat-revenue stretches return the largest quantile.  Valid for
-    non-concave curves.  The curve keeps the suffix maximum from its first
-    lookup, O(K), so each call costs O(n log K).
+    last affordable knot comes from the suffix maximum of the thresholds,
+    and the quantile is interpolated on the segment after it.  Flat-revenue
+    stretches return the largest quantile.  Valid for non-concave curves.
+
+    The curve keeps the suffix maximum from its first lookup, O(K).  Sorted
+    prices that outnumber the K knots are merged with it, O(K log n + n);
+    any other prices are searched in it, O(n log K).  Both give the same
+    integer knot and so the same bits.
     """
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
     if curve.offer is not None:
         return np.asarray(curve.offer.eval(prices))
     qs, vals = curve.qs, curve.values
     K = len(qs)
-    if curve._reach is None:
-        curve._reach = _chord_reach(qs, vals)
-    # number of knots whose suffix maximum admits p; the last of them is affordable
-    last = np.searchsorted(curve._reach, -prices, side="right") - 1
+    neg_reach = curve._price_reach()
+    merge = len(prices) > K and bool(np.all(prices[1:] >= prices[:-1]))
+    last = (_last_by_merge if merge else _last_by_search)(neg_reach, prices)
+    # sorted prices have nonincreasing last knots: the ends say whether every
+    # price lies on a segment, as every price of a selling window does
+    if merge and last[-1] >= 0 and last[0] < K - 1:
+        return _on_segment(qs, vals, last, prices)
     out = np.zeros(len(prices))
     out[last == K - 1] = 1.0
     inner = (last >= 0) & (last < K - 1)
     if np.any(inner):
-        k = last[inner]
-        p = prices[inner]
-        g0 = vals[k] - p * qs[k]
-        g1 = vals[k + 1] - p * qs[k + 1]
-        out[inner] = qs[k] + g0 / (g0 - g1) * (qs[k + 1] - qs[k])
+        out[inner] = _on_segment(qs, vals, last[inner], prices[inner])
     return out
 
+
+def _on_segment(qs: np.ndarray, vals: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Where the chord of slope p meets the segment from knot k to k + 1."""
+    k1 = k + 1
+    q0 = qs[k]
+    g0 = vals[k] - p * q0
+    g1 = vals[k1] - p * qs[k1]
+    return q0 + g0 / (g0 - g1) * (qs[k1] - q0)

@@ -164,10 +164,13 @@ class Distribution:
     # -- evaluators --------------------------------------------------------
 
     def _cum(self) -> np.ndarray:
-        """A discrete law's CDF table 0, f_1, f_1 + f_2, ..., capped at 1: the
-        running sum can overshoot 1 by rounding, and no survival probability
-        1 - F may go negative."""
-        return np.minimum(np.concatenate([[0.0], np.cumsum(self.params["probs"])]), 1.0)
+        """A discrete law's CDF table 0, f_1, f_1 + f_2, ..., capped at 1 and
+        ending at exactly 1: the running sum can end on either side of 1 by
+        rounding, yet no survival probability 1 - F may go negative, and no
+        price above the top value may sell."""
+        cum = np.minimum(np.concatenate([[0.0], np.cumsum(self.params["probs"])]), 1.0)
+        cum[-1] = 1.0
+        return cum
 
     def cdf(self, x):
         """Right-continuous CDF."""
@@ -296,7 +299,14 @@ class Distribution:
             out = -np.expm1(-lam * pc) / lam
             out = np.where(pv <= 0.0, np.maximum(pv, 0.0) * 0.0, out)
         elif k == "discrete":
-            out = np.minimum(pv[..., None], par["values"]).dot(par["probs"])
+            # the mass below p at its values plus p times the mass at or above
+            # it, from prefix sums: each price gets its own bits, where a BLAS
+            # matrix-vector product rounds a row by how many rows go with it
+            v, f = par["values"], par["probs"]
+            below = np.concatenate([[0.0], np.cumsum(f * v)])
+            above = np.concatenate([np.cumsum(f[::-1])[::-1], [0.0]])
+            i = np.searchsorted(v, pv, side="left")
+            out = below[i] + pv * above[i]
         else:
             xs, fs = par["xs"], par["fs"]
             # integral of the survival function, exact on linear pieces

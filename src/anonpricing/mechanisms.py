@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import OfferCurve, RevenueCurve, _slope_merge, quantiles_at_prices
+from .curves import OfferCurve, RevenueCurve, _slope_merge, quantiles_at_prices, selling_window
 from .distributions import Distribution
 
 Sellable = RevenueCurve | OfferCurve
@@ -53,11 +53,33 @@ class TwoPricedBound:
     multiplier: float
 
 
+def _sale_row(s: Sellable, prices: np.ndarray) -> np.ndarray:
+    return s.eval(prices) if isinstance(s, OfferCurve) else quantiles_at_prices(prices, s)
+
+
 def _sale_probabilities(sellables: Sequence[Sellable], prices) -> np.ndarray:
     """Sale probability of each sellable (rows) at each price (columns)."""
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
-    return np.array([s.eval(prices) if isinstance(s, OfferCurve) else quantiles_at_prices(prices, s)
-                     for s in sellables])
+    sale = np.empty((len(sellables), len(prices)))
+    for row, s in zip(sale, sellables):
+        row[:] = _sale_row(s, prices)
+    return sale
+
+
+def _swept_sale_probabilities(sellables: Sequence[Sellable], prices: np.ndarray, low, top) -> np.ndarray:
+    """The table of `_sale_probabilities` at sorted prices, written in place
+    row by row and computed only inside each sellable's selling window: 1.0
+    at prices at or below its low end, 0.0 above its top (see
+    `curves.selling_window`).  Each price gets the same bits as there."""
+    sale = np.empty((len(sellables), len(prices)))
+    starts = np.searchsorted(prices, low, side="right").tolist()
+    stops = np.searchsorted(prices, top, side="right").tolist()
+    for row, s, i, j in zip(sale, sellables, starts, stops):
+        row[:i] = 1.0
+        if j > i:
+            row[i:j] = _sale_row(s, prices[i:j])
+        row[j:] = 0.0
+    return sale
 
 
 def _ap_values(prices, sale: np.ndarray) -> np.ndarray:
@@ -129,15 +151,18 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     Knot prices matter because revenue is non-smooth exactly there; golden
     section is only trusted between candidates.  The brackets are stepped
     together, so each step evaluates every live bracket in one call.
+
+    Each sellable's selling window is found once.  The sweep computes a
+    sellable only inside its window, and the search only the sellables
+    whose window reaches the lowest bracket end: every other one sells
+    exactly nothing at every refined price, so its factor 1 - Q is exactly
+    1 and the revenues, the search path and the result keep every bit.
     """
     if len(sellables) == 0:
         raise ValueError("need at least one agent")
     cands = _candidate_prices(sellables, grid)
-
-    def values(prices: np.ndarray) -> np.ndarray:
-        return _ap_values(prices, _sale_probabilities(sellables, prices))
-
-    vals = values(cands)
+    low, top = np.array([selling_window(s) for s in sellables]).T
+    vals = _ap_values(cands, _swept_sale_probabilities(sellables, cands, low, top))
     best_idx = int(np.argmax(vals))
     best_p = float(cands[best_idx])
     best_v = float(vals[best_idx])
@@ -145,6 +170,12 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     order = np.argsort(vals)[::-1][:3]
     lo = np.where(order > 0, cands[np.maximum(order - 1, 0)], cands[order] * 0.5)
     hi = cands[np.minimum(order + 1, len(cands) - 1)]
+    # golden section never leaves a bracket, so no refined price is below lo
+    live = [s for s, t in zip(sellables, top.tolist()) if t >= float(lo.min())]
+
+    def values(prices: np.ndarray) -> np.ndarray:
+        return _ap_values(prices, _sale_probabilities(live, prices))
+
     p_ref = _golden(values, lo, hi)
     for p, v in zip(p_ref.tolist(), values(p_ref).tolist()):
         if v > best_v:

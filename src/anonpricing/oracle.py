@@ -92,6 +92,22 @@ def _level_hull(s: np.ndarray, prices: np.ndarray, w: float) -> tuple[np.ndarray
     return mass[idx], rev[idx]
 
 
+def _knots_from_segments(dq: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knots of the curve that takes the water-fill segments in order.
+
+    The running sum of the masses ends at 1 only within PROB_ATOL, on either
+    side: a tiny segment can vanish in it (the later knot is kept), and
+    knots can land at or past 1 before the last one.  Those are dropped, and
+    the last knot is set to exactly 1.
+    """
+    qs = np.concatenate([[0.0], np.cumsum(dq)])
+    vals = np.concatenate([[0.0], np.cumsum(dr)])
+    keep = np.append((np.diff(qs) > 0.0) & (qs[:-1] < 1.0), True)
+    qs, vals = qs[keep], vals[keep]
+    qs[-1] = 1.0
+    return qs, vals
+
+
 def ex_ante_curve_oracle(values: Distribution, budgets: Distribution) -> RevenueCurve:
     """Exact ex-ante revenue curve of the discrete value-IC relaxation over
     the product of two discrete laws, values and budgets.
@@ -102,31 +118,35 @@ def ex_ante_curve_oracle(values: Distribution, budgets: Distribution) -> Revenue
     through `discretize` first.
 
     Per budget level the mechanism is a convex nondecreasing menu: slab k
-    (values >= v_k) is sold at marginal price v_{k-1} (v_0 = 0) or v_k,
-    the ends of the local incentive bracket, so mixing them spans every
-    menu rate and in particular every posted price; the level's top
-    payment respects its budget.  The price-0 bottom slab covers
-    giveaways, so every mass in [0, 1] is reachable.  Levels couple only
-    through the total ex-ante mass, so Rbar is the water-fill of the
-    per-level hulls: their segments, scaled by the level masses, taken in
-    order of decreasing slope.  For private budgets this upper-bounds the
-    true ex-ante revenue because incentive constraints across budget
-    levels are dropped.
+    (values >= v_k, mass s_k) is sold at marginal price v_{k-1} (v_0 = 0)
+    or v_k, the ends of the local incentive bracket, so mixing them spans
+    every menu rate and in particular every posted price; the level's top
+    payment respects its budget.  Levels couple only through the total
+    ex-ante mass, so Rbar is the water-fill of the per-level hulls: their
+    segments, scaled by the level masses, taken in order of decreasing
+    slope.  For private budgets this upper-bounds the true ex-ante revenue
+    because incentive constraints across budget levels are dropped.
+
+    Only m + 1 of the 2m bracket slabs are built: the price-0 giveaway of
+    the bottom slab (mass s_1), which makes every mass in [0, 1] reachable,
+    and each slab at its upper price.  Slab k at its lower price v_{k-1}
+    (k >= 2) adds no vertex to any level's (mass, revenue) hull.  At amount
+    x it gives mass s_k x, revenue s_k v_{k-1} x and payment v_{k-1} x.
+    Slab k - 1 at its upper price v_{k-1} and amount (s_k / s_{k-1}) x
+    gives the same mass and the same revenue, with amount (s_k / s_{k-1}) x
+    <= x and payment v_{k-1} (s_k / s_{k-1}) x <= v_{k-1} x, as
+    s_k <= s_{k-1}.  So moving every lower-slab amount onto the slab below
+    keeps each menu point's mass and revenue and stays within the unit and
+    the budget: a level's feasible (mass, revenue) set is unchanged.
     """
     for axis, law in (("value", values), ("budget", budgets)):
         if law.kind != "discrete":
             raise ValueError(f"the {axis} law is {law.kind}, not discrete: discretize it first")
     v = values.params["values"]
     s = np.cumsum(values.params["probs"][::-1])[::-1]   # s_k = mass of values >= v_k
-    prices = np.concatenate([[0.0], v[:-1], v])
-    s = np.concatenate([s, s])
+    prices = np.concatenate([[0.0], v])
+    s = np.concatenate([s[:1], s])
     levels = [_level_hull(s, prices, float(w)) for w in budgets.params["values"]]
     _, _, dq, dr = _slope_merge(levels, budgets.params["probs"])
-    qs = np.concatenate([[0.0], np.cumsum(dq)])
-    vals = np.concatenate([[0.0], np.cumsum(dr)])
-    # a tiny segment can vanish in the running sum; keep the later knot
-    keep = np.append(np.diff(qs) > 0.0, True)
-    qs, vals = qs[keep], vals[keep]
-    qs[-1] = 1.0   # the level masses sum to 1 only within PROB_ATOL
+    qs, vals = _knots_from_segments(dq, dr)
     return RevenueCurve(qs, vals, name="Rbar")
-

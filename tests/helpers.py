@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from anonpricing.curves import CONCAVITY_SLOPE_TOL
+from anonpricing import mechanisms
+from anonpricing.curves import CONCAVITY_SLOPE_TOL, OfferCurve, _chord_reach
 
 
 def survival_quadrature_mean(dist) -> float:
@@ -239,3 +240,49 @@ def eager_hull(qs, vals):
     """The hull knots `concave_hull` used to compute afresh on every call."""
     hull_idx = numpy_scalar_hull_indices(qs, vals)
     return qs[hull_idx], vals[hull_idx]
+
+
+def searched_quantiles_at_prices(prices, curve):
+    """`curves.quantiles_at_prices` as one search per price in the chord
+    reach, whatever the prices' order and number: the reference for its
+    merge of sorted prices, which must give the same bits."""
+    prices = np.atleast_1d(np.asarray(prices, dtype=float))
+    if curve.offer is not None:
+        return np.asarray(curve.offer.eval(prices))
+    qs, vals = curve.qs, curve.values
+    K = len(qs)
+    last = np.searchsorted(_chord_reach(qs, vals), -prices, side="right") - 1
+    out = np.zeros(len(prices))
+    out[last == K - 1] = 1.0
+    inner = (last >= 0) & (last < K - 1)
+    if np.any(inner):
+        k = last[inner]
+        p = prices[inner]
+        g0 = vals[k] - p * qs[k]
+        g1 = vals[k + 1] - p * qs[k + 1]
+        out[inner] = qs[k] + g0 / (g0 - g1) * (qs[k + 1] - qs[k])
+    return out
+
+
+def reference_ap_optimize(sellables, grid=4096):
+    """`mechanisms.ap_optimize` with every sellable evaluated at every price:
+    a list of full rows stacked into the sweep's table, and every sellable
+    in every golden-section step.  The reference for its selling windows and
+    live-agent refinement, which must give the same bits."""
+    def values(prices):
+        sale = np.array([s.eval(prices) if isinstance(s, OfferCurve) else searched_quantiles_at_prices(prices, s)
+                         for s in sellables])
+        return mechanisms._ap_values(prices, sale)
+
+    cands = mechanisms._candidate_prices(sellables, grid)
+    vals = values(cands)
+    best_idx = int(np.argmax(vals))
+    best_p, best_v = float(cands[best_idx]), float(vals[best_idx])
+    order = np.argsort(vals)[::-1][:3]
+    lo = np.where(order > 0, cands[np.maximum(order - 1, 0)], cands[order] * 0.5)
+    hi = cands[np.minimum(order + 1, len(cands) - 1)]
+    p_ref = mechanisms._golden(values, lo, hi)
+    for p, v in zip(p_ref.tolist(), values(p_ref).tolist()):
+        if v > best_v:
+            best_p, best_v = p, v
+    return mechanisms.ap_revenue(sellables, best_p)

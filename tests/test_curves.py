@@ -10,8 +10,9 @@ from scipy import integrate
 import anonpricing as ap
 from anonpricing import Agent, Distribution
 
-from anonpricing.curves import _chord_reach, _collapse, _upper_hull_indices
-from helpers import dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse, numpy_scalar_hull_indices
+from anonpricing.curves import _chord_reach, _collapse, _last_by_merge, _last_by_search, _upper_hull_indices
+from helpers import (dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse, numpy_scalar_hull_indices,
+                     searched_quantiles_at_prices)
 
 
 def linear_uniform():
@@ -324,6 +325,27 @@ def test_quantiles_at_prices_matches_dense_reference(case):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
+@given(curve_and_prices(), st.integers(1, 4), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_merge_and_search_give_the_same_bits(case, copies, rnd):
+    """Sorted prices that outnumber the knots are merged with the chord
+    reach, any others searched in it: the same last knot, so the same bits,
+    with duplicates and in any order."""
+    curve, prices = case
+    neg_reach = _chord_reach(curve.qs, curve.values)
+    prices = np.concatenate([prices, -neg_reach])   # prices on the thresholds themselves
+    prices = np.tile(prices, copies + len(curve.qs) // len(prices))   # duplicates, and more prices than knots
+    ordered = np.sort(prices)
+    assert np.array_equal(_last_by_merge(neg_reach, ordered), _last_by_search(neg_reach, ordered))
+    merged = ap.quantiles_at_prices(ordered, curve)
+    assert np.array_equal(merged, searched_quantiles_at_prices(ordered, curve))
+    shuffled = prices.copy()
+    rnd.shuffle(shuffled)
+    got = ap.quantiles_at_prices(shuffled, curve)
+    assert np.array_equal(got, merged[np.searchsorted(ordered, shuffled)])
+    assert np.array_equal(got, searched_quantiles_at_prices(shuffled, curve))
+
+
 def test_thresholds_built_on_first_lookup_only(monkeypatch):
     """200 lookups on one offer-less curve build its chord thresholds once."""
     builds = []
@@ -422,3 +444,38 @@ class TestSyntheticAndEval:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "q,P"
         assert len(lines) == 4
+
+
+@st.composite
+def any_agent(draw):
+    """An agent of any model with an offer, on a continuous value law or a
+    discretization of one."""
+    law = draw(st.sampled_from([Distribution.uniform(0, 1), Distribution.uniform(0, 0.77),
+                                Distribution.uniform(0.2, 3.0), Distribution.exponential(2.0, 1.5),
+                                Distribution.equal_revenue(10),
+                                Distribution.piecewise_linear_cdf([(0, 0), (1, 0.3), (2.5, 1)])]))
+    n = draw(st.one_of(st.none(), st.integers(2, 199)))
+    F = law if n is None else ap.discretize(law, n)
+    model = draw(st.sampled_from(["linear", "capacitated", "public-budget", "private-budget"]))
+    if model == "capacitated":
+        return Agent(model=model, values=F, capacity=F.hi * draw(st.floats(0.05, 1.0)))
+    if model == "public-budget":
+        return Agent(model=model, values=F, budget=draw(st.floats(0.0, 4.0)))
+    if model == "private-budget":
+        G = ap.discretize(Distribution.uniform(0, 1), draw(st.integers(2, 199)))
+        return Agent(model=model, values=F, budgets=draw(st.sampled_from([G, Distribution.exponential(2.0, 1.5)])))
+    return Agent(model=model, values=F)
+
+
+@given(any_agent(), st.lists(st.floats(1e-16, 10.0), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_nothing_sells_above_the_price_cap(agent, steps):
+    """q(p) = 0 exactly beyond the offer's price cap, the top of the value
+    support, for every model: the selling windows rely on it."""
+    offer = ap.offer_curve(agent)
+    cap = offer.price_cap
+    assert cap == agent.values.hi
+    prices = np.concatenate([[np.nextafter(cap, np.inf)], cap * (1.0 + np.array(steps))])
+    prices = prices[prices > cap]
+    assert np.all(agent.values.survival_left(prices) == 0.0)
+    assert np.all(offer.eval(prices) == 0.0)

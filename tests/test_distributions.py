@@ -82,6 +82,20 @@ class TestCdf:
         assert np.array_equal(d.survival_left(above[1:]), [0.0]) and np.array_equal(d.survival(above), [0.0, 0.0])
         assert d.survival_left(1.0) == pytest.approx(1 / 60, abs=1e-14)
 
+    def test_discrete_table_ends_at_one(self):
+        # the running sum of many discretized laws ends just below 1; none may
+        # sell above its top value
+        laws = (Distribution.uniform(0, 1), Distribution.exponential(2.0, 1.5), Distribution.equal_revenue(10),
+                Distribution.uniform(0, 0.77))
+        short = 0
+        for law in laws:
+            for n in range(2, 200):
+                d = ap.discretize(law, n)
+                short += bool(np.cumsum(d.params["probs"])[-1] < 1.0)
+                above = np.nextafter(d.hi, np.inf)
+                assert d.cdf_left(above) == 1.0 and d.survival_left(above) == 0.0
+        assert short > 0
+
 
 class TestInverseDemand:
     def test_uniform(self):
@@ -184,6 +198,17 @@ class TestExceedMean:
         for d in builtins():
             for p in (0.2, 0.9, 1.7):
                 assert d.expected_min(p) == pytest.approx(expected_min_quadrature(d, p), abs=1e-8)
+
+    def test_discrete_expected_min_does_not_depend_on_the_batch(self):
+        # a BLAS matrix-vector product rounds a row differently with the
+        # number of rows around it; each price must get its own bits
+        rng = np.random.default_rng(3)
+        for m in (3, 17, 40):
+            d = Distribution.discrete(np.sort(rng.uniform(0, 2, m)), np.full(m, 1 / m))
+            prices = rng.uniform(0, 2.2, 203)
+            batch = d.expected_min(prices)
+            assert np.array_equal(batch[5:150], d.expected_min(prices[5:150]))
+            assert [d.expected_min(p) for p in prices[:40].tolist()] == batch[:40].tolist()
 
 
 class TestDiscretize:

@@ -10,7 +10,7 @@ from scipy import integrate
 
 import anonpricing as ap
 from anonpricing import RHO, Agent, Distribution, mechanisms
-from helpers import brute_force_ear, scalar_golden
+from helpers import brute_force_ear, reference_ap_optimize, scalar_golden
 
 
 def uniform_offer():
@@ -75,14 +75,32 @@ class TestApOptimize:
         assert res.revenue == 5e-324   # the price 5e-324 sells surely
 
     def test_brackets_are_refined_together(self, monkeypatch):
-        # the sweep, one table per golden step for all 3 brackets, the refined
-        # prices and the final revenue: 37 tables, where refining the brackets
-        # one after another built 110
+        # one table per golden step for all 3 brackets, the refined prices and
+        # the final revenue: 36 tables, where refining the brackets one after
+        # another built 110 with the sweep's (the sweep now builds its own)
         calls = []
         real = mechanisms._sale_probabilities
         monkeypatch.setattr(mechanisms, "_sale_probabilities", lambda s, p: calls.append(1) or real(s, p))
         ap.ap_optimize([uniform_offer(), uniform_offer()])
         assert len(calls) <= 45
+
+    def test_refinement_evaluates_only_agents_in_play(self, monkeypatch):
+        # 12 of 16 agents value the item at most 1 and the best price is
+        # above 10: every golden step builds rows for the other 4 only, and
+        # the final revenue covers all 16
+        low = [ap.offer_curve(Agent(model="linear", values=Distribution.uniform(0, 1), id=f"low{i}"))
+               for i in range(6)]
+        low += [ap.concave_hull(ap.price_posting_curve(o, grid=256)) for o in low]
+        high = [ap.offer_curve(Agent(model="linear", values=Distribution.uniform(10, 20), id=f"high{i}"))
+                for i in range(4)]
+        rows = []
+        real = mechanisms._sale_probabilities
+        monkeypatch.setattr(mechanisms, "_sale_probabilities", lambda s, p: rows.append(len(s)) or real(s, p))
+        res = ap.ap_optimize(low + high)
+        assert res.price > 10.0 and res.win_probabilities[:12] == (0.0,) * 12
+        assert 10 <= len(rows) <= 45
+        assert rows[:-1] == [4] * (len(rows) - 1) and rows[-1] == 16
+        assert res == reference_ap_optimize(low + high)
 
 
 # functions of price, exact in every elementwise operation so that an array
@@ -281,3 +299,66 @@ class TestTwoPricedBound:
         bad = ap.synthetic_curve([(0, 0), (0.5, 0.1), (1, 1)])
         with pytest.raises(ValueError):
             ap.risk_two_priced_bound(bad, 0.5, 1.0)
+
+
+# -- selling windows and live-agent refinement give the reference's bits -------
+
+POSITIVE = st.floats(0.01, 5.0)
+VALUE_LAWS = st.one_of(
+    st.builds(lambda a, w: Distribution.uniform(a, a + w), st.floats(0.0, 5.0), POSITIVE),
+    st.builds(Distribution.uniform, st.just(0.0), st.just(0.01)),   # priced out beside the others
+    st.builds(Distribution.equal_revenue, st.floats(1.5, 50.0)),
+    st.builds(Distribution.exponential, st.floats(0.5, 3.0), st.floats(0.5, 4.0)),
+    st.builds(lambda v, w: Distribution.discrete(sorted(v), np.array(w[: len(v)]) / sum(w[: len(v)])),
+              st.sets(POSITIVE, min_size=1, max_size=40), st.lists(st.integers(1, 9), min_size=40, max_size=40)),
+    st.builds(lambda a, w1, w2, f: Distribution.piecewise_linear_cdf([(a, 0.0), (a + w1, f), (a + w1 + w2, 1.0)]),
+              st.floats(0.0, 2.0), POSITIVE, POSITIVE, st.floats(0.1, 0.9)),
+)
+
+
+@st.composite
+def sellable(draw):
+    """An offer of any utility model, its posting curve (priced through the
+    offer), its hull (priced on chords), a non-concave synthetic curve, or a
+    flat equal-revenue curve, on which every price ties."""
+    kind = draw(st.sampled_from(["offer", "posting", "hull", "synthetic", "flat"]))
+    if kind == "synthetic":
+        n = draw(st.integers(1, 6))
+        qs = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        vals = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+        return ap.synthetic_curve([(0.0, 0.0)] + list(zip((qs / qs[-1]).tolist(), vals)))
+    if kind == "flat":
+        h = draw(st.floats(1.5, 50.0))
+        return ap.synthetic_curve([(0.0, 0.0), (1.0 / h, 1.0), (1.0, 1.0)])
+    F = draw(VALUE_LAWS)
+    model = draw(st.sampled_from(["linear", "capacitated", "public-budget", "private-budget"]))
+    extra = {}
+    if model == "capacitated":
+        extra["capacity"] = F.hi * draw(st.floats(0.05, 1.0))
+    elif model == "public-budget":
+        extra["budget"] = draw(st.floats(0.0, 5.0))
+    elif model == "private-budget":
+        extra["budgets"] = draw(VALUE_LAWS)
+    offer = ap.offer_curve(Agent(model=model, values=F, id="a", **extra))
+    if kind == "offer":
+        return offer
+    posting = ap.price_posting_curve(offer, grid=64)
+    return posting if kind == "posting" else ap.concave_hull(posting)
+
+
+def uniform_offer_on(a, b):
+    return ap.offer_curve(Agent(model="linear", values=Distribution.uniform(a, b), id="u"))
+
+
+@given(st.lists(sellable(), min_size=1, max_size=6), st.booleans(), st.sampled_from([64, 256]))
+@example([uniform_offer_on(0.22, 0.52), uniform_offer_on(0.38, 1.1)], False, 64)   # a cap between bracket ends
+@settings(max_examples=150, deadline=None)
+def test_windowed_search_equals_every_agent_at_every_price(sellables, twin, grid):
+    """Bit for bit the search that evaluates every agent at every price; a
+    twin agent makes revenue ties."""
+    if twin:
+        sellables = sellables + sellables[:1]
+    got, want = ap.ap_optimize(sellables, grid=grid), reference_ap_optimize(sellables, grid=grid)
+    assert got.price == want.price
+    assert got.win_probabilities == want.win_probabilities
+    assert got.revenue == want.revenue

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import anonpricing as ap
-from anonpricing import Distribution, ex_ante_curve_oracle, simplex_solve
+from anonpricing import Distribution, ex_ante_curve_oracle, oracle, simplex_solve
 
 from helpers import brute_force_ear, enumerate_lp_max, ex_ante_lp_matrices
 
@@ -261,6 +261,64 @@ class TestCurveOracle:
         for q in data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), label="qs"):
             obj, _, _ = lp_mechanism(F, G, q)
             assert rb.eval(q) == pytest.approx(obj, abs=1e-9)
+
+
+def two_price_bracket_curve(F, G):
+    """Rbar from all 2m bracket slabs, each slab k at both v_{k-1} and v_k,
+    through the library's per-level hull and merge."""
+    v = F.params["values"]
+    s = np.cumsum(F.params["probs"][::-1])[::-1]
+    prices, s = np.concatenate([[0.0], v[:-1], v]), np.concatenate([s, s])
+    levels = [oracle._level_hull(s, prices, float(w)) for w in G.params["values"]]
+    _, _, dq, dr = oracle._slope_merge(levels, G.params["probs"])
+    return oracle._knots_from_segments(dq, dr)
+
+
+def assert_same_as_two_price_brackets(F, G):
+    full = ap.RevenueCurve(*two_price_bracket_curve(F, G))
+    rb = ex_ante_curve_oracle(F, G)
+    grid = np.union1d(rb.qs, full.qs)
+    assert np.max(np.abs(rb.eval(grid) - full.eval(grid))) <= 1e-13 * max(1.0, full.max_value())
+
+
+class TestSlabCount:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_lower_bracket_slabs_change_nothing(self, data):
+        """m + 1 slabs give the curve of all 2m: a lower-price slab adds no
+        vertex to any level's hull.  Its pair points on a budget line are
+        the same points rounded another way, so a knot can move by an ulp."""
+        m = data.draw(st.integers(1, 30), label="m")
+        values = np.array(sorted(data.draw(st.sets(st.floats(0.01, 10.0), min_size=m, max_size=m))))
+        f = np.array(data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=float)
+        pool = st.one_of(st.just(0.0), st.sampled_from(values.tolist()), st.floats(0.01, 12.0), st.just(math.inf))
+        budgets = np.array(sorted(data.draw(st.sets(pool, min_size=1, max_size=8), label="budgets")))
+        g = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(budgets), max_size=len(budgets))), dtype=float)
+        F, G = Distribution.discrete(values, f / f.sum()), Distribution.discrete(budgets, g / g.sum())
+        assert_same_as_two_price_brackets(F, G)
+
+    def test_discretized_laws_change_nothing(self):
+        F = ap.discretize(Distribution.uniform(0, 1), 300)
+        for G in (ap.discretize(Distribution.uniform(0, 1), 40), ap.discretize(Distribution.exponential(2.0, 1.5), 40),
+                  NO_BUDGET, Distribution.point_mass(0.3)):
+            assert_same_as_two_price_brackets(F, G)
+
+    def test_knots_past_one_are_dropped(self):
+        # level masses summing to 1 + 1e-12 put two knots past 1 before the
+        # last one; they go, and the last knot is 1
+        dq = np.array([0.25, 0.75 + 1e-12, 1e-13, 0.0, 1e-14])
+        dr = np.array([1.0, 0.5, 1e-13, 0.0, -1e-14])
+        assert np.cumsum(dq)[1] > 1.0
+        qs, vals = oracle._knots_from_segments(dq, dr)
+        assert qs.tolist() == [0.0, 0.25, 1.0]
+        assert vals.tolist() == [0.0, 1.0, float(np.cumsum(dr)[-1])]
+        ap.RevenueCurve(qs, vals)
+
+    def test_budget_masses_past_one(self):
+        F = Distribution.discrete([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])
+        G = Distribution.discrete([0.1, 0.4, math.inf], [0.3, 0.3, 0.4 + 9e-13])
+        rb = ex_ante_curve_oracle(F, G)
+        assert rb.qs[-1] == 1.0 and np.all(np.diff(rb.qs) > 0.0) and rb.concave
 
 
 class TestBruteForceEar:
