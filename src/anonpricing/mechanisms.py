@@ -112,36 +112,72 @@ def _candidate_prices(sellables: Sequence[Sellable], grid: int) -> np.ndarray:
     return cands[cands > 0.0]
 
 
+_GOLDEN_ROUND = 4   # golden-section steps of every bracket served by one call of fn
+
+
 def _golden(fn, lo, hi, rel_tol=1e-10, iters=200) -> np.ndarray:
     """Golden-section search for a maximizer in every bracket [lo_j, hi_j]
-    at once; `fn` maps an array of prices to an array of values.
+    at once; `fn` maps an array of prices to an array of values, each value
+    not depending on the other prices in the array.
 
     Each bracket takes exactly the steps it would take alone: it stops once
-    its width is at most rel_tol * max(1, |hi|) and is frozen from then on,
-    only live brackets are evaluated, and each returns the better of its two
-    interior points, the larger price on a tie.
+    its width is at most rel_tol * max(1, |hi|), or after `iters` steps, and
+    returns the better of its two interior points, the larger price on a
+    tie.  One call of `fn` serves the next _GOLDEN_ROUND steps of every live
+    bracket.  It prices every point those steps can place, whichever way
+    each comparison goes (2 + 4 + ... + 2^k of them for k steps); then each
+    bracket walks its own path down that tree.  The points and the walk are
+    computed on Python floats, the same doubles as numpy's, so every price
+    and every comparison keeps its bits.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
-    for _ in range(iters):
-        live = np.flatnonzero(b - a > rel_tol * np.maximum(1.0, np.abs(b)))
-        if live.size == 0:
-            break
-        # a bracket whose left point wins keeps [a, d]: d becomes c and a
-        # new c is placed; otherwise it keeps [c, b] and places a new d
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
-        new = fn(np.concatenate([c[lt], d[rt]]))
-        fc[lt], fd[rt] = new[: lt.size], new[lt.size :]
-    return np.where((fd > fc) | ((fd == fc) & (d > c)), d, c)
+
+    def live(a, b):
+        return b - a > rel_tol * max(1.0, abs(b))
+
+    # a bracket is [a, b, c, d, fc, fd, steps left]; the first call also
+    # prices its c and d
+    brackets = [[a, b, b - invphi * (b - a), a + invphi * (b - a), None, None, iters]
+                for a, b in zip(np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist())]
+    pending = brackets
+    while pending:
+        prices, rounds = [], []
+        for a, b, c, d, fc, _, left in pending:
+            if fc is None:
+                prices += (c, d)
+            # node 1 is the bracket; node n's children are 2n, where c won
+            # and [a, d] is kept with a new c, and 2n + 1, where [c, b] is
+            # kept with a new d.  Node n's new point is prices[base + n].
+            depth = min(_GOLDEN_ROUND, left) if live(a, b) else 0
+            rounds.append((len(prices) - 2, depth))
+            level = [(a, b, c, d)]
+            for _ in range(depth):
+                children = []
+                for a, b, c, d in level:
+                    new_c, new_d = d - invphi * (d - a), c + invphi * (b - c)
+                    prices += (new_c, new_d)
+                    children += ((a, d, new_c, c), (c, b, d, new_d))
+                level = children
+        vals = fn(np.array(prices)).tolist()
+        for br, (base, depth) in zip(pending, rounds):
+            a, b, c, d, fc, fd, left = br
+            if fc is None:
+                fc, fd = vals[base], vals[base + 1]
+            n = 1
+            for _ in range(depth):
+                if not live(a, b):
+                    break
+                n *= 2
+                if fc >= fd:
+                    b, d, fd = d, c, fc
+                    c, fc = prices[base + n], vals[base + n]
+                else:
+                    n += 1
+                    a, c, fc = c, d, fd
+                    d, fd = prices[base + n], vals[base + n]
+            br[:] = a, b, c, d, fc, fd, left - (n.bit_length() - 1)
+        pending = [br for br in pending if br[6] > 0 and live(br[0], br[1])]
+    return np.array([d if fd > fc or (fd == fc and d > c) else c for _, _, c, d, fc, fd, _ in brackets], dtype=float)
 
 
 def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
@@ -149,8 +185,9 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     golden-section search over the brackets around the 3 best candidates.
 
     Knot prices matter because revenue is non-smooth exactly there; golden
-    section is only trusted between candidates.  The brackets are stepped
-    together, so each step evaluates every live bracket in one call.
+    section is only trusted between candidates.  The brackets are searched
+    together: one call prices every point that the next _GOLDEN_ROUND steps
+    of every live bracket can reach (see `_golden`).
 
     Each sellable's selling window is found once.  The sweep computes a
     sellable only inside its window, and the search only the sellables
@@ -210,16 +247,45 @@ def ear_optimize(curves: Sequence[RevenueCurve]) -> EarResult:
 
 def random_price_revenue_public(F: Distribution, w: float) -> float:
     """Expected revenue of posting a price drawn from the value law itself
-    to a buyer with a known budget: E_{r~F}[min(r, w) * Pr[v >= r]]."""
+    to a buyer with a known budget: E_{r~F}[min(r, w) * Pr[v >= r]].
+
+    In closed form per law kind.  With S(r) = Pr[v >= r] and f the density
+    of the continuous part, that part splits at w into the integral of
+    r S(r) f(r) below w plus w times the integral of S(r) f(r) above it;
+    each atom a adds its mass times min(a, w) S(a).
+    """
     if w < 0:
         raise ValueError("budget must be nonnegative")
-    from scipy import integrate
-
-    def integrand(r):
-        return min(r, w) * float(F.survival_left(r)) * float(F.pdf(r))
-
-    pts = [p for p in (w,) if F.lo < p < F.hi]
-    total, _ = integrate.quad(integrand, F.lo, F.hi, points=pts or None, epsabs=1e-9, limit=200)
+    w = min(w, F.hi)   # no price exceeds the top value, so min(r, w) is unchanged
+    k, p = F.kind, F.params
+    below = above = 0.0
+    if k == "uniform":
+        a, span = p["a"], p["b"] - p["a"]
+        t = max(w - a, 0.0)   # prices a + s below w have s in [0, t]
+        below = (a * t * (span - t / 2) + t * t * (span / 2 - t / 3)) / span**2
+        above = (span - t) ** 2 / (2 * span**2)
+    elif k == "equal-revenue":
+        m = max(w, 1.0)   # S(r) f(r) = 1 / r^3 on [1, h)
+        below = (m - 1.0) / m
+        above = (1.0 / m**2 - 1.0 / p["h"] ** 2) / 2
+    elif k == "exponential":
+        lam, x = p["rate"], 2 * p["rate"] * w   # S(r) f(r) = lam exp(-2 lam r) on [0, hi)
+        e_w = math.exp(-x)
+        # 1 - e^-x (1 + x) without the cancellation of its first form at small x
+        below = (-math.expm1(-x) - x * e_w) / (4 * lam)
+        above = (e_w - math.exp(-2 * lam * p["hi"])) / 2
+    elif k == "piecewise-linear-cdf":
+        # on a piece [x0, x0 + t] of the CDF cut at w, S falls linearly from
+        # s0 by dF, so S f integrates to dF (s0 - dF / 2) and r S f to
+        # dF (x0 (s0 - dF / 2) + t (s0 / 2 - dF / 3))
+        xs = p["xs"]
+        x = np.unique(np.append(xs, min(max(w, xs[0]), xs[-1])))
+        s = 1.0 - np.interp(x, xs, p["fs"])
+        x0, t, s0, dF = x[:-1], np.diff(x), s[:-1], s[:-1] - s[1:]
+        low = x[1:] <= w
+        below = float(np.sum((dF * (x0 * (s0 - dF / 2) + t * (s0 / 2 - dF / 3)))[low]))
+        above = float(np.sum((dF * (s0 - dF / 2))[~low]))
+    total = below + w * above
     for a, mass in F.atoms:
         total += mass * min(a, w) * float(F.survival_left(a))
     return float(total)

@@ -3,7 +3,7 @@
 These deliberately avoid the library's solution paths: LP optima come from
 explicit vertex enumeration, expectations from generic quadrature, hulls
 from a monotone chain on numpy scalars, golden section one bracket at a
-time.
+time or one step per call.
 """
 
 import itertools
@@ -205,7 +205,7 @@ def numpy_scalar_hull_indices(qs, vals) -> list[int]:
 
 def scalar_golden(fn, lo, hi, rel_tol=1e-10, iters=200):
     """Golden-section search for a maximizer of a scalar function in one
-    bracket: the reference for `mechanisms._golden`, which steps many
+    bracket: the reference for `mechanisms._golden`, which searches many
     brackets at once and must return, for each, what this returns alone."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -224,6 +224,33 @@ def scalar_golden(fn, lo, hi, rel_tol=1e-10, iters=200):
             d = a + invphi * (b - a)
             fd = fn(d)
     return max([(fc, c), (fd, d)])[1]
+
+
+def stepwise_golden(fn, lo, hi, rel_tol=1e-10, iters=200) -> np.ndarray:
+    """Golden-section search in every bracket at once, one call of `fn` per
+    step for all live brackets: the reference for `mechanisms._golden`,
+    which serves several steps per call and must take the same path."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
+    for _ in range(iters):
+        live = np.flatnonzero(b - a > rel_tol * np.maximum(1.0, np.abs(b)))
+        if live.size == 0:
+            break
+        # a bracket whose left point wins keeps [a, d]: d becomes c and a
+        # new c is placed; otherwise it keeps [c, b] and places a new d
+        left = fc[live] >= fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        new = fn(np.concatenate([c[lt], d[rt]]))
+        fc[lt], fd[rt] = new[: lt.size], new[lt.size :]
+    return np.where((fd > fc) | ((fd == fc) & (d > c)), d, c)
 
 
 def eager_concave(qs, vals) -> bool:
@@ -267,8 +294,9 @@ def searched_quantiles_at_prices(prices, curve):
 def reference_ap_optimize(sellables, grid=4096):
     """`mechanisms.ap_optimize` with every sellable evaluated at every price:
     a list of full rows stacked into the sweep's table, and every sellable
-    in every golden-section step.  The reference for its selling windows and
-    live-agent refinement, which must give the same bits."""
+    in every golden-section step, one step per call.  The reference for its
+    selling windows, live-agent refinement and batched search, which must
+    give the same bits."""
     def values(prices):
         sale = np.array([s.eval(prices) if isinstance(s, OfferCurve) else searched_quantiles_at_prices(prices, s)
                          for s in sellables])
@@ -281,8 +309,25 @@ def reference_ap_optimize(sellables, grid=4096):
     order = np.argsort(vals)[::-1][:3]
     lo = np.where(order > 0, cands[np.maximum(order - 1, 0)], cands[order] * 0.5)
     hi = cands[np.minimum(order + 1, len(cands) - 1)]
-    p_ref = mechanisms._golden(values, lo, hi)
+    p_ref = stepwise_golden(values, lo, hi)
     for p, v in zip(p_ref.tolist(), values(p_ref).tolist()):
         if v > best_v:
             best_p, best_v = p, v
     return mechanisms.ap_revenue(sellables, best_p)
+
+
+def quadrature_random_price_revenue_public(F, w: float) -> float:
+    """`mechanisms.random_price_revenue_public` by quadrature of its defining
+    integral E_{r~F}[min(r, w) * Pr[v >= r]] over the continuous part, plus
+    the atoms: the reference for its closed forms."""
+    def integrand(r):
+        return min(r, w) * float(F.survival_left(r)) * float(F.pdf(r))
+
+    # break at w and at the knots of a piecewise-linear CDF, where the
+    # integrand has kinks
+    knots = F.params["xs"].tolist() if F.kind == "piecewise-linear-cdf" else []
+    pts = [p for p in [w, *knots] if F.lo < p < F.hi]
+    total, _ = integrate.quad(integrand, F.lo, F.hi, points=pts or None, epsabs=0.0, epsrel=1e-12, limit=200)
+    for a, mass in F.atoms:
+        total += mass * min(a, w) * float(F.survival_left(a))
+    return float(total)

@@ -479,3 +479,83 @@ def test_nothing_sells_above_the_price_cap(agent, steps):
     prices = prices[prices > cap]
     assert np.all(agent.values.survival_left(prices) == 0.0)
     assert np.all(offer.eval(prices) == 0.0)
+
+
+# -- a price's value does not depend on its batch -----------------------------
+
+LAW_KINDS = ("uniform", "equal-revenue", "exponential", "discrete", "piecewise-linear-cdf", "discretized")
+MODELS = ("linear", "capacitated", "public-budget", "private-budget")
+
+
+def law_of(kind):
+    """Value or budget laws of one kind; "discretized" is a discretization
+    of any of the four continuous kinds."""
+    positive = st.floats(0.01, 4.0)
+    if kind == "uniform":
+        return st.builds(lambda a, w: Distribution.uniform(a, a + w), st.floats(0.0, 3.0), positive)
+    if kind == "equal-revenue":
+        return st.builds(Distribution.equal_revenue, st.floats(1.5, 50.0))
+    if kind == "exponential":
+        return st.builds(Distribution.exponential, st.floats(0.3, 4.0), st.floats(0.2, 5.0))
+    if kind == "discrete":
+        return st.builds(lambda v, w: Distribution.discrete(sorted(v), np.array(w[: len(v)]) / sum(w[: len(v)])),
+                         st.sets(positive, min_size=1, max_size=30), st.lists(st.integers(1, 9), min_size=30, max_size=30))
+    if kind == "piecewise-linear-cdf":
+        return st.builds(lambda a, w1, w2, f: Distribution.piecewise_linear_cdf([(a, 0.0), (a + w1, f), (a + w1 + w2, 1.0)]),
+                         st.floats(0.0, 2.0), positive, positive, st.floats(0.0, 1.0))
+    return st.builds(ap.discretize, st.one_of(*(law_of(k) for k in LAW_KINDS[:3] + LAW_KINDS[4:5])), st.integers(2, 60))
+
+
+def agent_of(data, kind, model):
+    F = data.draw(law_of(kind))
+    if model == "capacitated":
+        return Agent(model=model, values=F, capacity=F.hi * data.draw(st.floats(0.05, 1.0)))
+    if model == "public-budget":
+        return Agent(model=model, values=F, budget=data.draw(st.floats(0.0, 5.0)))
+    if model == "private-budget":
+        return Agent(model=model, values=F, budgets=data.draw(law_of(data.draw(st.sampled_from(LAW_KINDS)))))
+    return Agent(model=model, values=F)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_offer_price_does_not_depend_on_its_batch(kind, model, data):
+    """An offer prices a shuffled batch with the bits it gives each price
+    alone, as an array and as a scalar: golden-section search prices about
+    90 unsorted points of several brackets in one call and relies on it."""
+    offer = ap.offer_curve(agent_of(data, kind, model))
+    knots = np.array(offer.knot_prices)
+    top = 1.2 * offer.price_cap
+    prices = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, 0.0),
+                             data.draw(st.lists(st.floats(0.0, top), min_size=1, max_size=60))])
+    prices = np.array(data.draw(st.permutations(prices.tolist())))
+    batch = offer.eval(prices).tolist()
+    assert batch == [float(offer.eval(prices[i : i + 1])[0]) for i in range(len(prices))]
+    assert batch == [offer.eval(p) for p in prices.tolist()]
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_hull_price_does_not_depend_on_its_batch(kind, data):
+    """An offer-less hull prices a batch with the bits it gives each price
+    alone: sorted and shuffled, with fewer prices than knots (searched) and
+    with more (sorted ones merged)."""
+    offer = ap.offer_curve(agent_of(data, kind, data.draw(st.sampled_from(MODELS))))
+    hull = ap.concave_hull(ap.price_posting_curve(offer, grid=64))
+    K = len(hull.qs)
+    more = data.draw(st.booleans())
+    n = data.draw(st.integers(K + 1, K + 40) if more else st.integers(1, max(1, K - 1)))
+    reach = -hull._price_reach()
+    top = 1.2 * float(reach[0]) + 1e-9
+    prices = data.draw(st.lists(st.one_of(st.floats(0.0, top), st.sampled_from(reach[np.isfinite(reach)].tolist())),
+                                min_size=n, max_size=n))
+    alone = [float(ap.quantiles_at_prices(np.array([p]), hull)[0]) for p in prices]
+    order = np.argsort(prices, kind="stable")
+    ordered = np.array(prices)[order]
+    assert (len(ordered) > K) == more   # the merge path runs on the sorted prices exactly when there are more
+    assert ap.quantiles_at_prices(ordered, hull).tolist() == [alone[i] for i in order]
+    shuffled = data.draw(st.permutations(range(n)))
+    assert ap.quantiles_at_prices(np.array(prices)[shuffled], hull).tolist() == [alone[i] for i in shuffled]

@@ -10,7 +10,8 @@ from scipy import integrate
 
 import anonpricing as ap
 from anonpricing import RHO, Agent, Distribution, mechanisms
-from helpers import brute_force_ear, reference_ap_optimize, scalar_golden
+from helpers import (brute_force_ear, quadrature_random_price_revenue_public, reference_ap_optimize, scalar_golden,
+                     stepwise_golden)
 
 
 def uniform_offer():
@@ -75,19 +76,21 @@ class TestApOptimize:
         assert res.revenue == 5e-324   # the price 5e-324 sells surely
 
     def test_brackets_are_refined_together(self, monkeypatch):
-        # one table per golden step for all 3 brackets, the refined prices and
-        # the final revenue: 36 tables, where refining the brackets one after
-        # another built 110 with the sweep's (the sweep now builds its own)
+        # the 3 brackets take at most 33 golden steps, 4 per table of all
+        # live brackets: 9 tables, then the refined prices and the final
+        # revenue.  One table per step built 36, and refining the brackets
+        # one after another 110 with the sweep's (the sweep now builds its own)
         calls = []
         real = mechanisms._sale_probabilities
         monkeypatch.setattr(mechanisms, "_sale_probabilities", lambda s, p: calls.append(1) or real(s, p))
         ap.ap_optimize([uniform_offer(), uniform_offer()])
-        assert len(calls) <= 45
+        assert len(calls) == 11
 
     def test_refinement_evaluates_only_agents_in_play(self, monkeypatch):
         # 12 of 16 agents value the item at most 1 and the best price is
-        # above 10: every golden step builds rows for the other 4 only, and
-        # the final revenue covers all 16
+        # above 10: every table of golden steps (9 of them) and the refined
+        # prices build rows for the other 4 only, and the final revenue
+        # covers all 16
         low = [ap.offer_curve(Agent(model="linear", values=Distribution.uniform(0, 1), id=f"low{i}"))
                for i in range(6)]
         low += [ap.concave_hull(ap.price_posting_curve(o, grid=256)) for o in low]
@@ -98,7 +101,7 @@ class TestApOptimize:
         monkeypatch.setattr(mechanisms, "_sale_probabilities", lambda s, p: rows.append(len(s)) or real(s, p))
         res = ap.ap_optimize(low + high)
         assert res.price > 10.0 and res.win_probabilities[:12] == (0.0,) * 12
-        assert 10 <= len(rows) <= 45
+        assert len(rows) == 11
         assert rows[:-1] == [4] * (len(rows) - 1) and rows[-1] == 16
         assert res == reference_ap_optimize(low + high)
 
@@ -113,30 +116,54 @@ GOLDEN_SHAPES = {
 }
 
 
+def scalar_searches(fn, lo, hi, iters=200):
+    """Each bracket's scalar search: its price, the prices it evaluates and
+    its number of steps (two evaluations come before the first step)."""
+    runs = []
+    for a, b in zip(lo, hi):
+        evals = []
+
+        def one(p):
+            evals.append(p)
+            return float(fn(np.array([p]))[0])
+
+        runs.append((scalar_golden(one, a, b, iters=iters), evals, len(evals) - 2))
+    return runs
+
+
 @given(st.sampled_from(sorted(GOLDEN_SHAPES)), st.floats(0.01, 50.0),
-       st.lists(st.tuples(st.floats(0.0, 50.0), st.one_of(st.just(0.0), st.floats(1e-12, 100.0))),
-                min_size=1, max_size=6))
-@example("peak", 3.0, [(0.0, 10.0), (2.0, 1e-6), (5.0, 0.0), (1.0, 100.0)])   # 51, 18, 0 and 56 steps
-@settings(max_examples=100, deadline=None)
-def test_batched_golden_equals_one_bracket_at_a_time(shape, m, brackets):
+       st.lists(st.tuples(st.floats(0.0, 50.0),
+                          st.one_of(st.sampled_from([0.0, 1e-12, 1e-6, 1.0, 100.0]), st.floats(1e-12, 100.0))),
+                min_size=1, max_size=6),
+       st.sampled_from([1, 2, 3, 4, 5, 7, 200]))
+@example("peak", 3.0, [(0.0, 10.0), (2.0, 1e-6), (5.0, 0.0), (1.0, 100.0)], 200)   # 51, 18, 0 and 56 steps
+@example("flat", 1.0, [(0.0, 100.0), (1.0, 1.0), (2.0, 1e-6), (3.0, 1e-12), (4.0, 0.0)], 200)
+@example("peak", 3.0, [(0.0, 100.0), (1.0, 1.0), (2.0, 1e-6)], 7)
+@settings(max_examples=200, deadline=None)
+def test_batched_golden_equals_one_bracket_at_a_time(shape, m, brackets, iters):
     """Each bracket gets exactly the price the scalar search finds for it
-    alone, and only live brackets are evaluated: the batched search asks for
-    as many prices as the scalar searches together."""
+    alone, and the one the search that makes one call per step finds: with
+    widths from 0 to 100, brackets freeze at different steps of one round,
+    and with `iters` from 1 to 7 the step cap falls inside a round.  Every
+    price a scalar search evaluates is among the batched prices, and one
+    call serves _GOLDEN_ROUND steps."""
     fn = GOLDEN_SHAPES[shape](m)
     lo, hi = [a for a, _ in brackets], [a + w for a, w in brackets]
-    scalar_evals, batched_evals = [], []
-
-    def one(p):
-        scalar_evals.append(p)
-        return float(fn(np.array([p]))[0])
+    batched_evals, calls = [], []
 
     def many(prices):
         batched_evals.extend(prices.tolist())
+        calls.append(len(prices))
         return fn(prices)
 
-    want = [scalar_golden(one, a, b) for a, b in zip(lo, hi)]
-    assert mechanisms._golden(many, lo, hi).tolist() == want
-    assert sorted(batched_evals) == sorted(scalar_evals)
+    runs = scalar_searches(fn, lo, hi, iters=iters)
+    want = [p for p, _, _ in runs]
+    assert mechanisms._golden(many, lo, hi, iters=iters).tolist() == want
+    assert stepwise_golden(fn, lo, hi, iters=iters).tolist() == want
+    assert set().union(*(evals for _, evals, _ in runs)) <= set(batched_evals)
+    # one call per round of _GOLDEN_ROUND steps, the first of which also
+    # prices the brackets' starting points: within 1 + ceil(S / k) for S steps
+    assert len(calls) == max(1, math.ceil(max(n for _, _, n in runs) / mechanisms._GOLDEN_ROUND))
 
 
 class TestEarOptimize:
@@ -362,3 +389,22 @@ def test_windowed_search_equals_every_agent_at_every_price(sellables, twin, grid
     assert got.price == want.price
     assert got.win_probabilities == want.win_probabilities
     assert got.revenue == want.revenue
+
+
+@given(VALUE_LAWS, st.one_of(st.floats(0.0, 12.0), st.sampled_from([0.0, 1.0, 1e9])),
+       st.one_of(st.none(), st.floats(0.0, 1.0)))
+@example(Distribution.piecewise_linear_cdf([(0, 0), (1, 0.3), (2.5, 1)]), 1.0, None)    # w on a knot
+@example(Distribution.exponential(2.0, 1.5), 1.5, None)                                    # w on the atom
+@example(Distribution.equal_revenue(9.0), 9.355054311369511e-49, None)                     # w far below the support
+@example(Distribution.exponential(1.25, 1.0), 1e-15, None)                                 # w just above 0
+@settings(max_examples=200, deadline=None)
+def test_random_price_closed_forms_equal_quadrature(F, w, inside):
+    """The closed form of every law kind equals quadrature of the defining
+    integral, with w below, inside and above the support, and on a knot;
+    `inside`, when drawn, puts w at that fraction of the support."""
+    if inside is not None:
+        w = F.lo + inside * (F.hi - F.lo)
+    want = quadrature_random_price_revenue_public(F, w)
+    got = ap.random_price_revenue_public(F, w)
+    # the quadrature underflows to 0 below about 1e-300, where w is subnormal
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
