@@ -339,19 +339,19 @@ def run_scenario(scenario: Scenario) -> int:
     analyses = set(scenario.analyses)
     try:
         # the closeness report already holds each agent's curves, anonymous
-        # pricing on the posting curves and the ex-ante relaxation over Rbar,
-        # so none of them is redone
+        # pricing on what each P was swept from and the ex-ante relaxation
+        # over Rbar, so none of them is redone
         report = verify_instance(scenario.agents, config) if analyses & {"closeness", "verify"} else None
         if report is not None:
             records = report.curves
-        elif analyses & {"curves", "ear"}:
+        elif analyses & {"curves", "ap", "ear"}:
             records = tuple(build_curves(agent, config) for agent in scenario.agents)
         if "curves" in analyses:
             for agent, rec in zip(scenario.agents, records):
                 emit_curve(agent, rec, config.price_grid, out / f"curve_{agent.id}.csv")
         if analyses & {"ap", "verify"}:
             ap = report.ap_posting if report is not None else ap_optimize(
-                [a.sellable() for a in scenario.agents], grid=config.price_grid)
+                [rec.sellable for rec in records], grid=config.price_grid)
             with open(out / "ap.csv", "w") as fh:
                 fh.write("scenario,mechanism,price,quantiles,revenue\n")
                 fh.write(ap.csv_row(scenario.name) + "\n")

@@ -10,14 +10,14 @@ rho: the concave-curve anonymous-pricing constant, numerically e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import Agent, RevenueCurve, concave_hull, offer_curve, price_posting_curve, synthetic_curve
-from .distributions import Distribution, mhr_report, regularity_report
+from .curves import Agent, OfferCurve, RevenueCurve, concave_hull, offer_curve, price_posting_curve, synthetic_curve
+from .distributions import mhr_report, regularity_report
 from .mechanisms import ApResult, EarResult, ap_optimize, ear_optimize, risk_two_priced_bound
 from .oracle import ex_ante_curve_oracle
 
@@ -190,6 +190,13 @@ class AgentCurves:
     label: str                              # Rbar is "exact" | "upper bound"
     _build_rbar: Callable[[], RevenueCurve]
 
+    @property
+    def sellable(self) -> RevenueCurve | OfferCurve:
+        """What anonymous pricing sells to: the offer P was swept from (for
+        a budget model, the discretized agent's offer that Rbar is built on
+        too), or P itself for a synthetic agent."""
+        return self.P if self.P.offer is None else self.P.offer
+
     @cached_property
     def Rbar(self) -> RevenueCurve:
         return self._build_rbar()
@@ -217,6 +224,10 @@ def build_curves(agent: Agent, config: OracleConfig) -> AgentCurves:
     type space as the oracle, so the closeness ratios compare like with
     like (otherwise the endpoint q -> 1, where the continuous posting
     revenue vanishes but the discrete one does not, reads as infinite).
+    Both budget models take one path: the value law and `agent.budget_law`
+    are discretized (a public budget's one-atom law comes back unchanged),
+    and P is swept from the offer of the agent on those two laws, which is
+    also what anonymous pricing sells to (`AgentCurves.sellable`).
     """
     if agent.model == "synthetic":
         return AgentCurves(synthetic_curve(agent.p_knots), "exact", lambda: synthetic_curve(agent.r_knots))
@@ -228,13 +239,9 @@ def build_curves(agent: Agent, config: OracleConfig) -> AgentCurves:
         return AgentCurves(P, "upper bound", lambda: _capacitated_rbar(P, agent.capacity, agent.hval))
     from .distributions import discretize  # looked up per call: perfbench's traced mode wraps this attribute
 
-    Fd = discretize(agent.values, config.values)
-    if agent.model == "public-budget":
-        Gd = Distribution.point_mass(agent.budget)
-        disc_agent = Agent(model="public-budget", values=Fd, budget=agent.budget, id=agent.id)
-    else:
-        Gd = discretize(agent.budgets, config.budgets)
-        disc_agent = Agent(model="private-budget", values=Fd, budgets=Gd, id=agent.id)
+    # a public budget is its one-atom law, which discretizes to itself
+    Fd, Gd = discretize(agent.values, config.values), discretize(agent.budget_law, config.budgets)
+    disc_agent = replace(agent, model="private-budget", values=Fd, budget=None, budgets=Gd)
     P = price_posting_curve(offer_curve(disc_agent), grid=config.price_grid)
     return AgentCurves(P, "upper bound", lambda: ex_ante_curve_oracle(Fd, Gd))
 
@@ -276,7 +283,7 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
     alpha_agg = {b: max(max(a.alphas[b] for a in per_agent), 1.0) for b in betas}
     zeta_agg = max(max(a.zeta for a in per_agent), 1.0)
     eta_agg = max(max(a.eta for a in per_agent), 1.0)
-    ap_post = ap_optimize([a.sellable() for a in agents], grid=config.price_grid)
+    ap_post = ap_optimize([rec.sellable for rec in records], grid=config.price_grid)
     r_curves = [rec.concave_rbar for rec in records]
     ap_ex = ap_optimize(r_curves, grid=config.price_grid)
     ear = ear_optimize(r_curves)

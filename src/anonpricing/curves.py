@@ -96,6 +96,14 @@ class Agent:
             raise ValueError("synthetic agents carry curves, not value supports")
         return self.values.hi
 
+    @property
+    def budget_law(self) -> Distribution | None:
+        """The budget as a law: the private one, or the one-atom law at a
+        public budget w; None for a buyer without a budget."""
+        if self.model == "public-budget":
+            return Distribution.point_mass(self.budget)
+        return self.budgets
+
     def sellable(self) -> "RevenueCurve | OfferCurve":
         """What anonymous pricing sells to: the offer curve, or the posting
         curve a synthetic agent carries."""
@@ -223,39 +231,27 @@ def synthetic_curve(knots: Sequence[tuple[float, float]]) -> RevenueCurve:
 def offer_curve(agent: Agent) -> OfferCurve:
     """The sale-probability map induced by the agent's utility model.
 
-    linear and capacitated buyers take the item iff value >= price; a
-    public-budget buyer caps her lottery at w/p; a private-budget buyer
-    contributes E[min(w, p)]/p of a unit, which is exact for how much the
-    budget lets each type buy.  Price 0 always sells surely.
+    linear and capacitated buyers take the item iff value >= price.  A
+    buyer with budget law G (`Agent.budget_law`) buys E[min(G, p)]/p of a
+    unit at price p, which is exact for how much the budget lets each type
+    buy: S(p) E[min(G, p)]/p with S(p) = Pr[value >= p].  A public budget w
+    is the one-atom law, where this reads S(p) min(1, w/p) to the bit.
+    Price 0 always sells surely.
     """
     if agent.model == "synthetic":
         raise ValueError("synthetic agents have no offer curve; they carry P directly")
-    F = agent.values
-    if agent.model in ("linear", "capacitated"):
+    F, G = agent.values, agent.budget_law
+    if G is None:
         fn = lambda p: np.asarray(F.survival_left(p))
-    elif agent.model == "public-budget":
-        w = float(agent.budget)
-
-        def fn(p, w=w):
+    else:
+        def fn(p):
             p = np.asarray(p, dtype=float)
-            take = np.divide(w, p, out=np.ones_like(p), where=p > w)
+            take = np.divide(np.asarray(G.expected_min(p)), p, out=np.ones_like(p), where=p > 0)
             return np.asarray(F.survival_left(p)) * take
-
-    else:  # private-budget
-        G = agent.budgets
-
-        def fn(p, G=G):
-            p = np.asarray(p, dtype=float)
-            delta = np.asarray(G.expected_min(p))
-            take = np.divide(delta, p, out=np.ones_like(p), where=p > 0)
-            return np.asarray(F.survival_left(p)) * np.where(p > 0, take, 1.0)
 
     knots = {0.0, F.lo, F.hi}
     knots.update(a for a, _ in F.atoms)
-    if agent.model == "public-budget":
-        knots.add(float(agent.budget))
-    if agent.model == "private-budget":
-        G = agent.budgets
+    if G is not None:
         knots.update((G.lo, G.hi))
         knots.update(a for a, _ in G.atoms)
     knots = tuple(sorted(k for k in knots if np.isfinite(k) and k >= 0))

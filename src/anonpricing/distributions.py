@@ -36,6 +36,8 @@ class Distribution:
         self.kind = kind
         self.params = dict(params)
         self._validate()
+        if kind in ("discrete", "piecewise-linear-cdf"):
+            self._tables()
 
     # -- constructors ---------------------------------------------------
 
@@ -121,6 +123,29 @@ class Distribution:
         else:
             raise ValueError(f"unknown distribution kind {k!r}")
 
+    def _tables(self):
+        """Tables built once, at construction, and read-only.  A discrete law
+        over v_1 < ... < v_m keeps its CDF table 0, f_1, f_1 + f_2, ...,
+        capped at 1 and ending at exactly 1 (the running sum can end on
+        either side of 1 by rounding, yet no survival probability may go
+        negative and no price above the top value may sell), mean_below[i] =
+        E[X; X < v_{i+1}] and mass_above[i] = Pr[X >= v_{i+1}].  A
+        piecewise-linear CDF keeps the integral of 1 - F up to each knot."""
+        p = self.params
+        if self.kind == "discrete":
+            f = p["probs"]
+            self.cdf_table = np.minimum(np.concatenate([[0.0], np.cumsum(f)]), 1.0)
+            self.cdf_table[-1] = 1.0
+            self.mean_below = np.concatenate([[0.0], np.cumsum(f * p["values"])])
+            self.mass_above = np.concatenate([np.cumsum(f[::-1])[::-1], [0.0]])
+            tables = (self.cdf_table, self.mean_below, self.mass_above)
+        else:
+            surv = 1.0 - p["fs"]
+            self.survival_integral = np.concatenate([[0.0], np.cumsum(0.5 * (surv[1:] + surv[:-1]) * np.diff(p["xs"]))])
+            tables = (self.survival_integral,)
+        for table in tables:
+            table.setflags(write=False)
+
     # -- support and atoms -------------------------------------------------
 
     @property
@@ -163,15 +188,6 @@ class Distribution:
 
     # -- evaluators --------------------------------------------------------
 
-    def _cum(self) -> np.ndarray:
-        """A discrete law's CDF table 0, f_1, f_1 + f_2, ..., capped at 1 and
-        ending at exactly 1: the running sum can end on either side of 1 by
-        rounding, yet no survival probability 1 - F may go negative, and no
-        price above the top value may sell."""
-        cum = np.minimum(np.concatenate([[0.0], np.cumsum(self.params["probs"])]), 1.0)
-        cum[-1] = 1.0
-        return cum
-
     def cdf(self, x):
         """Right-continuous CDF."""
         xv, scalar = _as_array(x)
@@ -183,7 +199,7 @@ class Distribution:
         elif k == "exponential":
             out = np.where(xv < 0.0, 0.0, np.where(xv >= p["hi"], 1.0, 1.0 - np.exp(-p["rate"] * np.maximum(xv, 0.0))))
         elif k == "discrete":
-            out = self._cum()[np.searchsorted(p["values"], xv, side="right")]
+            out = self.cdf_table[np.searchsorted(p["values"], xv, side="right")]
         else:
             out = np.interp(xv, p["xs"], p["fs"], left=0.0, right=1.0)
         return float(out) if scalar else out
@@ -197,7 +213,7 @@ class Distribution:
         elif k == "exponential":
             out = np.where(xv <= 0.0, 0.0, np.where(xv > p["hi"], 1.0, 1.0 - np.exp(-p["rate"] * np.maximum(xv, 0.0))))
         elif k == "discrete":
-            out = self._cum()[np.searchsorted(p["values"], xv, side="left")]
+            out = self.cdf_table[np.searchsorted(p["values"], xv, side="left")]
         else:
             return self.cdf(x)
         return float(out) if scalar else out
@@ -256,11 +272,10 @@ class Distribution:
                 body = -np.log(np.maximum(qv, atom)) / p["rate"]
             out = np.where(qv <= atom, p["hi"], body)
         elif k == "discrete":
-            # survival-left at v_i: s_i = sum_{j >= i} f_j, decreasing in i;
-            # V(q) is the largest v_i with s_i >= q
+            # survival-left at the values is mass_above, decreasing; V(q) is
+            # the largest value whose entry is at least q
             m = len(p["values"])
-            s = np.concatenate([np.cumsum(p["probs"][::-1])[::-1], [0.0]])
-            pos = np.searchsorted(s[::-1], qv, side="left")
+            pos = np.searchsorted(self.mass_above[::-1], qv, side="left")
             idx = np.clip(m - pos, 0, m - 1)
             out = p["values"][idx]
         else:
@@ -300,30 +315,21 @@ class Distribution:
             out = np.where(pv <= 0.0, np.maximum(pv, 0.0) * 0.0, out)
         elif k == "discrete":
             # the mass below p at its values plus p times the mass at or above
-            # it, from prefix sums: each price gets its own bits, where a BLAS
-            # matrix-vector product rounds a row by how many rows go with it
-            v, f = par["values"], par["probs"]
-            below = np.concatenate([[0.0], np.cumsum(f * v)])
-            above = np.concatenate([np.cumsum(f[::-1])[::-1], [0.0]])
-            i = np.searchsorted(v, pv, side="left")
-            out = below[i] + pv * above[i]
+            # it, from the stored sums: each price gets its own bits, where a
+            # BLAS matrix-vector product rounds a row by how many rows go with it
+            i = np.searchsorted(par["values"], pv, side="left")
+            out = self.mean_below[i] + pv * self.mass_above[i]
         else:
             xs, fs = par["xs"], par["fs"]
-            # integral of the survival function, exact on linear pieces
-            surv = 1.0 - fs
-            seg = np.concatenate([[0.0], np.cumsum(0.5 * (surv[1:] + surv[:-1]) * np.diff(xs))])
-
-            def one(pt):
-                if pt <= xs[0]:
-                    return max(pt, 0.0)
-                if pt >= xs[-1]:
-                    return xs[0] + seg[-1]
-                i = np.searchsorted(xs, pt, side="right") - 1
-                s_at = 1.0 - np.interp(pt, xs, fs)
-                partial = 0.5 * (surv[i] + s_at) * (pt - xs[i])
-                return xs[0] + seg[i] + partial
-
-            out = np.vectorize(one)(pv)
+            # integral of the survival function, exact on linear pieces: the
+            # whole pieces below p, then the trapezoid of p's own piece
+            surv, seg = 1.0 - fs, self.survival_integral
+            i = np.clip(np.searchsorted(xs, pv, side="right") - 1, 0, len(xs) - 1)
+            with np.errstate(invalid="ignore"):   # p = inf: 0 * inf on a branch not taken
+                partial = 0.5 * (surv[i] + (1.0 - np.interp(pv, xs, fs))) * (pv - xs[i])
+            # below the support, max(p, 0) as Python takes it: -0.0 stays -0.0
+            out = np.where(pv <= xs[0], np.where(0.0 > pv, 0.0, pv),
+                           np.where(pv >= xs[-1], xs[0] + seg[-1], xs[0] + seg[i] + partial))
         return float(out) if scalar else np.asarray(out)
 
     def mean(self) -> float:
@@ -424,8 +430,7 @@ def discretize(d: Distribution, n: int) -> Distribution:
     atoms = d.atoms
     atom_mass = sum(m for _, m in atoms)
     cont_mass = max(0.0, 1.0 - atom_mass)
-    values = [a for a, _ in atoms]
-    probs = [m for _, m in atoms]
+    values, probs = np.array(atoms, dtype=float).reshape(-1, 2).T
     if cont_mass > PROB_ATOL:
         k = max(1, n - len(atoms))
         # continuous region of quantile space = [0,1] minus atom bands
@@ -438,27 +443,16 @@ def discretize(d: Distribution, n: int) -> Distribution:
             cursor = max(cursor, right)
         if cursor < 1.0 - 1e-15:
             segments.append((cursor, 1.0))
-        lengths = np.array([b - a for a, b in segments])
-        starts = np.concatenate([[0.0], np.cumsum(lengths)])
-        total = starts[-1]
-        for j in range(k):
-            target = (j + 0.5) / k * total
-            seg = min(np.searchsorted(starts, target, side="right") - 1, len(segments) - 1)
-            q_mid = segments[seg][0] + (target - starts[seg])
-            values.append(float(d.inverse_demand(q_mid)))
-            probs.append(cont_mass / k)
-    # merge duplicates produced by flat stretches
-    values = np.asarray(values)
-    probs = np.asarray(probs)
+        lefts, rights = np.array(segments).T
+        starts = np.concatenate([[0.0], np.cumsum(rights - lefts)])
+        # the midpoint of each of the k equal chunks, placed in its segment
+        target = (np.arange(k) + 0.5) / k * starts[-1]
+        seg = np.minimum(np.searchsorted(starts, target, side="right") - 1, len(segments) - 1)
+        values = np.concatenate([values, d.inverse_demand(lefts[seg] + (target - starts[seg]))])
+        probs = np.concatenate([probs, np.full(k, cont_mass / k)])
+    # merge duplicates produced by flat stretches, summing masses in sorted order
     order = np.argsort(values)
     values, probs = values[order], probs[order]
-    merged_v, merged_p = [values[0]], [probs[0]]
-    for v, m in zip(values[1:], probs[1:]):
-        if v <= merged_v[-1]:
-            merged_p[-1] += m
-        else:
-            merged_v.append(v)
-            merged_p.append(m)
-    merged_p = np.asarray(merged_p)
-    merged_p = merged_p / merged_p.sum()
-    return Distribution.discrete(merged_v, merged_p)
+    new = np.concatenate([[True], values[1:] > values[:-1]])
+    merged = np.bincount(np.cumsum(new) - 1, weights=probs)
+    return Distribution.discrete(values[new], merged / merged.sum())

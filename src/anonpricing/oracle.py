@@ -143,7 +143,7 @@ def ex_ante_curve_oracle(values: Distribution, budgets: Distribution) -> Revenue
         if law.kind != "discrete":
             raise ValueError(f"the {axis} law is {law.kind}, not discrete: discretize it first")
     v = values.params["values"]
-    s = np.cumsum(values.params["probs"][::-1])[::-1]   # s_k = mass of values >= v_k
+    s = values.mass_above[:-1]   # s_k = mass of values >= v_k
     prices = np.concatenate([[0.0], v])
     s = np.concatenate([s[:1], s])
     levels = [_level_hull(s, prices, float(w)) for w in budgets.params["values"]]

@@ -1,14 +1,18 @@
 """Reference outputs of `anonpricing verify --fixture F --grid 512` for every
 built-in fixture, split into number and text tokens.
 
-    PYTHONPATH=src python tests/golden.py    # rewrites golden_verify_512.json
+    PYTHONPATH=src python tests/golden.py            # rewrites golden_verify_512.json
+    PYTHONPATH=src python tests/golden.py NAME ...   # rewrites only the named fixtures
 
 Regenerate only for a change that is meant to move an output, and say which
 numbers moved and why; `test_golden.py` compares every run against this file.
+Given names, the script rewrites nothing and exits 1 if the output of any
+other fixture moved (by the test's rule), naming it; an unknown name exits 2.
 """
 
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -42,5 +46,35 @@ def collect() -> dict:
         return {fx["name"]: run_fixture(fx["name"], Path(tmp) / fx["name"]) for fx in fixtures()}
 
 
+def moved(got: dict, want: dict) -> list[str]:
+    """The outputs of one fixture's run that `test_golden.py` would reject
+    against its reference: the exit code, the token count, a text token, or
+    a number off by more than 1e-12 relative."""
+    def same(g, w):
+        return g == w if isinstance(w, str) else isinstance(g, float) and abs(g - w) <= 1e-12 * abs(w)
+
+    out = [] if got["exit"] == want["exit"] else ["exit"]
+    return out + [f for f in FILES if len(got[f]) != len(want[f]) or not all(map(same, got[f], want[f]))]
+
+
+def main_golden(names: list[str]) -> int:
+    known = [fx["name"] for fx in fixtures()]
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        print(f"golden: unknown fixture(s) {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    got = collect()
+    if names:
+        want = json.loads(REFERENCE.read_text())
+        others = [(n, ["missing"] if n not in want else moved(got[n], want[n])) for n in known if n not in names]
+        stray = [f"{n} ({', '.join(files)})" for n, files in others if files]
+        if stray:
+            print(f"golden: output moved for fixture(s) not named: {'; '.join(stray)}; nothing written", file=sys.stderr)
+            return 1
+        got = {n: got[n] if n in names else want[n] for n in known}
+    REFERENCE.write_text(json.dumps(got, indent=1) + "\n")
+    return 0
+
+
 if __name__ == "__main__":
-    REFERENCE.write_text(json.dumps(collect(), indent=1) + "\n")
+    sys.exit(main_golden(sys.argv[1:]))

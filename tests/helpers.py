@@ -3,7 +3,7 @@
 These deliberately avoid the library's solution paths: LP optima come from
 explicit vertex enumeration, expectations from generic quadrature, hulls
 from a monotone chain on numpy scalars, golden section one bracket at a
-time or one step per call.
+time or one step per call, batched evaluators one element at a time.
 """
 
 import itertools
@@ -14,6 +14,7 @@ from scipy import integrate
 
 from anonpricing import mechanisms
 from anonpricing.curves import CONCAVITY_SLOPE_TOL, OfferCurve, _chord_reach
+from anonpricing.distributions import PROB_ATOL, Distribution
 
 
 def survival_quadrature_mean(dist) -> float:
@@ -324,10 +325,83 @@ def quadrature_random_price_revenue_public(F, w: float) -> float:
         return min(r, w) * float(F.survival_left(r)) * float(F.pdf(r))
 
     # break at w and at the knots of a piecewise-linear CDF, where the
-    # integrand has kinks
+    # integrand has kinks; a break point within 1e-12 of the span from an
+    # end would leave quad a sliver it cannot resolve, and the kink there
+    # moves the integral by less than that
     knots = F.params["xs"].tolist() if F.kind == "piecewise-linear-cdf" else []
-    pts = [p for p in [w, *knots] if F.lo < p < F.hi]
+    gap = 1e-12 * (F.hi - F.lo)
+    pts = [p for p in [w, *knots] if F.lo + gap < p < F.hi - gap]
     total, _ = integrate.quad(integrand, F.lo, F.hi, points=pts or None, epsabs=0.0, epsrel=1e-12, limit=200)
     for a, mass in F.atoms:
         total += mass * min(a, w) * float(F.survival_left(a))
     return float(total)
+
+
+def public_budget_offer(F, w: float, p):
+    """The public-budget offer S(p) min(1, w/p) in its own form, with
+    S(p) = Pr[value >= p]: the reference for `curves.offer_curve`, which
+    reads a public budget as its one-atom budget law."""
+    p = np.asarray(p, dtype=float)
+    take = np.divide(w, p, out=np.ones_like(p), where=p > w)
+    return np.asarray(F.survival_left(p)) * take
+
+
+def scalar_piecewise_expected_min(F, p: float) -> float:
+    """E[min(X, p)] for a piecewise-linear CDF, one price at a time: the
+    reference for the batched form in `Distribution.expected_min`, which
+    must give the same bits."""
+    xs, fs = F.params["xs"], F.params["fs"]
+    surv = 1.0 - fs
+    seg = np.concatenate([[0.0], np.cumsum(0.5 * (surv[1:] + surv[:-1]) * np.diff(xs))])
+    if p <= xs[0]:
+        return max(p, 0.0)
+    if p >= xs[-1]:
+        return xs[0] + seg[-1]
+    i = np.searchsorted(xs, p, side="right") - 1
+    s_at = 1.0 - np.interp(p, xs, fs)
+    partial = 0.5 * (surv[i] + s_at) * (p - xs[i])
+    return xs[0] + seg[i] + partial
+
+
+def loop_discretize(d, n: int):
+    """`distributions.discretize` one chunk and one merge at a time: the
+    reference for its array form, which must give the same bits."""
+    if d.kind == "discrete":
+        return d
+    atoms = d.atoms
+    cont_mass = max(0.0, 1.0 - sum(m for _, m in atoms))
+    values = [a for a, _ in atoms]
+    probs = [m for _, m in atoms]
+    if cont_mass > PROB_ATOL:
+        k = max(1, n - len(atoms))
+        bands = sorted((float(1.0 - d.cdf(a)), float(1.0 - d.cdf_left(a))) for a, _ in atoms)
+        segments = []
+        cursor = 0.0
+        for left, right in bands:
+            if left > cursor + 1e-15:
+                segments.append((cursor, left))
+            cursor = max(cursor, right)
+        if cursor < 1.0 - 1e-15:
+            segments.append((cursor, 1.0))
+        lengths = np.array([b - a for a, b in segments])
+        starts = np.concatenate([[0.0], np.cumsum(lengths)])
+        total = starts[-1]
+        for j in range(k):
+            target = (j + 0.5) / k * total
+            seg = min(np.searchsorted(starts, target, side="right") - 1, len(segments) - 1)
+            q_mid = segments[seg][0] + (target - starts[seg])
+            values.append(float(d.inverse_demand(q_mid)))
+            probs.append(cont_mass / k)
+    values = np.asarray(values)
+    probs = np.asarray(probs)
+    order = np.argsort(values)
+    values, probs = values[order], probs[order]
+    merged_v, merged_p = [values[0]], [probs[0]]
+    for v, m in zip(values[1:], probs[1:]):
+        if v <= merged_v[-1]:
+            merged_p[-1] += m
+        else:
+            merged_v.append(v)
+            merged_p.append(m)
+    merged_p = np.asarray(merged_p)
+    return Distribution.discrete(merged_v, merged_p / merged_p.sum())

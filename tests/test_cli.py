@@ -319,19 +319,23 @@ class TestRunScenario:
         continuous = ap.price_posting_curve(ap.offer_curve(scen.agents[0]), grid=256)
         assert vals[-1] > 0.01 and continuous.eval(1.0) < 1e-12
 
-    def test_ear_verb_matches_verify(self, tmp_path):
+    def test_ap_and_ear_verbs_match_verify(self, tmp_path):
+        # the ap verb sells to the discretized budget agent, as the verdict does
         agents = [{"model": "linear", "id": "u", "values": {"kind": "uniform", "a": 0, "b": 1}},
                   {"model": "public-budget", "id": "pb", "values": {"kind": "uniform", "a": 0, "b": 1}, "budget": 0.3},
+                  {"model": "private-budget", "id": "pr", "values": {"kind": "uniform", "a": 0, "b": 1},
+                   "budgets": {"kind": "uniform", "a": 0, "b": 1}},
                   {"model": "synthetic", "id": "s", "p_knots": [[0, 0], [0.25, 0.5], [1, 1.0]],
                    "r_knots": [[0, 0], [0.25, 1.0], [0.5, 1.0], [0.75, 2.0], [1, 2.0]]}]
         written = {}
-        for analyses in (["ear"], ["verify"]):
+        for analyses in (["ap"], ["ear"], ["verify"]):
             out = tmp_path / analyses[0]
             scen = load_scenario(minimal(tmp_path, agents=agents, analyses=analyses, out=str(out),
                                          grid=256, oracle={"values": 20, "budgets": 5}))
             run_scenario(scen)
-            written[analyses[0]] = (out / "ear.csv").read_bytes()
-        assert written["ear"] == written["verify"]
+            written[analyses[0]] = {f: (out / f).read_bytes() for f in ("ap.csv", "ear.csv") if (out / f).exists()}
+        assert written["ap"]["ap.csv"] == written["verify"]["ap.csv"]
+        assert written["ear"]["ear.csv"] == written["verify"]["ear.csv"]
 
     def test_verify_error_writes_no_curve(self, tmp_path, monkeypatch):
         from anonpricing import cli

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution, OracleConfig, RHO
@@ -337,11 +337,11 @@ def value_laws(draw):
     return Distribution.discrete(values, [w / sum(weights) for w in weights])
 
 
-@st.composite
-def single_agents(draw):
-    model = draw(st.sampled_from(["linear", "capacitated", "synthetic"]))
+def one_agent(draw, model):
+    """An agent of the given model on a drawn value law (continuous or
+    discrete); a synthetic agent's R is at least its P at every shared knot,
+    so R >= P pointwise."""
     if model == "synthetic":
-        # R >= P at every shared knot, so R >= P pointwise
         inner = sorted(draw(st.sets(st.floats(0.01, 0.99), min_size=1, max_size=4)))
         qs = [0.0] + inner + [1.0]
         p_vals = [0.0] + draw(st.lists(st.floats(0.0, 5.0), min_size=len(qs) - 1, max_size=len(qs) - 1))
@@ -351,8 +351,17 @@ def single_agents(draw):
     values = draw(value_laws())
     if model == "linear":
         return Agent(model="linear", values=values, id="l")
-    capacity = values.hi * draw(st.floats(0.05, 1.0))
-    return Agent(model="capacitated", values=values, capacity=capacity, id="c")
+    if model == "capacitated":
+        return Agent(model="capacitated", values=values, capacity=values.hi * draw(st.floats(0.05, 1.0)), id="c")
+    if model == "public-budget":
+        # far smaller budgets sell with probabilities so small that 1 - (1 - q) loses digits
+        return Agent(model=model, values=values, budget=draw(st.floats(1e-3, 2.0 * values.hi)), id="pb")
+    return Agent(model=model, values=values, budgets=draw(value_laws()), id="pr")
+
+
+@st.composite
+def single_agents(draw):
+    return one_agent(draw, draw(st.sampled_from(["linear", "capacitated", "synthetic"])))
 
 
 @given(single_agents())
@@ -379,3 +388,21 @@ def test_verify_scans_each_linear_hull_once(k, monkeypatch):
     agents = [Agent(model="linear", values=Distribution.uniform(0, 1.0 + i), id=f"u{i}") for i in range(k)]
     rep = ap.verify_instance(agents, OracleConfig(price_grid=256))
     assert sorted(scans) == sorted(len(rec.P.qs) for rec in rep.curves)
+
+
+@pytest.mark.parametrize("model", ["linear", "capacitated", "public-budget", "private-budget", "synthetic"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_single_agent_ratio_is_eta(model, data):
+    """For one agent EAR = max Rbar and AP = max P, so the verdict's ratio is
+    eta: AP sells to the instance P and Rbar were built on.  A continuous
+    law's P samples the offer that AP searches exactly, so there the ratio
+    may read up to 1e-6 below eta, never above it."""
+    agent = one_agent(data.draw, model)
+    rep = ap.verify_instance([agent], OracleConfig())
+    assume(rep.ap_posting.revenue > 0.0)   # a synthetic P of zeros sells nothing: the ratio reads 0/0 as inf
+    (row,) = rep.agents
+    if model in ("linear", "capacitated") and agent.values.kind != "discrete":
+        assert row.eta * (1.0 - 1e-6) <= rep.ratio <= row.eta * (1.0 + 1e-9)
+    else:
+        assert abs(rep.ratio - row.eta) <= 1e-9 * row.eta

@@ -12,7 +12,7 @@ from anonpricing import Agent, Distribution
 
 from anonpricing.curves import _chord_reach, _collapse, _last_by_merge, _last_by_search, _upper_hull_indices
 from helpers import (dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse, numpy_scalar_hull_indices,
-                     searched_quantiles_at_prices)
+                     public_budget_offer, searched_quantiles_at_prices)
 
 
 def linear_uniform():
@@ -534,6 +534,26 @@ def test_offer_price_does_not_depend_on_its_batch(kind, model, data):
     batch = offer.eval(prices).tolist()
     assert batch == [float(offer.eval(prices[i : i + 1])[0]) for i in range(len(prices))]
     assert batch == [offer.eval(p) for p in prices.tolist()]
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_public_offer_equals_its_own_form(kind, data):
+    """A public budget w is priced as its one-atom budget law, to the bit of
+    S(p) min(1, w/p): with w at 0, on an atom or knot of the value law,
+    above the top value or anywhere, at prices at w and its neighbouring
+    floats, on the knots and across the support."""
+    F = data.draw(law_of(kind))
+    special = [0.0, F.lo, F.hi] + [a for a, _ in F.atoms]
+    w = data.draw(st.one_of(st.sampled_from(special), st.floats(0.0, 5.0),
+                            st.floats(float(np.nextafter(F.hi, np.inf)), 2.0 * F.hi + 1.0)))
+    offer = ap.offer_curve(Agent(model="public-budget", values=F, budget=w))
+    assert w in offer.knot_prices and offer.price_cap == F.hi
+    knots = np.array(offer.knot_prices)
+    prices = np.concatenate([[w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf)], knots,
+                             data.draw(st.lists(st.floats(0.0, 1.2 * F.hi + w), min_size=1, max_size=40))])
+    assert offer.eval(prices).tobytes() == public_budget_offer(F, w, prices).tobytes()
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)

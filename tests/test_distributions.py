@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import anonpricing as ap
 from anonpricing import Distribution
 
-from helpers import expected_min_quadrature, survival_quadrature_mean
+from helpers import expected_min_quadrature, loop_discretize, scalar_piecewise_expected_min, survival_quadrature_mean
 
 
 def builtins():
@@ -92,9 +92,24 @@ class TestCdf:
             for n in range(2, 200):
                 d = ap.discretize(law, n)
                 short += bool(np.cumsum(d.params["probs"])[-1] < 1.0)
+                assert d.cdf_table[-1] == 1.0
                 above = np.nextafter(d.hi, np.inf)
                 assert d.cdf_left(above) == 1.0 and d.survival_left(above) == 0.0
         assert short > 0
+
+    def test_tables_are_read_only(self):
+        # built once at construction and shared by every evaluation
+        d = Distribution.discrete([1.0, 2.0, 4.0], [0.25, 0.25, 0.5])
+        pl = Distribution.piecewise_linear_cdf([(0.0, 0.0), (0.5, 0.25), (2.0, 1.0)])
+        tables = {"cdf_table": [0.0, 0.25, 0.5, 1.0], "mean_below": [0.0, 0.25, 0.75, 2.75],
+                  "mass_above": [1.0, 0.75, 0.5, 0.0]}
+        for name, want in tables.items():
+            assert getattr(d, name).tolist() == want
+        assert pl.survival_integral.tolist() == [0.0, 0.4375, 1.0]
+        for table in [getattr(d, name) for name in tables] + [pl.survival_integral]:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
 
 
 class TestInverseDemand:
@@ -293,3 +308,41 @@ def test_inverse_demand_within_support(q):
     for d in (Distribution.uniform(0, 1), Distribution.equal_revenue(10)):
         v = d.inverse_demand(q)
         assert d.lo - 1e-12 <= v <= d.hi + 1e-12
+
+
+POSITIVE = st.floats(0.01, 5.0)
+PIECEWISE = st.builds(
+    lambda a, widths, rises: Distribution.piecewise_linear_cdf(
+        list(zip(a + np.concatenate([[0.0], np.cumsum(widths)]), np.concatenate([[0.0], np.cumsum(rises) / sum(rises)])))),
+    st.floats(0.0, 3.0), st.lists(POSITIVE, min_size=3, max_size=3),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=3, max_size=3).filter(lambda r: sum(r) > 0))
+CONTINUOUS = st.one_of(
+    st.builds(lambda a, w: Distribution.uniform(a, a + w), st.floats(0.0, 5.0), POSITIVE),
+    st.builds(Distribution.equal_revenue, st.floats(1.01, 200.0)),
+    st.builds(Distribution.exponential, st.floats(0.1, 5.0), st.floats(0.1, 10.0)),
+    PIECEWISE,
+)
+
+
+@given(CONTINUOUS, st.integers(2, 300))
+@example(Distribution.uniform(1.0, 1.0 + 1e-14), 300)   # midpoints an ulp apart: 300 chunks on 46 values
+@settings(max_examples=200, deadline=None)
+def test_discretize_equals_the_loop(law, n):
+    """The array form gives the per-chunk loop's values and masses bit for bit."""
+    got, want = ap.discretize(law, n), loop_discretize(law, n)
+    assert got.params["values"].tobytes() == want.params["values"].tobytes()
+    assert got.params["probs"].tobytes() == want.params["probs"].tobytes()
+
+
+@given(PIECEWISE, st.lists(st.floats(-1.0, 1.2), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_piecewise_expected_min_equals_the_scalar_form(law, fractions):
+    """One batched call gives each price the scalar form's bits: at random
+    prices, on the knots and their neighbouring floats, below the first
+    knot and above the last one."""
+    xs = law.params["xs"]
+    lo, hi = float(xs[0]), float(xs[-1])
+    prices = np.concatenate([lo + np.array(fractions) * (hi - lo), xs, np.nextafter(xs, -np.inf),
+                             np.nextafter(xs, np.inf), [lo - 1.0, hi + 1.0, 0.0, -0.0, np.inf]])
+    want = np.array([scalar_piecewise_expected_min(law, p) for p in prices.tolist()])
+    assert law.expected_min(prices).tobytes() == want.tobytes()

@@ -397,6 +397,7 @@ def test_windowed_search_equals_every_agent_at_every_price(sellables, twin, grid
 @example(Distribution.exponential(2.0, 1.5), 1.5, None)                                    # w on the atom
 @example(Distribution.equal_revenue(9.0), 9.355054311369511e-49, None)                     # w far below the support
 @example(Distribution.exponential(1.25, 1.0), 1e-15, None)                                 # w just above 0
+@example(Distribution.equal_revenue(10), 1.0000000000000002, None)                         # w one float above lo
 @settings(max_examples=200, deadline=None)
 def test_random_price_closed_forms_equal_quadrature(F, w, inside):
     """The closed form of every law kind equals quadrature of the defining
