@@ -287,7 +287,11 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
     r_curves = [rec.concave_rbar for rec in records]
     ap_ex = ap_optimize(r_curves, grid=config.price_grid)
     ear = ear_optimize(r_curves)
-    ratio = ear.revenue / ap_post.revenue if ap_post.revenue > 0 else math.inf
+    # 0/0 reads 1, as in eta: an instance where nothing sells
+    if ap_post.revenue > 0:
+        ratio = ear.revenue / ap_post.revenue
+    else:
+        ratio = math.inf if ear.revenue > 0 else 1.0
     transfer = {}
     for b in betas:
         tb = transfer_bounds(alpha_agg[b], b, eta_agg)

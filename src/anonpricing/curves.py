@@ -318,18 +318,18 @@ def concave_hull(curve: RevenueCurve) -> RevenueCurve:
     return hull
 
 
-def _slope_merge(pieces: Sequence[tuple[np.ndarray, np.ndarray]], weights: Sequence[float]):
-    """The segments of concave pieces (qs, values), each piece scaled by its
-    weight, in order of decreasing slope (ties keep piece order): the
-    water-fill order.  Returns each segment's piece index, slope, and
-    weighted quantile and value increments."""
-    dq = [np.diff(q) for q, _ in pieces]
-    dv = [np.diff(v) for _, v in pieces]
-    slope = np.concatenate([b / a for a, b in zip(dq, dv)])
-    order = np.argsort(-slope, kind="stable")
-    owner = np.repeat(np.arange(len(pieces)), [len(a) for a in dq])
-    return (owner[order], slope[order], np.concatenate([w * a for w, a in zip(weights, dq)])[order],
-            np.concatenate([w * b for w, b in zip(weights, dv)])[order])
+def _slope_merge(pieces: Sequence[tuple[np.ndarray, np.ndarray]]):
+    """The water-fill order of the segments of concave pieces (qs, values):
+    decreasing slope, ties keeping piece order.  Returns that stable order
+    and, in piece order, each segment's slope and quantile increment; a
+    caller gathers by the order what it reads."""
+    dq = np.concatenate([np.diff(q) for q, _ in pieces])
+    slope = np.concatenate([np.diff(v) for _, v in pieces])
+    slope /= dq
+    # sort the negated slopes, negated in place and back: a sign flip is
+    # exact, and no third array of the pooled length is made
+    order = np.argsort(np.negative(slope, out=slope), kind="stable")
+    return order, np.negative(slope, out=slope), dq
 
 
 def _chord_reach(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:

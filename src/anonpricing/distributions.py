@@ -301,9 +301,10 @@ class Distribution:
         if k == "uniform":
             a, b = par["a"], par["b"]
             pc = np.clip(pv, a, b)
-            # factored form avoids cancellation for p near a
+            # factored form avoids cancellation for p near a; it can round
+            # above min(p, b), by far at subnormal p, where no E[min(X, p)] is
             body = a + (pc - a) * (2.0 * b - a - pc) / (2.0 * (b - a))
-            out = np.where(pv <= a, pv, body)
+            out = np.where(pv <= a, pv, np.minimum(body, pc))
         elif k == "equal-revenue":
             h = par["h"]
             pc = np.clip(pv, 1.0, h)
@@ -311,7 +312,7 @@ class Distribution:
         elif k == "exponential":
             lam, hi = par["rate"], par["hi"]
             pc = np.clip(pv, 0.0, hi)
-            out = -np.expm1(-lam * pc) / lam
+            out = np.minimum(-np.expm1(-lam * pc) / lam, pc)   # as for the uniform
             out = np.where(pv <= 0.0, np.maximum(pv, 0.0) * 0.0, out)
         elif k == "discrete":
             # the mass below p at its values plus p times the mass at or above

@@ -8,6 +8,7 @@ exactly on concave piecewise-linear curves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,28 +67,39 @@ def _sale_probabilities(sellables: Sequence[Sellable], prices) -> np.ndarray:
     return sale
 
 
-def _swept_sale_probabilities(sellables: Sequence[Sellable], prices: np.ndarray, low, top) -> np.ndarray:
-    """The table of `_sale_probabilities` at sorted prices, written in place
-    row by row and computed only inside each sellable's selling window: 1.0
-    at prices at or below its low end, 0.0 above its top (see
-    `curves.selling_window`).  Each price gets the same bits as there."""
-    sale = np.empty((len(sellables), len(prices)))
-    starts = np.searchsorted(prices, low, side="right").tolist()
-    stops = np.searchsorted(prices, top, side="right").tolist()
-    for row, s, i, j in zip(sale, sellables, starts, stops):
-        row[:i] = 1.0
-        if j > i:
-            row[i:j] = _sale_row(s, prices[i:j])
-        row[j:] = 0.0
-    return sale
-
-
 def _ap_values(prices, sale: np.ndarray) -> np.ndarray:
     """Anonymous-pricing revenue p * (1 - prod_i(1 - Q_i(p))) at each price,
-    from the agents x prices table of sale probabilities.  The table is
-    overwritten with 1 - Q_i(p): a second table held the process's peak RSS
-    about 9% higher on 16 agents."""
+    from the agents x prices table of sale probabilities, which is
+    overwritten with 1 - Q_i(p)."""
     return prices * (1.0 - np.subtract(1.0, sale, out=sale).prod(axis=0))
+
+
+_BLOCK = 1 << 16   # prices per block of the sweep, segments per chunk of the water-fill
+
+
+def _swept_ap_values(sellables: Sequence[Sellable], prices: np.ndarray, low, top) -> np.ndarray:
+    """`_ap_values` at sorted prices, without the agents x prices table.
+
+    The prices are taken in blocks of _BLOCK, and each block keeps one
+    running no-sale product.  Each sellable, in row order, multiplies it by
+    0.0 at prices at or below its low end, by 1 - Q only inside its selling
+    window (see `curves.selling_window`), and not at all above its top,
+    where its factor is 1.0.  `prod(axis=0)` multiplies the rows in the same
+    order, and x * 1.0 = x, so each revenue keeps its bits; memory is the
+    candidates plus one block, not agents x candidates.
+    """
+    vals = np.empty(len(prices))
+    for start in range(0, len(prices), _BLOCK):
+        block = prices[start:start + _BLOCK]
+        keep = np.ones(len(block))
+        starts = np.searchsorted(block, low, side="right").tolist()
+        stops = np.searchsorted(block, top, side="right").tolist()
+        for s, i, j in zip(sellables, starts, stops):
+            keep[:i] *= 0.0
+            if j > i:
+                keep[i:j] *= 1.0 - _sale_row(s, block[i:j])
+        vals[start:start + len(block)] = block * (1.0 - keep)
+    return vals
 
 
 def ap_revenue(sellables: Sequence[Sellable], p: float) -> ApResult:
@@ -194,12 +206,16 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     whose window reaches the lowest bracket end: every other one sells
     exactly nothing at every refined price, so its factor 1 - Q is exactly
     1 and the revenues, the search path and the result keep every bit.
+    The sweep streams the candidates in blocks with one running no-sale
+    product (see `_swept_ap_values`), so its memory grows with the number
+    of candidates, not with agents times candidates; the search prices a
+    few dozen points at a time in a table.
     """
     if len(sellables) == 0:
         raise ValueError("need at least one agent")
     cands = _candidate_prices(sellables, grid)
     low, top = np.array([selling_window(s) for s in sellables]).T
-    vals = _ap_values(cands, _swept_sale_probabilities(sellables, cands, low, top))
+    vals = _swept_ap_values(sellables, cands, low, top)
     best_idx = int(np.argmax(vals))
     best_p = float(cands[best_idx])
     best_v = float(vals[best_idx])
@@ -226,16 +242,26 @@ def ear_optimize(curves: Sequence[RevenueCurve]) -> EarResult:
     Exact for concave piecewise-linear curves: sort all segments by slope,
     consume quantile mass until the unit is spent or slopes stop being
     positive (leftover ex-ante supply is free to dispose).
+
+    The segments are visited in the stable slope order of `_slope_merge`.
+    Their owners, slopes and masses are gathered one chunk of _BLOCK
+    segments at a time, only as far as the loop gets, so no reordered copy
+    of the pooled segments is made.
     """
     if len(curves) == 0:
         raise ValueError("need at least one curve")
     for i, c in enumerate(curves):
         if not c.concave:
             raise ValueError(f"curve {i} is not concave; take its hull first")
-    owner, slope, mass, _ = _slope_merge([(c.qs, c.values) for c in curves], [1.0] * len(curves))
+    order, slope, mass = _slope_merge([(c.qs, c.values) for c in curves])
+    # segment g belongs to the curve whose segments end first past g
+    ends = np.cumsum([len(c.qs) - 1 for c in curves])
+    chunks = (order[k:k + _BLOCK] for k in range(0, len(order), _BLOCK))
+    segments = itertools.chain.from_iterable(
+        zip(np.searchsorted(ends, idx, side="right"), slope[idx], mass[idx]) for idx in chunks)
     remaining = 1.0
     q = np.zeros(len(curves))
-    for i, s, m in zip(owner, slope, mass):   # lazily: the unit of mass runs out early
+    for i, s, m in segments:   # lazily: the unit of mass runs out early
         if remaining <= 1e-15 or s <= 0.0:
             break
         take = min(m, remaining)

@@ -92,6 +92,16 @@ def _level_hull(s: np.ndarray, prices: np.ndarray, w: float) -> tuple[np.ndarray
     return mass[idx], rev[idx]
 
 
+def _merge_levels(levels: Sequence[tuple[np.ndarray, np.ndarray]], probs: np.ndarray):
+    """Knots of the probability-weighted sum of the levels' concave curves:
+    their segments, each scaled by its level's probability, in water-fill
+    order (see `curves._slope_merge`)."""
+    order, _, dq = _slope_merge(levels)
+    weight = np.repeat(probs, [len(q) - 1 for q, _ in levels])
+    dr = np.concatenate([np.diff(v) for _, v in levels])
+    return _knots_from_segments((weight * dq)[order], (weight * dr)[order])
+
+
 def _knots_from_segments(dq: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Knots of the curve that takes the water-fill segments in order.
 
@@ -147,6 +157,4 @@ def ex_ante_curve_oracle(values: Distribution, budgets: Distribution) -> Revenue
     prices = np.concatenate([[0.0], v])
     s = np.concatenate([s[:1], s])
     levels = [_level_hull(s, prices, float(w)) for w in budgets.params["values"]]
-    _, _, dq, dr = _slope_merge(levels, budgets.params["probs"])
-    qs, vals = _knots_from_segments(dq, dr)
-    return RevenueCurve(qs, vals, name="Rbar")
+    return RevenueCurve(*_merge_levels(levels, budgets.params["probs"]), name="Rbar")

@@ -317,6 +317,29 @@ def reference_ap_optimize(sellables, grid=4096):
     return mechanisms.ap_revenue(sellables, best_p)
 
 
+def materialized_ear(curves):
+    """`mechanisms.ear_optimize` with every pooled segment reordered up front:
+    the segments' owners, slopes and masses sorted by decreasing slope (a
+    stable sort, so ties keep curve order), then the same water-fill loop.
+    The reference for the water-fill that gathers them a chunk at a time."""
+    dq = [np.diff(c.qs) for c in curves]
+    dv = [np.diff(c.values) for c in curves]
+    slope = np.concatenate([b / a for a, b in zip(dq, dv)])
+    order = np.argsort(-slope, kind="stable")
+    owner = np.repeat(np.arange(len(curves)), [len(a) for a in dq])[order]
+    slope, mass = slope[order], np.concatenate(dq)[order]
+    remaining = 1.0
+    q = np.zeros(len(curves))
+    for i, s, m in zip(owner, slope, mass):
+        if remaining <= 1e-15 or s <= 0.0:
+            break
+        take = min(m, remaining)
+        q[i] += take
+        remaining -= take
+    revenue = float(sum(c.eval(qi) for c, qi in zip(curves, q)))
+    return mechanisms.EarResult(tuple(q.tolist()), revenue, binding=remaining <= 1e-12)
+
+
 def quadrature_random_price_revenue_public(F, w: float) -> float:
     """`mechanisms.random_price_revenue_public` by quadrature of its defining
     integral E_{r~F}[min(r, w) * Pr[v >= r]] over the continuous part, plus

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution, OracleConfig, RHO
@@ -269,6 +269,24 @@ class TestVerifyInstance:
         assert rep.slack == slack
 
 
+    @pytest.mark.parametrize("agent", [
+        Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=0.0, id="w0"),
+        Agent(model="synthetic", p_knots=((0, 0), (1, 0)), r_knots=((0, 0), (1, 0)), id="zero"),
+    ])
+    def test_nothing_sold_reads_ratio_one(self, agent):
+        # AP = EAR = 0: the ratio reads 0/0 as 1, as eta does
+        rep = ap.verify_instance([agent])
+        assert rep.ap_posting.revenue == rep.ear.revenue == 0.0
+        assert rep.ratio == rep.agents[0].eta == 1.0
+        assert rep.passed
+
+    def test_ear_without_ap_reads_infinite_ratio(self):
+        agent = Agent(model="synthetic", p_knots=((0, 0), (1, 0)), r_knots=((0, 0), (1, 1.0)), id="gap")
+        rep = ap.verify_instance([agent])
+        assert rep.ap_posting.revenue == 0.0 and rep.ear.revenue == 1.0
+        assert rep.ratio == math.inf
+
+
 class TestAgentCurves:
     def test_concave_rbar_is_rbar_when_concave(self):
         agent = Agent(model="linear", values=Distribution.equal_revenue(10), id="er")
@@ -400,9 +418,10 @@ def test_single_agent_ratio_is_eta(model, data):
     may read up to 1e-6 below eta, never above it."""
     agent = one_agent(data.draw, model)
     rep = ap.verify_instance([agent], OracleConfig())
-    assume(rep.ap_posting.revenue > 0.0)   # a synthetic P of zeros sells nothing: the ratio reads 0/0 as inf
     (row,) = rep.agents
-    if model in ("linear", "capacitated") and agent.values.kind != "discrete":
+    if rep.ap_posting.revenue == 0.0:   # a synthetic P of zeros sells nothing: 0/0 reads 1 in both
+        assert rep.ratio == row.eta
+    elif model in ("linear", "capacitated") and agent.values.kind != "discrete":
         assert row.eta * (1.0 - 1e-6) <= rep.ratio <= row.eta * (1.0 + 1e-9)
     else:
         assert abs(rep.ratio - row.eta) <= 1e-9 * row.eta

@@ -579,3 +579,14 @@ def test_hull_price_does_not_depend_on_its_batch(kind, data):
     assert ap.quantiles_at_prices(ordered, hull).tolist() == [alone[i] for i in order]
     shuffled = data.draw(st.permutations(range(n)))
     assert ap.quantiles_at_prices(np.array(prices)[shuffled], hull).tolist() == [alone[i] for i in shuffled]
+
+
+def test_posting_curve_at_a_subnormal_value_floor():
+    """A value law starting at a subnormal price puts that price on the grid;
+    there the budget's expected spend read above the price, so the sale
+    probability read 1 + 4.7e-10 and the curve's last knot was past 1."""
+    agent = Agent(model="private-budget", values=Distribution.uniform(2.2250738585e-313, 1.0),
+                  budgets=Distribution.uniform(0.0, 0.01), id="pr")
+    offer = ap.offer_curve(agent)
+    assert offer.eval(2.2250738563e-313) <= 1.0
+    assert ap.price_posting_curve(offer, grid=64).qs[-1] == 1.0

@@ -346,3 +346,17 @@ def test_piecewise_expected_min_equals_the_scalar_form(law, fractions):
                              np.nextafter(xs, np.inf), [lo - 1.0, hi + 1.0, 0.0, -0.0, np.inf]])
     want = np.array([scalar_piecewise_expected_min(law, p) for p in prices.tolist()])
     assert law.expected_min(prices).tobytes() == want.tobytes()
+
+
+@given(st.one_of(st.builds(Distribution.uniform, st.just(0.0), st.floats(1e-3, 10.0)),
+                 st.builds(Distribution.exponential, st.floats(0.1, 5.0), st.floats(0.1, 5.0))),
+       st.one_of(st.floats(0.0, 1e-300), st.floats(0.0, 1e-12), st.floats(0.0, 10.0)))
+@example(Distribution.uniform(0.0, 0.01), 3.3e-320)                  # the product read 1.003 p
+@example(Distribution.uniform(0.0, 0.01), 2.2250738563e-313)
+@example(Distribution.exponential(0.7, 1.5), 5.6e-16)
+@settings(max_examples=300, deadline=None)
+def test_expected_min_never_exceeds_the_price(d, p):
+    """E[min(X, p)] <= p, at subnormal and tiny prices too, where the closed
+    forms round up."""
+    assert d.expected_min(p) <= p
+    assert np.all(d.expected_min(np.array([p, p])) <= p)

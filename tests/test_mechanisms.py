@@ -2,6 +2,8 @@
 the posted-price reserve, and the capacitated upper bound."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from scipy import integrate
 
 import anonpricing as ap
 from anonpricing import RHO, Agent, Distribution, mechanisms
-from helpers import (brute_force_ear, quadrature_random_price_revenue_public, reference_ap_optimize, scalar_golden,
-                     stepwise_golden)
+from helpers import (brute_force_ear, materialized_ear, quadrature_random_price_revenue_public, reference_ap_optimize,
+                     scalar_golden, stepwise_golden)
 
 
 def uniform_offer():
@@ -381,14 +383,105 @@ def uniform_offer_on(a, b):
 @example([uniform_offer_on(0.22, 0.52), uniform_offer_on(0.38, 1.1)], False, 64)   # a cap between bracket ends
 @settings(max_examples=150, deadline=None)
 def test_windowed_search_equals_every_agent_at_every_price(sellables, twin, grid):
-    """Bit for bit the search that evaluates every agent at every price; a
-    twin agent makes revenue ties."""
+    """Bit for bit the search that evaluates every agent at every price in
+    one agents x prices table, whatever the sweep's block size: one price
+    per block, a few, or all in one; a twin agent makes revenue ties."""
     if twin:
         sellables = sellables + sellables[:1]
-    got, want = ap.ap_optimize(sellables, grid=grid), reference_ap_optimize(sellables, grid=grid)
-    assert got.price == want.price
-    assert got.win_probabilities == want.win_probabilities
-    assert got.revenue == want.revenue
+    want = reference_ap_optimize(sellables, grid=grid)
+    for block in (1, 7, 64, mechanisms._BLOCK):
+        with mock.patch.object(mechanisms, "_BLOCK", block):
+            got = ap.ap_optimize(sellables, grid=grid)
+        assert got.price == want.price, block
+        assert got.win_probabilities == want.win_probabilities, block
+        assert got.revenue == want.revenue, block
+
+
+# -- the sweep in price blocks and the water-fill in chunks keep every bit -----
+
+
+def random_hull(knots: int, seed: int = 0):
+    """A concave curve of about `knots` knots at random quantiles, with
+    exponentially distributed decreasing slopes."""
+    rng = np.random.default_rng(seed)
+    qs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, knots - 2)), [1.0]])
+    slopes = np.sort(rng.exponential(1.0, knots - 1))[::-1]
+    return ap.concave_hull(ap.RevenueCurve(qs, np.concatenate([[0.0], np.cumsum(np.diff(qs) * slopes)])))
+
+
+def test_sweep_over_several_default_blocks():
+    hulls = [random_hull(30_000, seed) for seed in range(3)]
+    assert len(mechanisms._candidate_prices(hulls, 4096)) > 65_536 == mechanisms._BLOCK
+    assert ap.ap_optimize(hulls) == reference_ap_optimize(hulls)
+
+
+@st.composite
+def tied_slope_curves(draw):
+    """One to four concave curves with knots on sixteenths and slopes from
+    one small set, zero and negative ones included: every slope is exact, so
+    equal slopes tie across curves."""
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = draw(st.sets(st.sampled_from([k / 16 for k in range(1, 16)]), max_size=4))
+        qs = np.array([0.0, *sorted(cuts), 1.0])
+        slopes = sorted(draw(st.lists(st.sampled_from([3.0, 2.0, 1.0, 0.5, 0.0, -0.5, -2.0]),
+                                      min_size=len(qs) - 1, max_size=len(qs) - 1)), reverse=True)
+        curves.append(ap.RevenueCurve(qs, np.concatenate([[0.0], np.cumsum(np.diff(qs) * slopes)])))
+    return curves
+
+
+@given(st.one_of(tied_slope_curves(), concave_set()), st.sampled_from([1, 2, 3, mechanisms._BLOCK]))
+# the unit runs out exactly at the end of the first chunk of 2
+@example([ap.synthetic_curve([(0, 0), (0.5, 1.0), (1, 1.25)]), ap.synthetic_curve([(0, 0), (0.5, 0.75), (1, 1.0)])], 2)
+# slope 0.5 ties across the curves with mass left: the first curve takes it
+@example([ap.synthetic_curve([(0, 0), (0.25, 0.5), (1, 0.875)]),
+          ap.synthetic_curve([(0, 0), (0.25, 0.375), (1, 0.75)])], 1)
+# half a unit of positive slope: not binding
+@example([ap.synthetic_curve([(0, 0), (0.5, 1.0), (1, 0.5)])], 1)
+@settings(max_examples=150, deadline=None)
+def test_chunked_water_fill_equals_the_materialized_one(curves, chunk):
+    with mock.patch.object(mechanisms, "_BLOCK", chunk):
+        got = ap.ear_optimize(curves)
+    assert got == materialized_ear(curves)
+
+
+def test_water_fill_tie_and_binding_examples():
+    tied = ap.ear_optimize([ap.synthetic_curve([(0, 0), (0.25, 0.5), (1, 0.875)]),
+                            ap.synthetic_curve([(0, 0), (0.25, 0.375), (1, 0.75)])])
+    assert tied.quantiles == (0.75, 0.25) and tied.binding
+    loose = ap.ear_optimize([ap.synthetic_curve([(0, 0), (0.5, 1.0), (1, 0.5)])])
+    assert loose.quantiles == (0.5,) and not loose.binding
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak traced allocation while fn runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestPooledMemory:
+    def test_sweep_does_not_grow_with_agents_at_fixed_candidates(self):
+        # copies of one hull share its candidates; the sweep of 2^15 grid
+        # prices and the hull's 4000 chord slopes spans two blocks.  With an
+        # agents x candidates table, 32 copies peaked 5.5 times as high as 2.
+        h = random_hull(4000)
+        grid = 1 << 15
+        ap.ap_optimize([h], grid=grid)   # the hull's price lookup is built on first use
+        two = peak_traced_bytes(lambda: ap.ap_optimize([h] * 2, grid=grid))
+        many = peak_traced_bytes(lambda: ap.ap_optimize([h] * 32, grid=grid))
+        assert many <= 2 * two
+
+    def test_water_fill_holds_a_few_pooled_arrays(self):
+        # the order, the slopes and the masses, and one chunk of gathers;
+        # reordered copies of every pooled array peaked at 10 of them
+        curves = [random_hull(40_000, seed) for seed in range(16)]
+        segments = sum(len(c.qs) - 1 for c in curves)
+        assert peak_traced_bytes(lambda: ap.ear_optimize(curves)) < 5 * 8 * segments
 
 
 @given(VALUE_LAWS, st.one_of(st.floats(0.0, 12.0), st.sampled_from([0.0, 1.0, 1e9])),

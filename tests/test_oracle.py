@@ -270,8 +270,7 @@ def two_price_bracket_curve(F, G):
     s = np.cumsum(F.params["probs"][::-1])[::-1]
     prices, s = np.concatenate([[0.0], v[:-1], v]), np.concatenate([s, s])
     levels = [oracle._level_hull(s, prices, float(w)) for w in G.params["values"]]
-    _, _, dq, dr = oracle._slope_merge(levels, G.params["probs"])
-    return oracle._knots_from_segments(dq, dr)
+    return oracle._merge_levels(levels, G.params["probs"])
 
 
 def assert_same_as_two_price_brackets(F, G):
