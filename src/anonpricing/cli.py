@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .closeness import AgentCurves, OracleConfig, RHO, build_curves, verify_instance
-from .curves import Agent, concave_hull, synthetic_curve
+from .curves import Agent, concave_hull, offer_curve, synthetic_curve
 from .curves import price_posting_curve  # noqa: F401  kept importable: perfbench/spans.py wraps this name
 from .distributions import Distribution
 from .fixtures import FixtureInstance, fixtures, get_fixture, mhr_fail_curves, random_concave_curve
@@ -261,7 +261,8 @@ def compute_fixture_value(fix: FixtureInstance, name: str, config: OracleConfig)
     if name == "posting_max":
         return max(a.price_curve().max_value() for a in agents)
     if name == "ap_revenue":
-        return ap_optimize([a.sellable() for a in agents], grid=config.price_grid).revenue
+        sellables = [synthetic_curve(a.p_knots) if a.model == "synthetic" else offer_curve(a) for a in agents]
+        return ap_optimize(sellables, grid=config.price_grid).revenue
     if name == "ear_revenue":
         if fix.name == "mhr-fail":
             _, r_curves = mhr_fail_curves(fix.params["n"])

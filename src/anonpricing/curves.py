@@ -104,30 +104,51 @@ class Agent:
             return Distribution.point_mass(self.budget)
         return self.budgets
 
-    def sellable(self) -> "RevenueCurve | OfferCurve":
-        """What anonymous pricing sells to: the offer curve, or the posting
-        curve a synthetic agent carries."""
+    def price_curve(self) -> "RevenueCurve":
+        """P on the agent's own laws: the curve a synthetic agent carries, or
+        the sweep of its offer."""
         if self.model == "synthetic":
             return synthetic_curve(self.p_knots)
-        return offer_curve(self)
-
-    def price_curve(self) -> "RevenueCurve":
-        s = self.sellable()
-        return s if isinstance(s, RevenueCurve) else price_posting_curve(s)
+        return price_posting_curve(offer_curve(self))
 
 
 @dataclass(frozen=True)
 class OfferCurve:
-    """price -> ex-ante sale probability, left-continuous and nonincreasing."""
+    """price -> ex-ante sale probability, left-continuous and nonincreasing.
+
+    `inverse(q)` is the largest price that sells at least q.  `offer_curve`
+    gives it in closed form (`closed_inverse`) wherever the offer has one;
+    an offer without it is inverted by bisection.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     knot_prices: tuple
     price_cap: float = np.inf   # q(p) = 0 beyond this price
+    closed_inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
     def eval(self, p):
         pv = np.asarray(p, dtype=float)
         out = self.fn(pv)
         return float(out) if np.ndim(p) == 0 else out
+
+    def inverse(self, q):
+        """sup{p <= price_cap : q(p) >= q} for q in (0, 1]; the offer is
+        left-continuous, so the sup sells q.  Without a closed form, 40
+        rounds of bisection on [0, cap (1 + 1e-9)] give the last accepted
+        price, at most 2^-40 of that bracket below the sup."""
+        qv = np.asarray(q, dtype=float)
+        if self.closed_inverse is not None:
+            out = self.closed_inverse(qv)
+        else:
+            cap = self.price_cap
+            out = np.zeros_like(qv)
+            hi = np.full_like(qv, cap * (1.0 + 1e-9) if cap > 0 else 1.0)
+            for _ in range(40):
+                mid = 0.5 * (out + hi)
+                accept = self.eval(mid) >= qv
+                out = np.where(accept, mid, out)
+                hi = np.where(accept, hi, mid)
+        return float(out) if np.ndim(q) == 0 else out
 
 
 class RevenueCurve:
@@ -237,6 +258,13 @@ def offer_curve(agent: Agent) -> OfferCurve:
     buy: S(p) E[min(G, p)]/p with S(p) = Pr[value >= p].  A public budget w
     is the one-atom law, where this reads S(p) min(1, w/p) to the bit.
     Price 0 always sells surely.
+
+    The offer's inverse is closed-form for linear and capacitated buyers
+    (`F.inverse_demand`) and for a budget buyer on two discrete laws, the
+    only budget offer `closeness.build_curves` makes (`_budget_inverse`).
+    A budget on a non-discrete law has none: uniform values and budgets
+    give a cubic, an exponential law a transcendental equation.  Such an
+    offer, which only `Agent.price_curve` builds, keeps the bisection.
     """
     if agent.model == "synthetic":
         raise ValueError("synthetic agents have no offer curve; they carry P directly")
@@ -255,7 +283,39 @@ def offer_curve(agent: Agent) -> OfferCurve:
         knots.update((G.lo, G.hi))
         knots.update(a for a, _ in G.atoms)
     knots = tuple(sorted(k for k in knots if np.isfinite(k) and k >= 0))
-    return OfferCurve(fn=fn, knot_prices=knots, price_cap=F.hi)
+    if G is None:
+        inverse = F.inverse_demand
+    elif F.kind == G.kind == "discrete":
+        inverse = lambda q: _budget_inverse(F, G, knots, fn, q)
+    else:
+        inverse = None
+    return OfferCurve(fn=fn, knot_prices=knots, price_cap=F.hi, closed_inverse=inverse)
+
+
+def _budget_inverse(F: Distribution, G: Distribution, knots: tuple, fn, q: np.ndarray) -> np.ndarray:
+    """The inverse of the budget offer `fn` on discrete laws F and G, whose
+    atoms up to the cap F.hi are the knots 0 = b_0 < b_1 < ... < b_K = F.hi.
+
+    On the piece (b_j, b_{j+1}] the value survival S = Pr[X > b_j] is
+    constant and E[min(G, p)] = A + B p, with A = E[G; G <= b_j] and
+    B = Pr[G > b_j] (the law's `mean_below` and `mass_above` tables), so
+    the offer reads S (A/p + B) and falls in p.  The sup of a q lies on the
+    last piece whose left end sells q, by one search of the offer at the
+    knots: p = S A / (q - S B), clipped to the piece.
+    """
+    b = np.asarray(knots)
+    b = b[: max(1, np.searchsorted(b, F.hi, side="right"))]
+    # the offer as it reads at the knots; the running minimum keeps one
+    # rounding of a tie from unsorting it
+    at_b = np.minimum.accumulate(fn(b))
+    j = np.maximum(np.searchsorted(-at_b, -q, side="right") - 1, 0)
+    S = np.asarray(F.survival(b))[j]
+    i = np.searchsorted(G.params["values"], b[j], side="right")
+    A, B = G.mean_below[i], G.mass_above[i]
+    rest = q - S * B
+    # rest <= 0: the whole piece sells q but for rounding, so its right end
+    p = np.divide(S * A, rest, out=np.full_like(q, np.inf), where=rest > 0)
+    return np.clip(p, b[j], np.append(b[1:], b[-1])[j])
 
 
 def _price_grid(offer: OfferCurve, grid: int) -> np.ndarray:
@@ -264,19 +324,12 @@ def _price_grid(offer: OfferCurve, grid: int) -> np.ndarray:
     The log grid concentrates near the support ends where revenue curves
     bend fastest; the quantile-spread prices keep the knot spacing of the
     resulting curve uniform in q, which the sweep alone does not guarantee.
+    They are the offer's inverse on a uniform q grid, one call.
     """
     cap = offer.price_cap
-    # quantile-spread: invert the offer on a uniform q grid by bisection
-    qs = np.linspace(1e-6, 1.0 - 1e-6, grid // 2)
-    lo_b = np.zeros_like(qs)
-    hi_b = np.full_like(qs, cap * (1.0 + 1e-9) if cap > 0 else 1.0)
-    for _ in range(40):
-        mid = 0.5 * (lo_b + hi_b)
-        accept = offer.eval(mid) >= qs
-        lo_b = np.where(accept, mid, lo_b)
-        hi_b = np.where(accept, hi_b, mid)
+    spread = offer.inverse(np.linspace(1e-6, 1.0 - 1e-6, grid // 2))
     prices = np.concatenate([[0.0, cap, cap * (1.0 + 1e-9)],
-                             np.outer(offer.knot_prices, [1.0, 1.0 - 1e-9, 1.0 + 1e-9]).ravel(), lo_b])
+                             np.outer(offer.knot_prices, [1.0, 1.0 - 1e-9, 1.0 + 1e-9]).ravel(), spread])
     # log-spaced sweep between the extreme swept prices
     positive = prices[prices > 0]
     lo = max(positive.min() if positive.size else cap * 1e-9, cap * 1e-12)

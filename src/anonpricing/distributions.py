@@ -272,11 +272,10 @@ class Distribution:
                 body = -np.log(np.maximum(qv, atom)) / p["rate"]
             out = np.where(qv <= atom, p["hi"], body)
         elif k == "discrete":
-            # survival-left at the values is mass_above, decreasing; V(q) is
-            # the largest value whose entry is at least q
-            m = len(p["values"])
-            pos = np.searchsorted(self.mass_above[::-1], qv, side="left")
-            idx = np.clip(m - pos, 0, m - 1)
+            # V(q) is the largest value whose survival-left is at least q, read
+            # from the CDF table as `survival_left` reads it, to the bit
+            surv = 1.0 - self.cdf_table[:-1]
+            idx = np.clip(np.searchsorted(-surv, -qv, side="right") - 1, 0, len(surv) - 1)
             out = p["values"][idx]
         else:
             xs, fs = p["xs"], p["fs"]
@@ -289,7 +288,8 @@ class Distribution:
             with np.errstate(invalid="ignore", divide="ignore"):
                 t = np.where(f1 > f0, (target - f0) / np.where(f1 > f0, f1 - f0, 1.0), 1.0)
             out = np.clip(x0 + np.clip(t, 0.0, 1.0) * (x1 - x0), xs[0], xs[-1])
-            out = np.where(target >= 1.0, xs[-1], np.where(target <= 0.0, xs[0], out))
+            # q = 1 finds the end of a flat start too, like any other q
+            out = np.where(target >= 1.0, xs[-1], out)
         return float(out) if scalar else out
 
     # -- moments -----------------------------------------------------------

@@ -428,3 +428,19 @@ def loop_discretize(d, n: int):
             merged_p.append(m)
     merged_p = np.asarray(merged_p)
     return Distribution.discrete(merged_v, merged_p / merged_p.sum())
+
+
+def bisection_inverse(offer, qs) -> np.ndarray:
+    """The quantile-spread prices as the posting sweep once found them for
+    every offer: 40 rounds of bisection on [0, cap (1 + 1e-9)], each round
+    one evaluation of the offer, keeping the last price that sells q."""
+    qs = np.asarray(qs, dtype=float)
+    cap = offer.price_cap
+    lo_b = np.zeros_like(qs)
+    hi_b = np.full_like(qs, cap * (1.0 + 1e-9) if cap > 0 else 1.0)
+    for _ in range(40):
+        mid = 0.5 * (lo_b + hi_b)
+        accept = offer.eval(mid) >= qs
+        lo_b = np.where(accept, mid, lo_b)
+        hi_b = np.where(accept, hi_b, mid)
+    return lo_b

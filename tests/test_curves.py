@@ -1,6 +1,7 @@
 """Offer curves, posting curves, hulls, quantile maps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from scipy import integrate
 import anonpricing as ap
 from anonpricing import Agent, Distribution
 
+from anonpricing.closeness import OracleConfig, build_curves
 from anonpricing.curves import _chord_reach, _collapse, _last_by_merge, _last_by_search, _upper_hull_indices
-from helpers import (dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse, numpy_scalar_hull_indices,
-                     public_budget_offer, searched_quantiles_at_prices)
+from helpers import (bisection_inverse, dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse,
+                     numpy_scalar_hull_indices, public_budget_offer, searched_quantiles_at_prices)
 
 
 def linear_uniform():
@@ -506,14 +508,16 @@ def law_of(kind):
     return st.builds(ap.discretize, st.one_of(*(law_of(k) for k in LAW_KINDS[:3] + LAW_KINDS[4:5])), st.integers(2, 60))
 
 
-def agent_of(data, kind, model):
-    F = data.draw(law_of(kind))
+def agent_of(draw, kind, model):
+    """An agent of one model on a value law of one kind, drawn with `draw`;
+    a private budget law is of any kind."""
+    F = draw(law_of(kind))
     if model == "capacitated":
-        return Agent(model=model, values=F, capacity=F.hi * data.draw(st.floats(0.05, 1.0)))
+        return Agent(model=model, values=F, capacity=F.hi * draw(st.floats(0.05, 1.0)))
     if model == "public-budget":
-        return Agent(model=model, values=F, budget=data.draw(st.floats(0.0, 5.0)))
+        return Agent(model=model, values=F, budget=draw(st.floats(0.0, 5.0)))
     if model == "private-budget":
-        return Agent(model=model, values=F, budgets=data.draw(law_of(data.draw(st.sampled_from(LAW_KINDS)))))
+        return Agent(model=model, values=F, budgets=draw(law_of(draw(st.sampled_from(LAW_KINDS)))))
     return Agent(model=model, values=F)
 
 
@@ -525,7 +529,7 @@ def test_offer_price_does_not_depend_on_its_batch(kind, model, data):
     """An offer prices a shuffled batch with the bits it gives each price
     alone, as an array and as a scalar: golden-section search prices about
     90 unsorted points of several brackets in one call and relies on it."""
-    offer = ap.offer_curve(agent_of(data, kind, model))
+    offer = ap.offer_curve(agent_of(data.draw, kind, model))
     knots = np.array(offer.knot_prices)
     top = 1.2 * offer.price_cap
     prices = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, 0.0),
@@ -563,7 +567,7 @@ def test_hull_price_does_not_depend_on_its_batch(kind, data):
     """An offer-less hull prices a batch with the bits it gives each price
     alone: sorted and shuffled, with fewer prices than knots (searched) and
     with more (sorted ones merged)."""
-    offer = ap.offer_curve(agent_of(data, kind, data.draw(st.sampled_from(MODELS))))
+    offer = ap.offer_curve(agent_of(data.draw, kind, data.draw(st.sampled_from(MODELS))))
     hull = ap.concave_hull(ap.price_posting_curve(offer, grid=64))
     K = len(hull.qs)
     more = data.draw(st.booleans())
@@ -590,3 +594,128 @@ def test_posting_curve_at_a_subnormal_value_floor():
     offer = ap.offer_curve(agent)
     assert offer.eval(2.2250738563e-313) <= 1.0
     assert ap.price_posting_curve(offer, grid=64).qs[-1] == 1.0
+
+
+# -- the offer's inverse ------------------------------------------------------
+
+SWEEP_QS = np.linspace(1e-6, 1.0 - 1e-6, 2048)   # the quantile-spread grid of the default sweep
+GAPPED = Distribution.discrete([0.5, 1.0, 3.0], [0.2, 0.5, 0.3])                 # atoms, gaps between them
+FLAT = Distribution.piecewise_linear_cdf([(0, 0), (1, 0.4), (2, 0.4), (3, 1)])   # no value in (1, 2)
+AT_ZERO = Distribution.point_mass(0.0)                                           # price cap 0
+
+
+def budget_agent(F, budgets):
+    return Agent(model="private-budget", values=F, budgets=Distribution.discrete(*zip(*budgets)))
+
+
+@st.composite
+def offer_agent(draw):
+    """An agent of any model with an offer, on a value law of any kind."""
+    return agent_of(draw, draw(st.sampled_from(LAW_KINDS)), draw(st.sampled_from(MODELS)))
+
+
+@given(offer_agent(), st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=20))
+@example(Agent(model="linear", values=GAPPED), [0.3, 0.8])
+@example(Agent(model="linear", values=ap.discretize(Distribution.uniform(0, 1), 12)), [0.5])   # 1 - F reads 0.5 + 1 ulp
+@example(Agent(model="capacitated", values=FLAT, capacity=1.5), [0.6])
+@example(Agent(model="public-budget", values=FLAT, budget=1.5), [0.3])
+@example(Agent(model="linear", values=AT_ZERO), [])
+@example(Agent(model="public-budget", values=AT_ZERO, budget=0.0), [])
+@example(Agent(model="public-budget", values=GAPPED, budget=0.0), [])
+@example(Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=0.0), [])
+@example(budget_agent(GAPPED, [(0.0, 0.4), (0.7, 0.6)]), [])            # a budget atom at 0
+@example(budget_agent(GAPPED, [(0.2, 0.5), (5.0, 0.5)]), [])            # a budget atom above F.hi
+@example(budget_agent(GAPPED, [(0.3, 0.4), (math.inf, 0.6)]), [])       # no budget, with mass 0.6
+@example(budget_agent(ap.discretize(FLAT, 9), [(0.0, 0.2), (2.5, 0.3), (math.inf, 0.5)]), [])
+# the atom at 1e-20 adds nothing the sum keeps, so the offer at 0.38 reads
+# 0.7 - 2 ulps: q = 0.7 = S B sells on the piece below 0.38 but for rounding
+@example(budget_agent(Distribution.discrete([0.38, 3.0], [0.5, 0.5]), [(1e-20, 0.3), (5.0, 0.7)]), [0.7])
+@example(budget_agent(FLAT, [(0.0, 0.2), (2.5, 0.3), (math.inf, 0.5)]), [])
+@settings(max_examples=300, deadline=None)
+def test_inverse_is_the_largest_price_that_sells_q(agent, extra):
+    """offer.inverse(q) sells q, and the offer 1e-9 of the cap above it (the
+    next float, at cap 0) does not: on atoms, gaps and flat stretches of F,
+    with a budget atom at 0, above F.hi or at +inf, and at public budget 0.
+
+    The offer is read 2^-50 of the cap (four ulps) below the price: the
+    price's own last bits move 1 - F by up to 2.8e-14 on uniform(2,
+    2.015625), where the slope is 64 per unit.  The slack in q is absolute:
+    1 - F rounds at about 2.2e-16, past any relative slack at q = 1e-6."""
+    offer = ap.offer_curve(agent)
+    qs = np.concatenate([SWEEP_QS, extra])
+    prices = offer.inverse(qs)
+    cap = offer.price_cap
+    assert np.all((prices >= 0.0) & (prices <= cap))
+    assert np.all(offer.eval(np.maximum(prices - 2.0 ** -50 * cap, 0.0)) >= qs - 1e-14)
+    above = prices + 1e-9 * cap if cap > 0 else np.nextafter(prices, np.inf)
+    assert np.all(offer.eval(above) < qs)
+
+
+@pytest.mark.parametrize("model", ["public-budget", "private-budget"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_budget_closed_form_is_the_bisection_limit(model, data):
+    """On discrete laws the budget offer's closed-form inverse lies at or
+    above the 40-round bisection, by at most that bisection's last bracket,
+    2^-40 cap (1 + 1e-9), and 2^-50 cap more for rounding.
+
+    The bisection keeps any price at which q(p) reads q in floats, and
+    where the offer is nearly flat it reads q well past the exact sup
+    (3.1e-15 of the cap past it on a draw with slope -0.003).  So the
+    closed form may lie lower by more than 2^-50 cap only where the offer
+    reads the same at both prices, to 2^-50."""
+    F = data.draw(law_of(data.draw(st.sampled_from(["discrete", "discretized"]))))
+    if model == "public-budget":
+        agent = Agent(model=model, values=F, budget=data.draw(st.floats(0.0, 5.0)))
+    else:
+        agent = Agent(model=model, values=F, budgets=data.draw(law_of(data.draw(st.sampled_from(["discrete", "discretized"])))))
+    offer = ap.offer_curve(agent)
+    assert offer.closed_inverse is not None
+    qs = np.concatenate([SWEEP_QS, data.draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=20))])
+    got, ref = offer.inverse(qs), bisection_inverse(offer, qs)
+    slack = 2.0 ** -50 * offer.price_cap
+    assert np.all(got <= ref + 2.0 ** -40 * offer.price_cap * (1.0 + 1e-9) + slack)
+    lower = got < ref - slack
+    assert np.all(offer.eval(got[lower]) - offer.eval(ref[lower]) <= 2.0 ** -50)
+
+
+def _count_offer_calls(offer, grid):
+    """The posting curve of `offer` and how many times the sweep evaluated it."""
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return offer.fn(p)
+
+    return ap.price_posting_curve(replace(offer, fn=counted), grid=grid), len(calls)
+
+
+@pytest.mark.parametrize("agent", [
+    Agent(model="linear", values=Distribution.exponential(2.0, 1.5)),
+    Agent(model="capacitated", values=Distribution.equal_revenue(10), capacity=3.0),
+    Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=0.3),
+    Agent(model="private-budget", values=Distribution.uniform(0, 1), budgets=Distribution.exponential(2.0, 1.5)),
+], ids=lambda a: a.model)
+def test_sweep_evaluates_each_offer_of_build_curves_at_most_twice(agent):
+    """The sweep takes its quantile-spread prices from the offer's inverse,
+    not from an evaluation loop (40 rounds of bisection read the offer 41
+    times): on every offer that `build_curves` makes, the same curve."""
+    config = OracleConfig()
+    P = build_curves(agent, config).P
+    counted, calls = _count_offer_calls(P.offer, config.price_grid)
+    assert calls <= 2
+    assert counted.qs.tobytes() == P.qs.tobytes() and counted.values.tobytes() == P.values.tobytes()
+
+
+@pytest.mark.parametrize("agent", [
+    Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=0.3),
+    Agent(model="private-budget", values=Distribution.uniform(0, 1), budgets=Distribution.uniform(0, 1)),
+    Agent(model="private-budget", values=GAPPED, budgets=Distribution.exponential(2.0, 1.5)),
+], ids=["public", "uniform", "discrete-exponential"])
+def test_budget_offer_on_a_non_discrete_law_keeps_the_bisection(agent):
+    """Such a budget offer has no closed-form inverse: it is the 40-round
+    bisection, bit for bit, and the sweep reads the offer 41 times."""
+    offer = ap.offer_curve(agent)
+    assert offer.closed_inverse is None
+    assert offer.inverse(SWEEP_QS).tobytes() == bisection_inverse(offer, SWEEP_QS).tobytes()
+    assert _count_offer_calls(offer, 4096)[1] == 41

@@ -121,6 +121,11 @@ class TestInverseDemand:
         assert d.inverse_demand(0.05) == 10.0
         assert d.inverse_demand(0.5) == pytest.approx(2.0, abs=1e-12)
 
+    def test_sure_sale_reaches_past_a_flat_start(self):
+        # no value lies below 1, so every price up to 1 sells surely: V(1) = 1
+        d = Distribution.piecewise_linear_cdf([(0, 0), (1, 0), (2, 0.5), (3, 0.5), (4, 1)])
+        assert np.asarray(d.inverse_demand([1.0, 0.75, 0.5, 0.25, 0.0])).tolist() == [1.0, 1.5, 3.0, 3.5, 4.0]
+
     def test_nonincreasing(self):
         for d in builtins():
             qs = np.linspace(0, 1, 513)
