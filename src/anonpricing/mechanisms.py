@@ -58,35 +58,20 @@ def _sale_row(s: Sellable, prices: np.ndarray) -> np.ndarray:
     return s.eval(prices) if isinstance(s, OfferCurve) else quantiles_at_prices(prices, s)
 
 
-def _sale_probabilities(sellables: Sequence[Sellable], prices) -> np.ndarray:
-    """Sale probability of each sellable (rows) at each price (columns)."""
-    prices = np.atleast_1d(np.asarray(prices, dtype=float))
-    sale = np.empty((len(sellables), len(prices)))
-    for row, s in zip(sale, sellables):
-        row[:] = _sale_row(s, prices)
-    return sale
-
-
-def _ap_values(prices, sale: np.ndarray) -> np.ndarray:
-    """Anonymous-pricing revenue p * (1 - prod_i(1 - Q_i(p))) at each price,
-    from the agents x prices table of sale probabilities, which is
-    overwritten with 1 - Q_i(p)."""
-    return prices * (1.0 - np.subtract(1.0, sale, out=sale).prod(axis=0))
-
-
 _BLOCK = 1 << 16   # prices per block of the sweep, segments per chunk of the water-fill
 
 
-def _swept_ap_values(sellables: Sequence[Sellable], prices: np.ndarray, low, top) -> np.ndarray:
-    """`_ap_values` at sorted prices, without the agents x prices table.
+def _ap_values(sellables: Sequence[Sellable], prices: np.ndarray, low, top) -> np.ndarray:
+    """Anonymous-pricing revenue p * (1 - prod_i(1 - Q_i(p))) at sorted
+    prices, given each sellable's selling window [low, top] (see
+    `curves.selling_window`).
 
-    The prices are taken in blocks of _BLOCK, and each block keeps one
-    running no-sale product.  Each sellable, in row order, multiplies it by
-    0.0 at prices at or below its low end, by 1 - Q only inside its selling
-    window (see `curves.selling_window`), and not at all above its top,
-    where its factor is 1.0.  `prod(axis=0)` multiplies the rows in the same
-    order, and x * 1.0 = x, so each revenue keeps its bits; memory is the
-    candidates plus one block, not agents x candidates.
+    The prices are taken in blocks of _BLOCK, each with one running no-sale
+    product.  Each sellable, in order, multiplies it by 1 - Q inside its
+    window only: above its top its factor is 1.0, and at or below any low
+    end the product is 0.0, set once.  So every revenue has the bits of the
+    plain product over all sellables, and memory is the prices plus one
+    block, not agents x prices.
     """
     vals = np.empty(len(prices))
     for start in range(0, len(prices), _BLOCK):
@@ -95,33 +80,46 @@ def _swept_ap_values(sellables: Sequence[Sellable], prices: np.ndarray, low, top
         starts = np.searchsorted(block, low, side="right").tolist()
         stops = np.searchsorted(block, top, side="right").tolist()
         for s, i, j in zip(sellables, starts, stops):
-            keep[:i] *= 0.0
             if j > i:
                 keep[i:j] *= 1.0 - _sale_row(s, block[i:j])
+        keep[:max(starts, default=0)] = 0.0
         vals[start:start + len(block)] = block * (1.0 - keep)
     return vals
 
 
 def ap_revenue(sellables: Sequence[Sellable], p: float) -> ApResult:
-    """Revenue of posting anonymous per-unit price p."""
+    """Revenue of posting anonymous per-unit price p.
+
+    Each sellable's sale probability at p is read once; the no-sale factors
+    1 - Q are multiplied in sellable order, the roundings of `_ap_values`'s
+    running product, so the revenue has its bits at p.
+    """
     if p < 0:
         raise ValueError("price must be nonnegative")
-    sale = _sale_probabilities(sellables, p)
-    qs = tuple(sale[:, 0].tolist())
-    return ApResult(float(p), qs, float(_ap_values(p, sale)[0]))
+    p = float(p)
+    qs = tuple(float(_sale_row(s, np.array([p]))[0]) for s in sellables)
+    return ApResult(p, qs, p * (1.0 - math.prod(1.0 - q for q in qs)))
 
 
 def _candidate_prices(sellables: Sequence[Sellable], grid: int) -> np.ndarray:
     """Offer knots and price caps, curve chord slopes, and a log-spaced and a
-    linear sweep up to the largest of them."""
-    cands = np.concatenate([np.append(s.knot_prices, s.price_cap) if isinstance(s, OfferCurve)
-                            else s.values[s.qs > 0] / s.qs[s.qs > 0] for s in sellables])
-    cands = cands[np.isfinite(cands)]
-    top = float(np.max(cands, initial=0.0)) or 1.0
+    linear sweep up to the largest of them: the distinct finite positive
+    ones, sorted.
+
+    The parts are pooled into one buffer, sorted in place and filtered with
+    one mask, so no second sorted or filtered copy of the pool is held.
+    """
+    parts = [np.append(s.knot_prices, s.price_cap) if isinstance(s, OfferCurve)
+             else s.values[s.qs > 0] / s.qs[s.qs > 0] for s in sellables]
+    top = max((float(np.max(x, where=np.isfinite(x), initial=0.0)) for x in parts), default=0.0) or 1.0
     # the log sweep spans nine decades, fewer when top * 1e-9 underflows to 0
-    sweep = np.geomspace(max(top * 1e-9, np.nextafter(0.0, 1.0)), top, grid)
-    cands = np.unique(np.concatenate([cands, sweep, np.linspace(top / grid, top, grid)]))
-    return cands[cands > 0.0]
+    parts += (np.geomspace(max(top * 1e-9, np.nextafter(0.0, 1.0)), top, grid), np.linspace(top / grid, top, grid))
+    cands = np.concatenate(parts)
+    del parts
+    cands.sort()
+    keep = np.isfinite(cands) & (cands > 0.0)
+    keep[1:] &= cands[1:] != cands[:-1]   # the first of each run of equal prices
+    return cands[keep]
 
 
 _GOLDEN_ROUND = 4   # golden-section steps of every bracket served by one call of fn
@@ -192,42 +190,51 @@ def _golden(fn, lo, hi, rel_tol=1e-10, iters=200) -> np.ndarray:
     return np.array([d if fd > fc or (fd == fc and d > c) else c for _, _, c, d, fc, fd, _ in brackets], dtype=float)
 
 
+def _best_three(vals: np.ndarray) -> np.ndarray:
+    """Indices of the 3 largest values (all of them when fewer), largest
+    first, a tie going to the larger index: the first 3 of
+    `np.argsort(vals, kind="stable")[::-1]`.  Only the values at or above
+    the third largest are sorted, and stably, so the order among ties does
+    not depend on which sort kernel numpy picks for the CPU."""
+    idx = np.flatnonzero(vals >= np.partition(vals, -3)[-3]) if len(vals) > 3 else np.arange(len(vals))
+    return idx[np.argsort(vals[idx], kind="stable")[::-1][:3]]
+
+
 def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     """Best anonymous price: knot candidates plus a price sweep, then one
-    golden-section search over the brackets around the 3 best candidates.
+    golden-section search over the brackets around the 3 best candidates
+    (see `_best_three`).
 
     Knot prices matter because revenue is non-smooth exactly there; golden
     section is only trusted between candidates.  The brackets are searched
     together: one call prices every point that the next _GOLDEN_ROUND steps
     of every live bracket can reach (see `_golden`).
 
-    Each sellable's selling window is found once.  The sweep computes a
-    sellable only inside its window, and the search only the sellables
-    whose window reaches the lowest bracket end: every other one sells
-    exactly nothing at every refined price, so its factor 1 - Q is exactly
-    1 and the revenues, the search path and the result keep every bit.
-    The sweep streams the candidates in blocks with one running no-sale
-    product (see `_swept_ap_values`), so its memory grows with the number
-    of candidates, not with agents times candidates; the search prices a
-    few dozen points at a time in a table.
+    Each sellable's selling window is found once, and every revenue comes
+    from `_ap_values` on those windows: the sweep over the sorted candidates
+    and each call of the search, whose few dozen prices are sorted for it
+    and their values put back in call order.  So a sellable is evaluated
+    only at the prices inside its window, and the sweep's memory grows with
+    the number of candidates, not with agents times candidates.
     """
     if len(sellables) == 0:
         raise ValueError("need at least one agent")
     cands = _candidate_prices(sellables, grid)
     low, top = np.array([selling_window(s) for s in sellables]).T
-    vals = _swept_ap_values(sellables, cands, low, top)
+    vals = _ap_values(sellables, cands, low, top)
     best_idx = int(np.argmax(vals))
     best_p = float(cands[best_idx])
     best_v = float(vals[best_idx])
     # refine within the brackets around the few best candidates
-    order = np.argsort(vals)[::-1][:3]
+    order = _best_three(vals)
     lo = np.where(order > 0, cands[np.maximum(order - 1, 0)], cands[order] * 0.5)
     hi = cands[np.minimum(order + 1, len(cands) - 1)]
-    # golden section never leaves a bracket, so no refined price is below lo
-    live = [s for s, t in zip(sellables, top.tolist()) if t >= float(lo.min())]
 
     def values(prices: np.ndarray) -> np.ndarray:
-        return _ap_values(prices, _sale_probabilities(live, prices))
+        rank = np.argsort(prices)
+        out = np.empty(len(prices))
+        out[rank] = _ap_values(sellables, prices[rank], low, top)
+        return out
 
     p_ref = _golden(values, lo, hi)
     for p, v in zip(p_ref.tolist(), values(p_ref).tolist()):

@@ -292,29 +292,53 @@ def searched_quantiles_at_prices(prices, curve):
     return out
 
 
-def reference_ap_optimize(sellables, grid=4096):
-    """`mechanisms.ap_optimize` with every sellable evaluated at every price:
-    a list of full rows stacked into the sweep's table, and every sellable
-    in every golden-section step, one step per call.  The reference for its
-    selling windows, live-agent refinement and batched search, which must
-    give the same bits."""
-    def values(prices):
-        sale = np.array([s.eval(prices) if isinstance(s, OfferCurve) else searched_quantiles_at_prices(prices, s)
-                         for s in sellables])
-        return mechanisms._ap_values(prices, sale)
+def sale_table(sellables, prices):
+    """Every sellable's sale probability (rows) at every price (columns),
+    each one searched on its own, with no selling window."""
+    return np.array([s.eval(prices) if isinstance(s, OfferCurve) else searched_quantiles_at_prices(prices, s)
+                     for s in sellables]).reshape(len(sellables), len(prices))
 
+
+def table_ap_values(sellables, prices):
+    """Anonymous-pricing revenue p * (1 - prod_i(1 - Q_i(p))) at each price,
+    from the agents x prices `sale_table`."""
+    return prices * (1.0 - (1.0 - sale_table(sellables, prices)).prod(axis=0))
+
+
+def reference_ap_optimize(sellables, grid=4096):
+    """`mechanisms.ap_optimize` with every sellable evaluated at every price
+    in a table, the brackets taken from a full stable sort of the sweep's
+    revenues, and every sellable in every golden-section step, one step per
+    call.  The reference for its selling windows, its partial selection of
+    the best candidates and its batched search, which must give the same
+    bits."""
     cands = mechanisms._candidate_prices(sellables, grid)
-    vals = values(cands)
+    vals = table_ap_values(sellables, cands)
     best_idx = int(np.argmax(vals))
     best_p, best_v = float(cands[best_idx]), float(vals[best_idx])
-    order = np.argsort(vals)[::-1][:3]
+    order = np.argsort(vals, kind="stable")[::-1][:3]
     lo = np.where(order > 0, cands[np.maximum(order - 1, 0)], cands[order] * 0.5)
     hi = cands[np.minimum(order + 1, len(cands) - 1)]
-    p_ref = stepwise_golden(values, lo, hi)
-    for p, v in zip(p_ref.tolist(), values(p_ref).tolist()):
+    p_ref = stepwise_golden(lambda p: table_ap_values(sellables, p), lo, hi)
+    for p, v in zip(p_ref.tolist(), table_ap_values(sellables, p_ref).tolist()):
         if v > best_v:
             best_p, best_v = p, v
-    return mechanisms.ap_revenue(sellables, best_p)
+    price = np.array([best_p])
+    qs = tuple(sale_table(sellables, price)[:, 0].tolist())
+    return mechanisms.ApResult(best_p, qs, float(table_ap_values(sellables, price)[0]))
+
+
+def reference_candidate_prices(sellables, grid):
+    """`mechanisms._candidate_prices` as three copies: the pooled parts,
+    their finite entries, and `np.unique` of those with both sweeps.  The
+    reference for its one buffer sorted and filtered in place."""
+    cands = np.concatenate([np.append(s.knot_prices, s.price_cap) if isinstance(s, OfferCurve)
+                            else s.values[s.qs > 0] / s.qs[s.qs > 0] for s in sellables])
+    cands = cands[np.isfinite(cands)]
+    top = float(np.max(cands, initial=0.0)) or 1.0
+    sweep = np.geomspace(max(top * 1e-9, np.nextafter(0.0, 1.0)), top, grid)
+    cands = np.unique(np.concatenate([cands, sweep, np.linspace(top / grid, top, grid)]))
+    return cands[cands > 0.0]
 
 
 def materialized_ear(curves):

@@ -12,8 +12,9 @@ from scipy import integrate
 
 import anonpricing as ap
 from anonpricing import RHO, Agent, Distribution, mechanisms
+from anonpricing.curves import OfferCurve, selling_window
 from helpers import (brute_force_ear, materialized_ear, quadrature_random_price_revenue_public, reference_ap_optimize,
-                     scalar_golden, stepwise_golden)
+                     reference_candidate_prices, sale_table, scalar_golden, stepwise_golden, table_ap_values)
 
 
 def uniform_offer():
@@ -78,33 +79,35 @@ class TestApOptimize:
         assert res.revenue == 5e-324   # the price 5e-324 sells surely
 
     def test_brackets_are_refined_together(self, monkeypatch):
-        # the 3 brackets take at most 33 golden steps, 4 per table of all
-        # live brackets: 9 tables, then the refined prices and the final
-        # revenue.  One table per step built 36, and refining the brackets
-        # one after another 110 with the sweep's (the sweep now builds its own)
+        # the 3 brackets take at most 33 golden steps, 4 per call for all
+        # live brackets: the sweep, 9 calls, then the refined prices; the
+        # final revenue reads each agent once without `_ap_values`.  One
+        # call per step made 36, and refining the brackets one after another
+        # 110 with the sweep's
         calls = []
-        real = mechanisms._sale_probabilities
-        monkeypatch.setattr(mechanisms, "_sale_probabilities", lambda s, p: calls.append(1) or real(s, p))
+        real = mechanisms._ap_values
+        monkeypatch.setattr(mechanisms, "_ap_values", lambda *a: calls.append(1) or real(*a))
         ap.ap_optimize([uniform_offer(), uniform_offer()])
         assert len(calls) == 11
 
     def test_refinement_evaluates_only_agents_in_play(self, monkeypatch):
         # 12 of 16 agents value the item at most 1 and the best price is
-        # above 10: every table of golden steps (9 of them) and the refined
-        # prices build rows for the other 4 only, and the final revenue
-        # covers all 16
+        # above 10: their windows end below every refined price, so only
+        # the sweep and the final revenue read them; the other 4 are read
+        # by the sweep, the 9 calls of golden steps, the refined prices and
+        # the final revenue
         low = [ap.offer_curve(Agent(model="linear", values=Distribution.uniform(0, 1), id=f"low{i}"))
                for i in range(6)]
         low += [ap.concave_hull(ap.price_posting_curve(o, grid=256)) for o in low]
         high = [ap.offer_curve(Agent(model="linear", values=Distribution.uniform(10, 20), id=f"high{i}"))
                 for i in range(4)]
-        rows = []
-        real = mechanisms._sale_probabilities
-        monkeypatch.setattr(mechanisms, "_sale_probabilities", lambda s, p: rows.append(len(s)) or real(s, p))
+        reads = {}
+        real = mechanisms._sale_row
+        monkeypatch.setattr(mechanisms, "_sale_row",
+                            lambda s, p: reads.__setitem__(id(s), reads.get(id(s), 0) + 1) or real(s, p))
         res = ap.ap_optimize(low + high)
         assert res.price > 10.0 and res.win_probabilities[:12] == (0.0,) * 12
-        assert len(rows) == 11
-        assert rows[:-1] == [4] * (len(rows) - 1) and rows[-1] == 16
+        assert [reads[id(s)] for s in low + high] == [2] * 12 + [12] * 4
         assert res == reference_ap_optimize(low + high)
 
 
@@ -330,7 +333,7 @@ class TestTwoPricedBound:
             ap.risk_two_priced_bound(bad, 0.5, 1.0)
 
 
-# -- selling windows and live-agent refinement give the reference's bits -------
+# -- selling windows give the reference's bits in the sweep and the search ------
 
 POSITIVE = st.floats(0.01, 5.0)
 VALUE_LAWS = st.one_of(
@@ -395,6 +398,56 @@ def test_windowed_search_equals_every_agent_at_every_price(sellables, twin, grid
         assert got.price == want.price, block
         assert got.win_probabilities == want.win_probabilities, block
         assert got.revenue == want.revenue, block
+
+
+@given(st.lists(sellable(), min_size=1, max_size=5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_reported_revenue_is_the_evaluator_at_its_price(sellables, twin):
+    """`ap_revenue` reads each agent once and multiplies the factors 1 - Q in
+    agent order: the bits of `_ap_values` at that price, and of a table of
+    every agent at every price.  Checked on every 64th candidate, at each
+    window's ends and next to them, at 0 and below every low end, and above
+    every top."""
+    if twin:
+        sellables = sellables + sellables[:1]
+    low, top = np.array([selling_window(s) for s in sellables]).T
+    cands = mechanisms._candidate_prices(sellables, 64)
+    ends = np.concatenate([low, top])
+    ends = ends[np.isfinite(ends)]
+    below = 0.5 * float(np.min(ends[ends > 0], initial=1.0))
+    above = 2.0 * float(np.max(ends, initial=1.0))
+    prices = np.concatenate([cands[::64], cands[-1:], ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                             [0.0, below, above]])
+    prices = np.unique(prices[prices >= 0.0])
+    want = mechanisms._ap_values(sellables, prices, low, top)
+    got = [ap.ap_revenue(sellables, p) for p in prices.tolist()]
+    assert np.array([r.revenue for r in got]).tobytes() == want.tobytes()
+    assert want.tobytes() == table_ap_values(sellables, prices).tobytes()
+    assert [r.win_probabilities for r in got] == [tuple(col) for col in sale_table(sellables, prices).T.tolist()]
+
+
+@given(st.lists(sellable(), min_size=1, max_size=6), st.sampled_from([1, 2, 64, 4096]))
+@example([ap.synthetic_curve([(0, 0), (1, 5e-324)])], 64)   # top * 1e-9 underflows to 0
+@example([ap.synthetic_curve([(0, 0), (1, 0)])], 64)        # no positive chord slope: top is 1
+@example([OfferCurve(lambda p: 0.5 * (p <= 2.0), (0.5, 2.0)), uniform_offer()], 64)   # no price cap: inf
+@settings(max_examples=100, deadline=None)
+def test_candidates_from_one_buffer_equal_the_three_copies(sellables, grid):
+    got = mechanisms._candidate_prices(sellables, grid)
+    want = reference_candidate_prices(sellables, grid)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.0 + 2**-52, 3.0]), max_size=40))
+@example([])
+@example([1.0])
+@example([1.0, 1.0])
+@example([2.0, 1.0, 2.0, 2.0, 1.0])
+def test_best_three_is_the_stable_sort_order(vals):
+    """The largest first, a tie to the larger index, on arrays of exact ties
+    and on arrays of fewer than 3 values."""
+    vals = np.array(vals, dtype=float)
+    want = np.argsort(vals, kind="stable")[::-1][:3]
+    assert mechanisms._best_three(vals).tolist() == want.tolist()
 
 
 # -- the sweep in price blocks and the water-fill in chunks keep every bit -----
@@ -475,6 +528,13 @@ class TestPooledMemory:
         two = peak_traced_bytes(lambda: ap.ap_optimize([h] * 2, grid=grid))
         many = peak_traced_bytes(lambda: ap.ap_optimize([h] * 32, grid=grid))
         assert many <= 2 * two
+
+    def test_candidates_are_pooled_in_one_buffer(self):
+        # the pool, one filtered copy and masks; the pooled parts, their
+        # finite entries and `np.unique`'s sorted copy peaked at 4.1 pools
+        hulls = [random_hull(4000, seed) for seed in range(32)]
+        pool = sum(int(np.count_nonzero(h.qs > 0)) for h in hulls) + 2 * 4096
+        assert peak_traced_bytes(lambda: mechanisms._candidate_prices(hulls, 4096)) < 2.5 * 8 * pool
 
     def test_water_fill_holds_a_few_pooled_arrays(self):
         # the order, the slopes and the masses, and one chunk of gathers;
