@@ -200,6 +200,40 @@ def _best_three(vals: np.ndarray) -> np.ndarray:
     return idx[np.argsort(vals[idx], kind="stable")[::-1][:3]]
 
 
+_STRIDE = 64   # candidates per block of the bounded sweep
+
+
+def _nonincreasing(s: Sellable) -> bool:
+    """Whether s's computed sale probability never rises with price: an
+    offer (nonincreasing by contract), a curve priced through its offer, or
+    an offer-less curve whose hull scan keeps every knot.  On a non-concave
+    curve, a price just past a knot's chord slope, inside the knot's
+    tolerance, can read a quantile below the knot's, which the next prices
+    past that tolerance exceed."""
+    if isinstance(s, OfferCurve) or s.offer is not None:
+        return True
+    idx = s._hull_indices()
+    return isinstance(idx, slice) or len(idx) == len(s.qs)
+
+
+def _swept_values(sellables: Sequence[Sellable], cands: np.ndarray, low, top) -> np.ndarray:
+    """The revenue at each sorted candidate that can be among the 3 best,
+    and -inf at the others: the sweep of `ap_optimize`, whose docstring
+    gives the bound on each block of _STRIDE candidates."""
+    n = len(cands)
+    if n < _STRIDE * _STRIDE or not all(_nonincreasing(s) for s in sellables):
+        return _ap_values(sellables, cands, low, top)
+    vals = np.full(n, -np.inf)
+    vals[::_STRIDE] = first = _ap_values(sellables, cands[::_STRIDE], low, top)
+    last = np.append(cands[_STRIDE - 1::_STRIDE], cands[-1])[:len(first)]
+    # the 3rd best of the _STRIDE or more starts is at most the 3rd best
+    # candidate; the margin covers the bound's roundings
+    keep = np.repeat(first / cands[::_STRIDE] * last * (1.0 + 1e-9) >= np.partition(first, -3)[-3], _STRIDE)[:n]
+    keep[::_STRIDE] = False
+    vals[keep] = _ap_values(sellables, cands[keep], low, top)
+    return vals
+
+
 def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     """Best anonymous price: knot candidates plus a price sweep, then one
     golden-section search over the brackets around the 3 best candidates
@@ -209,6 +243,20 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     section is only trusted between candidates.  The brackets are searched
     together: one call prices every point that the next _GOLDEN_ROUND steps
     of every live bracket can reach (see `_golden`).
+
+    Only the 3 best candidates are used, so the sweep prices only the
+    candidates that can be among them (see `_swept_values`).  Every Q_i
+    is nonincreasing in price, so on [a, b] the revenue is at most
+    b * (1 - prod_i(1 - Q_i(a))).  The sweep prices every _STRIDE-th
+    candidate, then in full only the blocks whose bound reaches the 3rd
+    best of those.  A candidate it leaves out is strictly below the 3rd
+    best, and a price's revenue does not depend on which prices share its
+    call.  So the best candidate, the 3 brackets (taken from all the
+    candidates) and the search are those of a sweep over every candidate,
+    bit for bit.  The bound needs each computed Q_i to be nonincreasing
+    (see `_nonincreasing`): the one-pass sweep runs when a sellable is an
+    offer-less curve whose hull scan drops a knot, or when there are fewer
+    than _STRIDE^2 candidates.
 
     Each sellable's selling window is found once, and every revenue comes
     from `_ap_values` on those windows: the sweep over the sorted candidates
@@ -221,7 +269,7 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
         raise ValueError("need at least one agent")
     cands = _candidate_prices(sellables, grid)
     low, top = np.array([selling_window(s) for s in sellables]).T
-    vals = _ap_values(sellables, cands, low, top)
+    vals = _swept_values(sellables, cands, low, top)
     best_idx = int(np.argmax(vals))
     best_p = float(cands[best_idx])
     best_v = float(vals[best_idx])

@@ -2,6 +2,7 @@
 the posted-price reserve, and the capacitated upper bound."""
 
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -80,22 +81,23 @@ class TestApOptimize:
 
     def test_brackets_are_refined_together(self, monkeypatch):
         # the 3 brackets take at most 33 golden steps, 4 per call for all
-        # live brackets: the sweep, 9 calls, then the refined prices; the
-        # final revenue reads each agent once without `_ap_values`.  One
-        # call per step made 36, and refining the brackets one after another
-        # 110 with the sweep's
+        # live brackets: the sweep's two passes, 9 calls, then the refined
+        # prices; the final revenue reads each agent once without
+        # `_ap_values`.  One call per step made 37, and refining the brackets
+        # one after another 111 with the sweep's
         calls = []
         real = mechanisms._ap_values
         monkeypatch.setattr(mechanisms, "_ap_values", lambda *a: calls.append(1) or real(*a))
         ap.ap_optimize([uniform_offer(), uniform_offer()])
-        assert len(calls) == 11
+        assert len(calls) == 12
 
     def test_refinement_evaluates_only_agents_in_play(self, monkeypatch):
         # 12 of 16 agents value the item at most 1 and the best price is
-        # above 10: their windows end below every refined price, so only
-        # the sweep and the final revenue read them; the other 4 are read
-        # by the sweep, the 9 calls of golden steps, the refined prices and
-        # the final revenue
+        # above 10: their windows end below every refined price and every
+        # block the sweep's second pass prices, so only its first pass and
+        # the final revenue read them; the other 4 are read by both passes,
+        # the 9 calls of golden steps, the refined prices and the final
+        # revenue
         low = [ap.offer_curve(Agent(model="linear", values=Distribution.uniform(0, 1), id=f"low{i}"))
                for i in range(6)]
         low += [ap.concave_hull(ap.price_posting_curve(o, grid=256)) for o in low]
@@ -107,7 +109,7 @@ class TestApOptimize:
                             lambda s, p: reads.__setitem__(id(s), reads.get(id(s), 0) + 1) or real(s, p))
         res = ap.ap_optimize(low + high)
         assert res.price > 10.0 and res.win_probabilities[:12] == (0.0,) * 12
-        assert [reads[id(s)] for s in low + high] == [2] * 12 + [12] * 4
+        assert [reads[id(s)] for s in low + high] == [2] * 12 + [13] * 4
         assert res == reference_ap_optimize(low + high)
 
 
@@ -349,11 +351,11 @@ VALUE_LAWS = st.one_of(
 
 
 @st.composite
-def sellable(draw):
+def sellable(draw, kinds=("offer", "posting", "hull", "synthetic", "flat")):
     """An offer of any utility model, its posting curve (priced through the
     offer), its hull (priced on chords), a non-concave synthetic curve, or a
-    flat equal-revenue curve, on which every price ties."""
-    kind = draw(st.sampled_from(["offer", "posting", "hull", "synthetic", "flat"]))
+    flat equal-revenue curve, on which every price ties: one of `kinds`."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "synthetic":
         n = draw(st.integers(1, 6))
         qs = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
@@ -378,26 +380,77 @@ def sellable(draw):
     return posting if kind == "posting" else ap.concave_hull(posting)
 
 
+@st.composite
+def dented_curve(draw):
+    """An offer-less curve with a knot strictly below the chord of its
+    neighbours: not concave, so its sale probability may rise with price."""
+    a, b = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2, unique=True)))
+    va, v1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
+    vb = (va + (v1 - va) * (b - a) / (1.0 - a)) * draw(st.floats(0.0, 0.9))
+    return ap.synthetic_curve([(0.0, 0.0), (a, va), (b, vb), (1.0, v1)])
+
+
 def uniform_offer_on(a, b):
     return ap.offer_curve(Agent(model="linear", values=Distribution.uniform(a, b), id="u"))
 
 
-@given(st.lists(sellable(), min_size=1, max_size=6), st.booleans(), st.sampled_from([64, 256]))
+EQUAL_REVENUE_OFFERS = st.builds(
+    lambda h: ap.offer_curve(Agent(model="linear", values=Distribution.equal_revenue(h), id="er")),
+    st.floats(1.5, 50.0))
+# every other draw keeps to sale probabilities that never rise with price,
+# which the sweep's block bound takes (no synthetic or dented curve)
+SWEPT_SELLABLES = st.one_of(
+    st.lists(st.one_of(sellable(), dented_curve(), EQUAL_REVENUE_OFFERS), min_size=1, max_size=6),
+    st.lists(st.one_of(sellable(("offer", "posting", "hull", "flat")), EQUAL_REVENUE_OFFERS), min_size=1, max_size=6))
+
+
+@given(SWEPT_SELLABLES, st.booleans(), st.sampled_from([64, 256]))
 @example([uniform_offer_on(0.22, 0.52), uniform_offer_on(0.38, 1.1)], False, 64)   # a cap between bracket ends
 @settings(max_examples=150, deadline=None)
 def test_windowed_search_equals_every_agent_at_every_price(sellables, twin, grid):
     """Bit for bit the search that evaluates every agent at every price in
-    one agents x prices table, whatever the sweep's block size: one price
-    per block, a few, or all in one; a twin agent makes revenue ties."""
+    one agents x prices table, with the sweep's blocks of _STRIDE candidates
+    as they are and at 2, 3 and 8 candidates, so that its block bound runs
+    on these few hundred candidates; a twin agent makes revenue ties."""
     if twin:
         sellables = sellables + sellables[:1]
     want = reference_ap_optimize(sellables, grid=grid)
+    for stride in (mechanisms._STRIDE, 2, 3, 8):
+        with mock.patch.object(mechanisms, "_STRIDE", stride):
+            got = ap.ap_optimize(sellables, grid=grid)
+        assert got.price == want.price, stride
+        assert got.win_probabilities == want.win_probabilities, stride
+        assert got.revenue == want.revenue, stride
+
+
+def probe_prices(sellables, cands, extra=()):
+    """Sorted distinct prices: the given candidates, each selling window's
+    ends and the floats next to them, 0, a price below every low end, one
+    above every top, and each `extra` fraction of that last one."""
+    low, top = np.array([selling_window(s) for s in sellables]).T
+    ends = np.concatenate([low, top])
+    ends = ends[np.isfinite(ends)]
+    below = 0.5 * float(np.min(ends[ends > 0], initial=1.0))
+    above = 2.0 * float(np.max(ends, initial=1.0))
+    prices = np.concatenate([cands, ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                             [0.0, below, above], above * np.array(extra, dtype=float)])
+    return np.unique(prices[prices >= 0.0])
+
+
+@given(st.lists(sellable(), min_size=1, max_size=6), st.booleans(), st.lists(st.floats(0.0, 1.0), max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_evaluator_keeps_the_table_bits_in_any_block(sellables, twin, extra):
+    """`_ap_values` in blocks of one price, a few, or all in one gives the
+    bits of a table of every agent at every price: on every candidate, at
+    and next to each window's ends, and at random prices."""
+    if twin:
+        sellables = sellables + sellables[:1]
+    low, top = np.array([selling_window(s) for s in sellables]).T
+    prices = probe_prices(sellables, mechanisms._candidate_prices(sellables, 64), extra)
+    want = table_ap_values(sellables, prices).tobytes()
     for block in (1, 7, 64, mechanisms._BLOCK):
         with mock.patch.object(mechanisms, "_BLOCK", block):
-            got = ap.ap_optimize(sellables, grid=grid)
-        assert got.price == want.price, block
-        assert got.win_probabilities == want.win_probabilities, block
-        assert got.revenue == want.revenue, block
+            assert mechanisms._ap_values(sellables, prices, low, top).tobytes() == want, block
 
 
 @given(st.lists(sellable(), min_size=1, max_size=5), st.booleans())
@@ -412,13 +465,7 @@ def test_reported_revenue_is_the_evaluator_at_its_price(sellables, twin):
         sellables = sellables + sellables[:1]
     low, top = np.array([selling_window(s) for s in sellables]).T
     cands = mechanisms._candidate_prices(sellables, 64)
-    ends = np.concatenate([low, top])
-    ends = ends[np.isfinite(ends)]
-    below = 0.5 * float(np.min(ends[ends > 0], initial=1.0))
-    above = 2.0 * float(np.max(ends, initial=1.0))
-    prices = np.concatenate([cands[::64], cands[-1:], ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
-                             [0.0, below, above]])
-    prices = np.unique(prices[prices >= 0.0])
+    prices = probe_prices(sellables, np.append(cands[::64], cands[-1]))
     want = mechanisms._ap_values(sellables, prices, low, top)
     got = [ap.ap_revenue(sellables, p) for p in prices.tolist()]
     assert np.array([r.revenue for r in got]).tobytes() == want.tobytes()
@@ -466,6 +513,81 @@ def test_sweep_over_several_default_blocks():
     hulls = [random_hull(30_000, seed) for seed in range(3)]
     assert len(mechanisms._candidate_prices(hulls, 4096)) > 65_536 == mechanisms._BLOCK
     assert ap.ap_optimize(hulls) == reference_ap_optimize(hulls)
+
+
+@pytest.fixture(scope="module")
+def many_linear_hulls():
+    """The Rbar hulls of the benchmark's `many-linear` seed-1 instance: 16
+    linear buyers whose value laws cycle through uniform, truncated
+    exponential, equal-revenue and six-point discrete, drawn as its
+    scenario generator draws them."""
+    rng = random.Random(1)
+    laws = []
+    for i in range(16):
+        if i % 4 == 0:
+            laws.append(Distribution.uniform(round(rng.uniform(0.0, 0.3), 6), round(rng.uniform(0.8, 1.6), 6)))
+        elif i % 4 == 1:
+            laws.append(Distribution.exponential(round(rng.uniform(0.8, 2.5), 6), round(rng.uniform(2.0, 4.0), 6)))
+        elif i % 4 == 2:
+            laws.append(Distribution.equal_revenue(round(rng.uniform(4.0, 40.0), 6)))
+        else:
+            points = sorted(rng.sample(range(5, 200), 6))
+            weights = [1] * 6
+            for _ in range(64 - 6):
+                weights[rng.randrange(6)] += 1
+            laws.append(Distribution.discrete([p / 100 for p in points], [w / 64 for w in weights]))
+    return [ap.concave_hull(ap.price_posting_curve(ap.offer_curve(Agent(model="linear", values=F, id=f"l{i}")),
+                                                   grid=4096)) for i, F in enumerate(laws)]
+
+
+def priced_sweep(sellables):
+    """The sweep over the sellables' candidates at grid 4096, the one-pass
+    sweep's values, and the number of prices the sweep priced."""
+    cands = mechanisms._candidate_prices(sellables, 4096)
+    low, top = np.array([selling_window(s) for s in sellables]).T
+    priced = []
+    real = mechanisms._ap_values
+    with mock.patch.object(mechanisms, "_ap_values", lambda s, p, *w: priced.append(len(p)) or real(s, p, *w)):
+        vals = mechanisms._swept_values(sellables, cands, low, top)
+    return vals, real(sellables, cands, low, top), sum(priced)
+
+
+def test_block_bound_prices_few_candidates(many_linear_hulls):
+    # about 40,000 candidates: 639 block starts and a few blocks in full;
+    # every candidate left out is below the 3rd best, so the 3 best and
+    # their order are the full sweep's
+    vals, full, priced = priced_sweep(many_linear_hulls)
+    assert len(vals) > 40_000 and priced <= 0.05 * len(vals)
+    kept = np.isfinite(vals)
+    assert vals[kept].tobytes() == full[kept].tobytes()
+    assert np.all(full[~kept] < full[mechanisms._best_three(full)[-1]])
+    assert mechanisms._best_three(vals).tolist() == mechanisms._best_three(full).tolist()
+
+
+def test_a_bound_that_rounds_below_its_block_keeps_the_block():
+    # blocks of 4 candidates; one buyer buys surely up to s, with
+    # probability 0.3 up to 3 and 0.01 up to 100.  The starts earn 0.01, s,
+    # 0.51, 0.9 and 1, so the 3rd best start is s.  The 3rd best candidate
+    # is 2.2, the last of its block, which earns s too and wins the tie as
+    # the higher price.  Its block's bound, 0.51 / 1.7 * 2.2, rounds one ulp
+    # below s: only the margin keeps the block.
+    s = 2.2 * (1.0 - (1.0 - 0.3))
+    offer = OfferCurve(lambda p: np.select([p <= s, p <= 3.0, p <= 100.0], [1.0, 0.3, 0.01]), (s, 3.0, 100.0), 100.0)
+    cands = np.array([0.01, 0.02, 0.03, 0.04, s, 0.7, 0.8, 0.9, 1.7, 1.8, 1.9, 2.2,
+                      3.0, 3.1, 3.2, 3.3, 100.0, 110.0, 120.0, 130.0])
+    low, top = np.array([selling_window(offer)]).T
+    full = mechanisms._ap_values([offer], cands, low, top)
+    assert full[8] / 1.7 * 2.2 < full[4] == full[11]
+    with mock.patch.object(mechanisms, "_STRIDE", 4):
+        vals = mechanisms._swept_values([offer], cands, low, top)
+    assert mechanisms._best_three(vals).tolist() == mechanisms._best_three(full).tolist() == [16, 12, 11]
+
+
+def test_a_dented_curve_takes_the_one_pass_sweep(many_linear_hulls):
+    dent = ap.synthetic_curve([(0.0, 0.0), (0.3, 2.0), (0.6, 0.5), (1.0, 1.0)])
+    assert not dent.concave
+    vals, full, priced = priced_sweep(many_linear_hulls + [dent])
+    assert priced == len(vals) and vals.tobytes() == full.tobytes()
 
 
 @st.composite
