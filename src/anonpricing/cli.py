@@ -67,6 +67,12 @@ def _numbers(value, name: str, size: int | None = None) -> list[float]:
     return [_number(x, f"{name}[{i}]") for i, x in enumerate(value)]
 
 
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{value!r} is not a string", name)
+    return value
+
+
 def _knots(value, name: str) -> list[tuple[float, float]]:
     """A list of [x, y] pairs of finite numbers."""
     if not isinstance(value, list):
@@ -241,12 +247,12 @@ def load_scenario(path) -> Scenario:
     if "quantile_grid" in oracle_raw:  # schema v1 key: Rbar is exact, so it has no effect
         _integer(oracle_raw["quantile_grid"], "oracle.quantile_grid", 8, 1025)
     return Scenario(
-        name=str(raw.get("name", Path(path).stem)),
+        name=_string(raw.get("name", Path(path).stem), "name"),
         agents=tuple(agents),
         analyses=tuple(analyses),
         oracle=config,
         seed=_integer(raw.get("seed", 20240801), "seed"),
-        out_dir=str(raw.get("out", "out")),
+        out_dir=_string(raw.get("out", "out"), "out"),
         fixture=fixture,
     )
 

@@ -197,11 +197,12 @@ class RevenueCurve:
 
     @property
     def concave(self) -> bool:
-        """True iff the curve coincides with its own concave majorant
-        (immune to the slope noise of near-duplicate knots)."""
+        """True iff the curve coincides with its own concave majorant, up to
+        CONCAVITY_SLOPE_TOL of its largest absolute value (immune to the
+        slope noise of near-duplicate knots, at every scale of values)."""
         idx = self._hull_indices()
         gap = float(np.max(np.interp(self.qs, self.qs[idx], self.values[idx]) - self.values))
-        return gap <= CONCAVITY_SLOPE_TOL * max(1.0, float(np.max(np.abs(self.values))))
+        return gap <= CONCAVITY_SLOPE_TOL * float(np.max(np.abs(self.values)))
 
     def eval(self, q):
         qv = np.asarray(q, dtype=float)
@@ -398,20 +399,6 @@ def _chord_reach(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return neg_reach
 
 
-def _last_by_search(neg_reach: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """Each price's last affordable knot, -1 for none: the number of reach
-    entries at or below -p, less one, by one search per price."""
-    return np.searchsorted(neg_reach, -prices, side="right") - 1
-
-
-def _last_by_merge(neg_reach: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """The same indices for sorted prices, by one search per knot: knot k
-    counts for every price at or below its reach -neg_reach[k], so a price's
-    count is the number of knots whose reach position lies past it."""
-    pos = np.searchsorted(prices, -neg_reach, side="right")
-    return len(neg_reach) - 1 - np.cumsum(np.bincount(pos, minlength=len(prices) + 1))[:-1]
-
-
 def selling_window(sellable: "RevenueCurve | OfferCurve") -> tuple[float, float]:
     """(low, top): the sale probability is exactly 1.0 at prices at or below
     low and exactly 0.0 at prices above top.
@@ -435,25 +422,24 @@ def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
     shapes resolve the way the mechanism actually sells.  Otherwise knot k
     (q_k > 0) stays affordable up to the threshold (v_k + tol) / q_k; the
     last affordable knot comes from the suffix maximum of the thresholds,
-    and the quantile is interpolated on the segment after it.  Flat-revenue
-    stretches return the largest quantile.  Valid for non-concave curves.
+    and the quantile is interpolated on the segment after it, never below
+    q_k (see `_on_segment`).  Flat-revenue stretches return the largest
+    quantile.  Valid for non-concave curves, where the result is still a
+    sale probability in [0, 1] that never rises with price, but for one
+    rounding of the segment formula.
 
-    The curve keeps the suffix maximum from its first lookup, O(K).  Sorted
-    prices that outnumber the K knots are merged with it, O(K log n + n);
-    any other prices are searched in it, O(n log K).  Both give the same
-    integer knot and so the same bits.
+    The curve keeps the suffix maximum from its first lookup, O(K), and
+    each price's last knot is one search in it, O(n log K), so a price's
+    quantile has the same bits whichever prices share its call.
     """
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
     if curve.offer is not None:
         return np.asarray(curve.offer.eval(prices))
     qs, vals = curve.qs, curve.values
     K = len(qs)
-    neg_reach = curve._price_reach()
-    merge = len(prices) > K and bool(np.all(prices[1:] >= prices[:-1]))
-    last = (_last_by_merge if merge else _last_by_search)(neg_reach, prices)
-    # sorted prices have nonincreasing last knots: the ends say whether every
-    # price lies on a segment, as every price of a selling window does
-    if merge and last[-1] >= 0 and last[0] < K - 1:
+    last = np.searchsorted(curve._price_reach(), -prices, side="right") - 1
+    # every price on a segment, as every price of a selling window is
+    if len(last) and last.min() >= 0 and last.max() < K - 1:
         return _on_segment(qs, vals, last, prices)
     out = np.zeros(len(prices))
     out[last == K - 1] = 1.0
@@ -464,9 +450,13 @@ def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
 
 
 def _on_segment(qs: np.ndarray, vals: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Where the chord of slope p meets the segment from knot k to k + 1."""
+    """Where the chord of slope p meets the segment from knot k to k + 1,
+    where knot k is affordable and k + 1 is not.  Inside knot k's
+    tolerance, p q_k exceeds v_k by up to tol, and the segment extended
+    back past knot k would read below q_k; the floor at q_k keeps the
+    point on the segment."""
     k1 = k + 1
     q0 = qs[k]
     g0 = vals[k] - p * q0
     g1 = vals[k1] - p * qs[k1]
-    return q0 + g0 / (g0 - g1) * (qs[k1] - q0)
+    return np.maximum(q0, q0 + g0 / (g0 - g1) * (qs[k1] - q0))

@@ -203,25 +203,13 @@ def _best_three(vals: np.ndarray) -> np.ndarray:
 _STRIDE = 64   # candidates per block of the bounded sweep
 
 
-def _nonincreasing(s: Sellable) -> bool:
-    """Whether s's computed sale probability never rises with price: an
-    offer (nonincreasing by contract), a curve priced through its offer, or
-    an offer-less curve whose hull scan keeps every knot.  On a non-concave
-    curve, a price just past a knot's chord slope, inside the knot's
-    tolerance, can read a quantile below the knot's, which the next prices
-    past that tolerance exceed."""
-    if isinstance(s, OfferCurve) or s.offer is not None:
-        return True
-    idx = s._hull_indices()
-    return isinstance(idx, slice) or len(idx) == len(s.qs)
-
-
 def _swept_values(sellables: Sequence[Sellable], cands: np.ndarray, low, top) -> np.ndarray:
     """The revenue at each sorted candidate that can be among the 3 best,
     and -inf at the others: the sweep of `ap_optimize`, whose docstring
-    gives the bound on each block of _STRIDE candidates."""
+    gives the bound on each block of _STRIDE candidates.  Below _STRIDE^2
+    candidates every candidate is priced in one pass."""
     n = len(cands)
-    if n < _STRIDE * _STRIDE or not all(_nonincreasing(s) for s in sellables):
+    if n < _STRIDE * _STRIDE:
         return _ap_values(sellables, cands, low, top)
     vals = np.full(n, -np.inf)
     vals[::_STRIDE] = first = _ap_values(sellables, cands[::_STRIDE], low, top)
@@ -246,17 +234,17 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
 
     Only the 3 best candidates are used, so the sweep prices only the
     candidates that can be among them (see `_swept_values`).  Every Q_i
-    is nonincreasing in price, so on [a, b] the revenue is at most
-    b * (1 - prod_i(1 - Q_i(a))).  The sweep prices every _STRIDE-th
-    candidate, then in full only the blocks whose bound reaches the 3rd
-    best of those.  A candidate it leaves out is strictly below the 3rd
-    best, and a price's revenue does not depend on which prices share its
-    call.  So the best candidate, the 3 brackets (taken from all the
-    candidates) and the search are those of a sweep over every candidate,
-    bit for bit.  The bound needs each computed Q_i to be nonincreasing
-    (see `_nonincreasing`): the one-pass sweep runs when a sellable is an
-    offer-less curve whose hull scan drops a knot, or when there are fewer
-    than _STRIDE^2 candidates.
+    is nonincreasing in price (an offer by contract, an offer-less curve
+    by its chord lookup, `curves.quantiles_at_prices`), so on [a, b] the
+    revenue is at most b * (1 - prod_i(1 - Q_i(a))).  The sweep prices
+    every _STRIDE-th candidate, then in full only the blocks whose bound
+    reaches the 3rd best of those.  A candidate it leaves out is strictly
+    below the 3rd best, and a price's revenue does not depend on which
+    prices share its call.  So the best candidate, the 3 brackets (taken
+    from all the candidates) and the search are those of a sweep over
+    every candidate, bit for bit.  The bound's margin covers the lookup's
+    one rounding, about 1e-16 relative.  With fewer than _STRIDE^2
+    candidates the sweep prices them all in one pass.
 
     Each sellable's selling window is found once, and every revenue comes
     from `_ap_values` on those windows: the sweep over the sorted candidates

@@ -4,16 +4,18 @@ These deliberately avoid the library's solution paths: LP optima come from
 explicit vertex enumeration, expectations from generic quadrature, hulls
 from a monotone chain on numpy scalars, golden section one bracket at a
 time or one step per call, batched evaluators one element at a time.
+The non-concave curves that more than one test module draws are here too.
 """
 
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import integrate
 
 from anonpricing import mechanisms
-from anonpricing.curves import CONCAVITY_SLOPE_TOL, OfferCurve, _chord_reach
+from anonpricing.curves import CONCAVITY_SLOPE_TOL, OfferCurve, _chord_reach, synthetic_curve
 from anonpricing.distributions import PROB_ATOL, Distribution
 
 
@@ -136,7 +138,8 @@ def dense_quantiles_at_prices(prices, qs, vals):
         g1 = g[inner, k + 1]
         flat = g1 >= -tol
         t = np.where(flat, 0.0, g0 / np.where(flat, 1.0, g0 - g1))
-        out[inner] = qs[k] + t * (qs[k + 1] - qs[k])
+        # never below the affordable knot k, as the library's lookup reads
+        out[inner] = np.maximum(qs[k], qs[k] + t * (qs[k + 1] - qs[k]))
     return out
 
 
@@ -261,7 +264,7 @@ def eager_concave(qs, vals) -> bool:
     hull_idx = numpy_scalar_hull_indices(qs, vals)
     hull_vals = np.interp(qs, qs[hull_idx], vals[hull_idx])
     gap = float(np.max(hull_vals - vals))
-    return gap <= CONCAVITY_SLOPE_TOL * max(1.0, float(np.max(np.abs(vals))))
+    return gap <= CONCAVITY_SLOPE_TOL * float(np.max(np.abs(vals)))
 
 
 def eager_hull(qs, vals):
@@ -272,8 +275,8 @@ def eager_hull(qs, vals):
 
 def searched_quantiles_at_prices(prices, curve):
     """`curves.quantiles_at_prices` as one search per price in the chord
-    reach, whatever the prices' order and number: the reference for its
-    merge of sorted prices, which must give the same bits."""
+    reach, each price on its own path: the reference for the library's
+    whole-batch shortcut, which must give the same bits."""
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
     if curve.offer is not None:
         return np.asarray(curve.offer.eval(prices))
@@ -288,8 +291,28 @@ def searched_quantiles_at_prices(prices, curve):
         p = prices[inner]
         g0 = vals[k] - p * qs[k]
         g1 = vals[k + 1] - p * qs[k + 1]
-        out[inner] = qs[k] + g0 / (g0 - g1) * (qs[k + 1] - qs[k])
+        out[inner] = np.maximum(qs[k], qs[k] + g0 / (g0 - g1) * (qs[k + 1] - qs[k]))
     return out
+
+
+@st.composite
+def dented_curve(draw):
+    """An offer-less curve with a knot strictly below the chord of its
+    neighbours: not concave, so its hull scan drops a knot."""
+    a, b = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2, unique=True)))
+    va, v1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
+    vb = (va + (v1 - va) * (b - a) / (1.0 - a)) * draw(st.floats(0.0, 0.9))
+    return synthetic_curve([(0.0, 0.0), (a, va), (b, vb), (1.0, v1)])
+
+
+@st.composite
+def ray_curve(draw):
+    """An offer-less curve with two knots on one ray from the origin, as the
+    merged budget levels of an ex-ante curve put them: the two chord
+    thresholds differ by the tolerance only."""
+    a, b = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2, unique=True)))
+    va, v1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
+    return synthetic_curve([(0.0, 0.0), (a, va), (b, va * b / a), (1.0, v1)])
 
 
 def sale_table(sellables, prices):

@@ -122,6 +122,16 @@ class TestLoadScenario:
             assert main(["verify", str(path)]) == 2
             assert "input error: seed:" in capsys.readouterr().err
 
+    def test_non_string_name_or_out_exits_2_before_any_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)   # an "out" of null once wrote into ./None
+        for field, value in [("name", ["x"]), ("name", 3), ("out", None), ("out", ["o"])]:
+            path = minimal(tmp_path, **{field: value})
+            with pytest.raises(ScenarioError, match=field):
+                load_scenario(path)
+            assert main(["verify", str(path)]) == 2
+            assert f"input error: {field}:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
     @pytest.mark.parametrize("agent, field", [
         ({"model": "public-budget", "budget": None}, "agents[0].budget"),
         ({"model": "public-budget", "budget": math.nan}, "agents[0].budget"),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution, OracleConfig, RHO
@@ -425,3 +425,15 @@ def test_single_agent_ratio_is_eta(model, data):
         assert row.eta * (1.0 - 1e-6) <= rep.ratio <= row.eta * (1.0 + 1e-9)
     else:
         assert abs(rep.ratio - row.eta) <= 1e-9 * row.eta
+
+
+@given(st.floats(1e-300, 1e3))
+# with a concavity tolerance of 1e-10 in absolute terms, this convex curve
+# passed for concave and the ratio read 0
+@example(2.2e-16)
+@settings(max_examples=30, deadline=None)
+def test_a_convex_curve_reads_ratio_eta_one_at_every_scale(scale):
+    knots = ((0.0, 0.0), (0.5, 0.0), (1.0, scale))
+    rep = ap.verify_instance([Agent(model="synthetic", p_knots=knots, r_knots=knots, id="s")], OracleConfig())
+    (row,) = rep.agents
+    assert rep.ratio == row.eta == 1.0

@@ -12,9 +12,10 @@ import anonpricing as ap
 from anonpricing import Agent, Distribution
 
 from anonpricing.closeness import OracleConfig, build_curves
-from anonpricing.curves import _chord_reach, _collapse, _last_by_merge, _last_by_search, _upper_hull_indices
-from helpers import (bisection_inverse, dense_quantiles_at_prices, eager_concave, eager_hull, loop_collapse,
-                     numpy_scalar_hull_indices, public_budget_offer, searched_quantiles_at_prices)
+from anonpricing.curves import _chord_reach, _collapse, _upper_hull_indices
+from helpers import (bisection_inverse, dense_quantiles_at_prices, dented_curve, eager_concave, eager_hull,
+                     loop_collapse, numpy_scalar_hull_indices, public_budget_offer, ray_curve,
+                     searched_quantiles_at_prices)
 
 
 def linear_uniform():
@@ -330,15 +331,14 @@ def test_quantiles_at_prices_matches_dense_reference(case):
 @given(curve_and_prices(), st.integers(1, 4), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_merge_and_search_give_the_same_bits(case, copies, rnd):
-    """Sorted prices that outnumber the knots are merged with the chord
-    reach, any others searched in it: the same last knot, so the same bits,
-    with duplicates and in any order."""
+    """Sorted prices that outnumber the knots, and the same prices shuffled,
+    read the bits of one search per price in the chord reach, with
+    duplicates and prices on the thresholds themselves."""
     curve, prices = case
     neg_reach = _chord_reach(curve.qs, curve.values)
     prices = np.concatenate([prices, -neg_reach])   # prices on the thresholds themselves
     prices = np.tile(prices, copies + len(curve.qs) // len(prices))   # duplicates, and more prices than knots
     ordered = np.sort(prices)
-    assert np.array_equal(_last_by_merge(neg_reach, ordered), _last_by_search(neg_reach, ordered))
     merged = ap.quantiles_at_prices(ordered, curve)
     assert np.array_equal(merged, searched_quantiles_at_prices(ordered, curve))
     shuffled = prices.copy()
@@ -346,6 +346,33 @@ def test_merge_and_search_give_the_same_bits(case, copies, rnd):
     got = ap.quantiles_at_prices(shuffled, curve)
     assert np.array_equal(got, merged[np.searchsorted(ordered, shuffled)])
     assert np.array_equal(got, searched_quantiles_at_prices(shuffled, curve))
+
+
+@given(st.one_of(dented_curve(), ray_curve()))
+# two knots on one ray: between the two thresholds the segment extended
+# back past the first knot read -6.7e-4, not 0.3811
+@example(ap.synthetic_curve([(0.0, 0.0), (0.3811, 1.3484), (0.3971, 1.4050108632904752), (1.0, 1.6)]))
+@settings(max_examples=200, deadline=None)
+def test_chord_lookup_is_a_monotone_sale_probability(curve):
+    """In every knot's tolerance zone, at its ends and at the floats next to
+    them: Q lies in [0, 1], never below an affordable knot's quantile, never
+    rises with price but for one rounding, and a price alone reads the bits
+    it reads in a batch.  No prices read no quantiles."""
+    qs, vals = curve.qs, curve.values
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    thresholds = (vals[1:] + tol) / qs[1:]
+    ends = np.concatenate([vals[1:] / qs[1:], thresholds])
+    zones = np.linspace(vals[1:] / qs[1:], thresholds, 7).ravel()
+    prices = np.unique(np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf), zones, [0.0]]))
+    prices = prices[prices >= 0.0]
+    got = ap.quantiles_at_prices(prices, curve)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    for q, threshold in zip(qs[1:], thresholds):
+        assert np.all(got[prices <= threshold] >= q)
+    assert np.all(got[1:] <= got[:-1] * (1.0 + 1e-12))
+    alone = np.concatenate([ap.quantiles_at_prices(p, curve) for p in prices])
+    assert alone.tobytes() == got.tobytes()
+    assert ap.quantiles_at_prices(np.array([]), curve).shape == (0,)
 
 
 def test_thresholds_built_on_first_lookup_only(monkeypatch):
