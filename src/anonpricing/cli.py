@@ -251,7 +251,7 @@ def load_scenario(path) -> Scenario:
         agents=tuple(agents),
         analyses=tuple(analyses),
         oracle=config,
-        seed=_integer(raw.get("seed", 20240801), "seed"),
+        seed=_integer(raw.get("seed", 20240801), "seed", 0),
         out_dir=_string(raw.get("out", "out"), "out"),
         fixture=fixture,
     )
@@ -429,7 +429,7 @@ def _scenario_from_args(args, analyses) -> Scenario:
     # flags override the file's (or the default) sizes and pass the same range check
     oracle = _oracle_config(given(args.grid, base.oracle.price_grid), given(args.oracle_values, base.oracle.values),
                             given(args.oracle_budgets, base.oracle.budgets), base.oracle.betas)
-    return replace(base, analyses=analyses, oracle=oracle, seed=given(args.seed, base.seed),
+    return replace(base, analyses=analyses, oracle=oracle, seed=_integer(given(args.seed, base.seed), "seed", 0),
                    out_dir=args.out or base.out_dir)
 
 

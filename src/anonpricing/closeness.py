@@ -322,7 +322,10 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
         if a.value_regular is False:
             flags.append(f"assumption violated: {a.agent_id} value distribution is not regular")
     if table1 is not None:
-        bound = min(bound, table1)
+        if flags:   # each names a hypothesis of Table-1 that fails here
+            flags.append(f"table-1 bound not admitted: the {t1_model} bound {table1:.6g} assumes what the notes above flag")
+        else:
+            bound = min(bound, table1)
     slack = _LP_SLACK if any(rec.label == "upper bound" for rec in records) else _EXACT_SLACK
     passed = ratio <= bound * (1.0 + slack) + slack
     kappa_agg = max(kappas) if kappas else None

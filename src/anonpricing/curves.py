@@ -389,8 +389,10 @@ def _slope_merge(pieces: Sequence[tuple[np.ndarray, np.ndarray]]):
 def _chord_reach(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Negated suffix maximum of the knots' chord thresholds (v_k + tol) / q_k,
     so nondecreasing and ready for `searchsorted`; the q = 0 knot, whose
-    chord is not defined, never counts."""
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    chord is not defined, never counts.  tol is 1e-12 of the curve's largest
+    |value|, but at least the smallest normal double: at subnormal scale
+    the segment formula of `_on_segment` can read 0 / 0."""
+    tol = max(1e-12 * float(np.max(np.abs(vals))), np.finfo(float).tiny)
     thresholds = np.full(len(qs), -np.inf)
     pos = qs > 0.0
     thresholds[pos] = (vals[pos] + tol) / qs[pos]

@@ -122,72 +122,35 @@ def _candidate_prices(sellables: Sequence[Sellable], grid: int) -> np.ndarray:
     return cands[keep]
 
 
-_GOLDEN_ROUND = 4   # golden-section steps of every bracket served by one call of fn
+_SECTIONS = 16   # sections of a bracket; one call of fn prices their inner ends
 
 
-def _golden(fn, lo, hi, rel_tol=1e-10, iters=200) -> np.ndarray:
-    """Golden-section search for a maximizer in every bracket [lo_j, hi_j]
-    at once; `fn` maps an array of prices to an array of values, each value
-    not depending on the other prices in the array.
+def _section_search(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Search for a maximizer in every bracket [lo_j, hi_j] at once; `fn`
+    maps an array of prices to an array of values, each value not depending
+    on the other prices in the array.
 
-    Each bracket takes exactly the steps it would take alone: it stops once
-    its width is at most rel_tol * max(1, |hi|), or after `iters` steps, and
-    returns the better of its two interior points, the larger price on a
-    tie.  One call of `fn` serves the next _GOLDEN_ROUND steps of every live
-    bracket.  It prices every point those steps can place, whichever way
-    each comparison goes (2 + 4 + ... + 2^k of them for k steps); then each
-    bracket walks its own path down that tree.  The points and the walk are
-    computed on Python floats, the same doubles as numpy's, so every price
-    and every comparison keeps its bits.
+    Each call of `fn` prices the _SECTIONS - 1 evenly spaced interior points
+    of every live bracket.  Each bracket then narrows to the two sections
+    around its best point, the larger price on a tie, and stops once its
+    width is at most 1e-10 * max(1, |hi|); every bracket is priced at least
+    once.  Returns each bracket's best priced point and its value, the
+    later one on a tie.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def live(a, b):
-        return b - a > rel_tol * max(1.0, abs(b))
-
-    # a bracket is [a, b, c, d, fc, fd, steps left]; the first call also
-    # prices its c and d
-    brackets = [[a, b, b - invphi * (b - a), a + invphi * (b - a), None, None, iters]
-                for a, b in zip(np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist())]
-    pending = brackets
-    while pending:
-        prices, rounds = [], []
-        for a, b, c, d, fc, _, left in pending:
-            if fc is None:
-                prices += (c, d)
-            # node 1 is the bracket; node n's children are 2n, where c won
-            # and [a, d] is kept with a new c, and 2n + 1, where [c, b] is
-            # kept with a new d.  Node n's new point is prices[base + n].
-            depth = min(_GOLDEN_ROUND, left) if live(a, b) else 0
-            rounds.append((len(prices) - 2, depth))
-            level = [(a, b, c, d)]
-            for _ in range(depth):
-                children = []
-                for a, b, c, d in level:
-                    new_c, new_d = d - invphi * (d - a), c + invphi * (b - c)
-                    prices += (new_c, new_d)
-                    children += ((a, d, new_c, c), (c, b, d, new_d))
-                level = children
-        vals = fn(np.array(prices)).tolist()
-        for br, (base, depth) in zip(pending, rounds):
-            a, b, c, d, fc, fd, left = br
-            if fc is None:
-                fc, fd = vals[base], vals[base + 1]
-            n = 1
-            for _ in range(depth):
-                if not live(a, b):
-                    break
-                n *= 2
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c, fc = prices[base + n], vals[base + n]
-                else:
-                    n += 1
-                    a, c, fc = c, d, fd
-                    d, fd = prices[base + n], vals[base + n]
-            br[:] = a, b, c, d, fc, fd, left - (n.bit_length() - 1)
-        pending = [br for br in pending if br[6] > 0 and live(br[0], br[1])]
-    return np.array([d if fd > fc or (fd == fc and d > c) else c for _, _, c, d, fc, fd, _ in brackets], dtype=float)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    best_p, best_v = np.full(len(a), np.nan), np.full(len(a), -np.inf)
+    frac = np.arange(_SECTIONS + 1) / _SECTIONS
+    live = np.arange(len(a))
+    while live.size:
+        grid = a[live, None] + (b[live] - a[live])[:, None] * frac
+        vals = fn(grid[:, 1:-1].ravel()).reshape(len(live), _SECTIONS - 1)
+        k = _SECTIONS - 2 - np.argmax(vals[:, ::-1], axis=1)   # the last best is the larger price
+        row = np.arange(len(live))
+        up = vals[row, k] >= best_v[live]
+        best_p[live[up]], best_v[live[up]] = grid[row, k + 1][up], vals[row, k][up]
+        a[live], b[live] = grid[row, k], grid[row, k + 2]
+        live = live[b[live] - a[live] > 1e-10 * np.maximum(1.0, np.abs(b[live]))]
+    return best_p, best_v
 
 
 def _best_three(vals: np.ndarray) -> np.ndarray:
@@ -224,13 +187,14 @@ def _swept_values(sellables: Sequence[Sellable], cands: np.ndarray, low, top) ->
 
 def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
     """Best anonymous price: knot candidates plus a price sweep, then one
-    golden-section search over the brackets around the 3 best candidates
-    (see `_best_three`).
+    section search over the brackets around the 3 best candidates (see
+    `_best_three`).
 
-    Knot prices matter because revenue is non-smooth exactly there; golden
-    section is only trusted between candidates.  The brackets are searched
-    together: one call prices every point that the next _GOLDEN_ROUND steps
-    of every live bracket can reach (see `_golden`).
+    Knot prices matter because revenue is non-smooth exactly there; the
+    search is only trusted between candidates.  The brackets are searched
+    together: one call prices _SECTIONS - 1 evenly spaced points of every
+    live bracket (see `_section_search`), which hands back each bracket's
+    best price with its revenue.
 
     Only the 3 best candidates are used, so the sweep prices only the
     candidates that can be among them (see `_swept_values`).  Every Q_i
@@ -272,8 +236,8 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
         out[rank] = _ap_values(sellables, prices[rank], low, top)
         return out
 
-    p_ref = _golden(values, lo, hi)
-    for p, v in zip(p_ref.tolist(), values(p_ref).tolist()):
+    p_ref, v_ref = _section_search(values, lo, hi)
+    for p, v in zip(p_ref.tolist(), v_ref.tolist()):
         if v > best_v:
             best_p, best_v = p, v
     return ap_revenue(sellables, best_p)
@@ -380,9 +344,9 @@ def myerson_reserve(curve: RevenueCurve) -> tuple[float, float]:
         lo = float(cands[i_star - 1]) if i_star > 0 else p_star * 0.5
         hi = float(cands[i_star + 1]) if i_star + 1 < len(cands) else p_star
 
-        p_ref = float(_golden(lambda p: p * off.eval(p), [lo], [hi])[0])
-        if p_ref * float(off.eval(p_ref)) > v_star + tol:
-            p_star = p_ref
+        (p_ref,), (v_ref,) = _section_search(lambda p: p * off.eval(p), [lo], [hi])
+        if v_ref > v_star + tol:
+            p_star = float(p_ref)
         return p_star, float(off.eval(p_star))
     q_star = curve.argmax_quantile()
     if q_star <= 0.0:

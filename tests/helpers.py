@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's solution paths: LP optima come from
 explicit vertex enumeration, expectations from generic quadrature, hulls
-from a monotone chain on numpy scalars, golden section one bracket at a
-time or one step per call, batched evaluators one element at a time.
+from a monotone chain on numpy scalars, the section search one bracket
+at a time, batched evaluators one element at a time.
 The non-concave curves that more than one test module draws are here too.
 """
 
@@ -123,9 +123,11 @@ def dense_quantiles_at_prices(prices, qs, vals):
     qs = np.asarray(qs, dtype=float)
     vals = np.asarray(vals, dtype=float)
     K = len(qs)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    tol = max(1e-12 * float(np.max(np.abs(vals))), np.finfo(float).tiny)
     g = vals[None, :] - prices[:, None] * qs[None, :]
-    ok = g >= -tol
+    # knot k is affordable up to (v_k + tol) / q_k: tested as g >= -tol, a
+    # subnormal p * q_k that rounds to 0 would sell a curve of zeros at p > 0
+    ok = prices[:, None] <= (vals + tol)[None, :] / np.where(qs > 0.0, qs, 1.0)[None, :]
     ok[:, qs <= 0.0] = False
     has = ok.any(axis=1)
     last = K - 1 - np.argmax(ok[:, ::-1], axis=1)
@@ -207,54 +209,23 @@ def numpy_scalar_hull_indices(qs, vals) -> list[int]:
     return idx
 
 
-def scalar_golden(fn, lo, hi, rel_tol=1e-10, iters=200):
-    """Golden-section search for a maximizer of a scalar function in one
-    bracket: the reference for `mechanisms._golden`, which searches many
-    brackets at once and must return, for each, what this returns alone."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if b - a <= rel_tol * max(1.0, abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return max([(fc, c), (fd, d)])[1]
-
-
-def stepwise_golden(fn, lo, hi, rel_tol=1e-10, iters=200) -> np.ndarray:
-    """Golden-section search in every bracket at once, one call of `fn` per
-    step for all live brackets: the reference for `mechanisms._golden`,
-    which serves several steps per call and must take the same path."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
-    for _ in range(iters):
-        live = np.flatnonzero(b - a > rel_tol * np.maximum(1.0, np.abs(b)))
-        if live.size == 0:
-            break
-        # a bracket whose left point wins keeps [a, d]: d becomes c and a
-        # new c is placed; otherwise it keeps [c, b] and places a new d
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
-        new = fn(np.concatenate([c[lt], d[rt]]))
-        fc[lt], fd[rt] = new[: lt.size], new[lt.size :]
-    return np.where((fd > fc) | ((fd == fc) & (d > c)), d, c)
+def scalar_sections(fn, lo, hi):
+    """Section search for a maximizer in one bracket, on Python floats;
+    `fn` maps a list of prices to a list of values.  The reference for
+    `mechanisms._section_search`, which searches many brackets at once and
+    must return, for each, the price and value this returns alone."""
+    n = mechanisms._SECTIONS
+    a, b = float(lo), float(hi)
+    best_p, best_v = None, -math.inf
+    while True:
+        grid = [a + (b - a) * (i / n) for i in range(n + 1)]
+        vals = fn(grid[1:-1])
+        k = max(range(n - 1), key=lambda i: (vals[i], i))   # the last best is the larger price
+        if vals[k] >= best_v:
+            best_p, best_v = grid[k + 1], vals[k]
+        a, b = grid[k], grid[k + 2]
+        if b - a <= 1e-10 * max(1.0, abs(b)):
+            return best_p, best_v
 
 
 def eager_concave(qs, vals) -> bool:
@@ -331,10 +302,10 @@ def table_ap_values(sellables, prices):
 def reference_ap_optimize(sellables, grid=4096):
     """`mechanisms.ap_optimize` with every sellable evaluated at every price
     in a table, the brackets taken from a full stable sort of the sweep's
-    revenues, and every sellable in every golden-section step, one step per
-    call.  The reference for its selling windows, its partial selection of
-    the best candidates and its batched search, which must give the same
-    bits."""
+    revenues, and every sellable at every point of the section search, one
+    bracket at a time.  The reference for its selling windows,
+    its partial selection of the best candidates and its batched search,
+    which must give the same bits."""
     cands = mechanisms._candidate_prices(sellables, grid)
     vals = table_ap_values(sellables, cands)
     best_idx = int(np.argmax(vals))
@@ -342,8 +313,8 @@ def reference_ap_optimize(sellables, grid=4096):
     order = np.argsort(vals, kind="stable")[::-1][:3]
     lo = np.where(order > 0, cands[np.maximum(order - 1, 0)], cands[order] * 0.5)
     hi = cands[np.minimum(order + 1, len(cands) - 1)]
-    p_ref = stepwise_golden(lambda p: table_ap_values(sellables, p), lo, hi)
-    for p, v in zip(p_ref.tolist(), table_ap_values(sellables, p_ref).tolist()):
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        p, v = scalar_sections(lambda ps: table_ap_values(sellables, np.array(ps)).tolist(), a, b)
         if v > best_v:
             best_p, best_v = p, v
     price = np.array([best_p])

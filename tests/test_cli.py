@@ -122,6 +122,23 @@ class TestLoadScenario:
             assert main(["verify", str(path)]) == 2
             assert "input error: seed:" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_before_any_directory(self, tmp_path, capsys, monkeypatch):
+        # `report --seed -1` once wrote every output, then died in the
+        # seeded e-bound check with a traceback; `verify` took the seed
+        monkeypatch.chdir(tmp_path)
+        path = minimal(tmp_path, seed=-1)
+        with pytest.raises(ScenarioError, match="seed"):
+            load_scenario(path)
+        for argv in (["verify", str(path)],
+                     ["report", "--fixture", "uniform-linear", "--seed", "-1"],
+                     ["verify", "--fixture", "uniform-linear", "--seed", "-1", "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2, argv
+            assert "input error: seed:" in capsys.readouterr().err
+        # the flag is checked over a file's valid seed as well
+        assert main(["verify", str(minimal(tmp_path)), "--seed", "-1"]) == 2
+        assert "input error: seed:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
     def test_non_string_name_or_out_exits_2_before_any_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)   # an "out" of null once wrote into ./None
         for field, value in [("name", ["x"]), ("name", 3), ("out", None), ("out", ["o"])]:

@@ -192,6 +192,18 @@ class TestVerifyInstance:
         assert any("assumption violated" in f for f in rep.flags)
         assert rep.kappa == pytest.approx(900.0, abs=1e-6)
 
+    def test_table1_not_admitted_when_flagged(self):
+        # a discrete value law is not regular, so Table-1's e for linear
+        # buyers is not a bound here; the transferred bound is used
+        D = Distribution.discrete([0.1, 0.5, 1.9], [0.5, 0.25, 0.25])
+        rep = ap.verify_instance([Agent(model="linear", values=D, id=i) for i in ("d", "e")])
+        assert rep.table1 == pytest.approx(math.e, abs=1e-12) and rep.table1_model == "public"
+        assert any("is not regular" in f for f in rep.flags)
+        assert rep.flags[-1].startswith("table-1 bound not admitted: ")
+        candidates = [t.basic for t in rep.transfer.values()] + [t.improved for t in rep.transfer.values()]
+        assert rep.bound == min(candidates + [rep.zeta_bound]) > math.e
+        assert rep.passed
+
     def test_pass_flag_monotone_in_parameters(self):
         # passing at the measured (alpha, beta) implies passing at any
         # looser pair: the bound only grows
@@ -434,6 +446,18 @@ def test_single_agent_ratio_is_eta(model, data):
 @settings(max_examples=30, deadline=None)
 def test_a_convex_curve_reads_ratio_eta_one_at_every_scale(scale):
     knots = ((0.0, 0.0), (0.5, 0.0), (1.0, scale))
+    rep = ap.verify_instance([Agent(model="synthetic", p_knots=knots, r_knots=knots, id="s")], OracleConfig())
+    (row,) = rep.agents
+    assert rep.ratio == row.eta == 1.0
+
+
+@given(st.floats(1e-300, 1e3))
+# with a chord tolerance of 1e-12 in absolute terms, every price up to
+# about 2e-12 sold this tent's peak surely and the ratio read 0.5
+@example(8.190850154162397e-28)
+@settings(max_examples=30, deadline=None)
+def test_a_tent_curve_reads_ratio_eta_one_at_every_scale(height):
+    knots = ((0.0, 0.0), (0.5, height), (1.0, 0.0))
     rep = ap.verify_instance([Agent(model="synthetic", p_knots=knots, r_knots=knots, id="s")], OracleConfig())
     (row,) = rep.agents
     assert rep.ratio == row.eta == 1.0

@@ -359,7 +359,7 @@ def test_chord_lookup_is_a_monotone_sale_probability(curve):
     rises with price but for one rounding, and a price alone reads the bits
     it reads in a batch.  No prices read no quantiles."""
     qs, vals = curve.qs, curve.values
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    tol = max(1e-12 * float(np.max(np.abs(vals))), np.finfo(float).tiny)
     thresholds = (vals[1:] + tol) / qs[1:]
     ends = np.concatenate([vals[1:] / qs[1:], thresholds])
     zones = np.linspace(vals[1:] / qs[1:], thresholds, 7).ravel()

@@ -15,7 +15,7 @@ import anonpricing as ap
 from anonpricing import RHO, Agent, Distribution, mechanisms
 from anonpricing.curves import OfferCurve, selling_window
 from helpers import (brute_force_ear, dented_curve, materialized_ear, quadrature_random_price_revenue_public,
-                     reference_ap_optimize, reference_candidate_prices, sale_table, scalar_golden, stepwise_golden,
+                     reference_ap_optimize, reference_candidate_prices, sale_table, scalar_sections,
                      table_ap_values)
 
 
@@ -81,16 +81,16 @@ class TestApOptimize:
         assert res.revenue == 5e-324   # the price 5e-324 sells surely
 
     def test_brackets_are_refined_together(self, monkeypatch):
-        # the 3 brackets take at most 33 golden steps, 4 per call for all
-        # live brackets: the sweep's two passes, 9 calls, then the refined
-        # prices; the final revenue reads each agent once without
-        # `_ap_values`.  One call per step made 37, and refining the brackets
-        # one after another 111 with the sweep's
+        # the sweep's two passes, then 8 calls of the section search, each
+        # narrowing all 3 brackets 8-fold until they are 1e-10 wide; the
+        # search hands back its revenues, and the final revenue reads each
+        # agent once without `_ap_values`.  Searching the brackets one after
+        # another would make 26
         calls = []
         real = mechanisms._ap_values
         monkeypatch.setattr(mechanisms, "_ap_values", lambda *a: calls.append(1) or real(*a))
         ap.ap_optimize([uniform_offer(), uniform_offer()])
-        assert len(calls) == 12
+        assert len(calls) == 10
 
     def test_refinement_evaluates_only_agents_in_play(self, monkeypatch):
         # 12 of 16 agents value the item at most 1 and the best price is
@@ -110,7 +110,7 @@ class TestApOptimize:
                             lambda s, p: reads.__setitem__(id(s), reads.get(id(s), 0) + 1) or real(s, p))
         res = ap.ap_optimize(low + high)
         assert res.price > 10.0 and res.win_probabilities[:12] == (0.0,) * 12
-        assert [reads[id(s)] for s in low + high] == [2] * 12 + [13] * 4
+        assert [reads[id(s)] for s in low + high] == [2] * 12 + [11] * 4
         assert res == reference_ap_optimize(low + high)
 
 
@@ -121,12 +121,13 @@ GOLDEN_SHAPES = {
     "flat": lambda m: lambda p: 0.0 * p + m,               # every comparison ties
     "steps": lambda m: lambda p: np.floor(p / m),          # flat runs between jumps
     "two peaks": lambda m: lambda p: -np.abs(np.abs(p - m) - 1.0),   # not unimodal
+    "spike": lambda m: lambda p: (p == m) * 1.0,           # one price alone earns 1
 }
 
 
-def scalar_searches(fn, lo, hi, iters=200):
-    """Each bracket's scalar search: its price, the prices it evaluates and
-    its number of steps (two evaluations come before the first step)."""
+def scalar_searches(fn, lo, hi):
+    """Each bracket's scalar search, one price per call of `fn`: its price,
+    its value and the prices it evaluates."""
     runs = []
     for a, b in zip(lo, hi):
         evals = []
@@ -135,26 +136,27 @@ def scalar_searches(fn, lo, hi, iters=200):
             evals.append(p)
             return float(fn(np.array([p]))[0])
 
-        runs.append((scalar_golden(one, a, b, iters=iters), evals, len(evals) - 2))
+        runs.append((*scalar_sections(lambda ps: [one(p) for p in ps], a, b), evals))
     return runs
 
 
 @given(st.sampled_from(sorted(GOLDEN_SHAPES)), st.floats(0.01, 50.0),
        st.lists(st.tuples(st.floats(0.0, 50.0),
                           st.one_of(st.sampled_from([0.0, 1e-12, 1e-6, 1.0, 100.0]), st.floats(1e-12, 100.0))),
-                min_size=1, max_size=6),
-       st.sampled_from([1, 2, 3, 4, 5, 7, 200]))
-@example("peak", 3.0, [(0.0, 10.0), (2.0, 1e-6), (5.0, 0.0), (1.0, 100.0)], 200)   # 51, 18, 0 and 56 steps
-@example("flat", 1.0, [(0.0, 100.0), (1.0, 1.0), (2.0, 1e-6), (3.0, 1e-12), (4.0, 0.0)], 200)
-@example("peak", 3.0, [(0.0, 100.0), (1.0, 1.0), (2.0, 1e-6)], 7)
+                min_size=1, max_size=6))
+@example("peak", 3.0, [(0.0, 10.0), (2.0, 1e-6), (5.0, 0.0), (1.0, 100.0)])
+@example("flat", 1.0, [(0.0, 100.0), (1.0, 1.0), (2.0, 1e-6), (3.0, 1e-12), (4.0, 0.0)])
+@example("peak", 3.0, [(0.0, 100.0), (1.0, 1.0), (2.0, 1e-6)])
+# the first call prices m, the next calls miss it by one rounding
+@example("spike", 0.17500000000000002, [(0.1, 0.2)])
 @settings(max_examples=200, deadline=None)
-def test_batched_golden_equals_one_bracket_at_a_time(shape, m, brackets, iters):
-    """Each bracket gets exactly the price the scalar search finds for it
-    alone, and the one the search that makes one call per step finds: with
-    widths from 0 to 100, brackets freeze at different steps of one round,
-    and with `iters` from 1 to 7 the step cap falls inside a round.  Every
-    price a scalar search evaluates is among the batched prices, and one
-    call serves _GOLDEN_ROUND steps."""
+def test_batched_sections_equal_one_bracket_at_a_time(shape, m, brackets):
+    """Each bracket gets exactly the price and value the scalar search finds
+    for it alone, the best it priced in any call: with widths from 0 to
+    100, brackets stop at different calls.  The batched search prices
+    exactly the points the scalar searches price, _SECTIONS - 1 of every
+    live bracket per call, and on "peak" it lands within the stop width of
+    m when m is in the bracket."""
     fn = GOLDEN_SHAPES[shape](m)
     lo, hi = [a for a, _ in brackets], [a + w for a, w in brackets]
     batched_evals, calls = [], []
@@ -164,14 +166,17 @@ def test_batched_golden_equals_one_bracket_at_a_time(shape, m, brackets, iters):
         calls.append(len(prices))
         return fn(prices)
 
-    runs = scalar_searches(fn, lo, hi, iters=iters)
-    want = [p for p, _, _ in runs]
-    assert mechanisms._golden(many, lo, hi, iters=iters).tolist() == want
-    assert stepwise_golden(fn, lo, hi, iters=iters).tolist() == want
-    assert set().union(*(evals for _, evals, _ in runs)) <= set(batched_evals)
-    # one call per round of _GOLDEN_ROUND steps, the first of which also
-    # prices the brackets' starting points: within 1 + ceil(S / k) for S steps
-    assert len(calls) == max(1, math.ceil(max(n for _, _, n in runs) / mechanisms._GOLDEN_ROUND))
+    runs = scalar_searches(fn, lo, hi)
+    prices, values = mechanisms._section_search(many, lo, hi)
+    assert prices.tolist() == [p for p, _, _ in runs]
+    assert values.tolist() == [v for _, v, _ in runs]
+    assert all(v == max(fn(np.array(evals)).tolist()) for _, v, evals in runs)
+    assert sorted(batched_evals) == sorted(p for _, _, evals in runs for p in evals)
+    assert len(calls) == max(len(evals) for _, _, evals in runs) // (mechanisms._SECTIONS - 1)
+    if shape == "peak":
+        for a, b, p in zip(lo, hi, prices.tolist()):
+            if a <= m <= b:
+                assert abs(p - m) <= 1e-10 * max(1.0, abs(b))
 
 
 class TestEarOptimize:
