@@ -126,6 +126,8 @@ def parse_fixture_ref(ref: str) -> FixtureInstance:
             key = key.strip()
             if not eq:
                 raise ScenarioError(f"bad fixture parameter {part!r}", "agents")
+            if key in params:
+                raise ScenarioError(f"fixture parameter {key!r} is given twice", "agents")
             try:
                 value = float(val)
             except ValueError:

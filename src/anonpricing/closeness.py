@@ -187,15 +187,9 @@ class AgentCurves:
     """
 
     P: RevenueCurve
+    sellable: RevenueCurve | OfferCurve     # what AP sells to: the offer P was swept from, or a synthetic P
     label: str                              # Rbar is "exact" | "upper bound"
     _build_rbar: Callable[[], RevenueCurve]
-
-    @property
-    def sellable(self) -> RevenueCurve | OfferCurve:
-        """What anonymous pricing sells to: the offer P was swept from (for
-        a budget model, the discretized agent's offer that Rbar is built on
-        too), or P itself for a synthetic agent."""
-        return self.P if self.P.offer is None else self.P.offer
 
     @cached_property
     def Rbar(self) -> RevenueCurve:
@@ -208,13 +202,12 @@ class AgentCurves:
 
 
 def _capacitated_rbar(P: RevenueCurve, capacity: float, hval: float) -> RevenueCurve:
-    # the only characterized handle on R is the two-priced upper bound;
-    # at mass q it is multiplier * P(min(q, q')), with q' the reserve quantile
+    # the only characterized handle on R is the two-priced upper bound,
+    # multiplier * P(min(q, q_m)) with q_m the reserve quantile; on the
+    # concave hull that is the running maximum, whatever maximizer q_m is
     hull = P if P.concave else concave_hull(P)
     tb = risk_two_priced_bound(hull, capacity, hval, 1.0)
-    qs = np.unique(np.concatenate([hull.qs, np.linspace(0.0, 1.0, 257)]))
-    vals = tb.multiplier * np.asarray(hull.eval(np.minimum(qs, tb.q_prime)))
-    return RevenueCurve(qs, vals, name="Rbar")
+    return RevenueCurve(hull.qs, tb.multiplier * np.maximum.accumulate(hull.values), name="Rbar")
 
 
 def build_curves(agent: Agent, config: OracleConfig) -> AgentCurves:
@@ -230,20 +223,22 @@ def build_curves(agent: Agent, config: OracleConfig) -> AgentCurves:
     also what anonymous pricing sells to (`AgentCurves.sellable`).
     """
     if agent.model == "synthetic":
-        return AgentCurves(synthetic_curve(agent.p_knots), "exact", lambda: synthetic_curve(agent.r_knots))
-    if agent.model == "linear":
-        P = price_posting_curve(offer_curve(agent), grid=config.price_grid)
-        return AgentCurves(P, "exact", lambda: concave_hull(P))
-    if agent.model == "capacitated":
-        P = price_posting_curve(offer_curve(agent), grid=config.price_grid)
-        return AgentCurves(P, "upper bound", lambda: _capacitated_rbar(P, agent.capacity, agent.hval))
-    from .distributions import discretize  # looked up per call: perfbench's traced mode wraps this attribute
+        P = synthetic_curve(agent.p_knots)
+        return AgentCurves(P, P, "exact", lambda: synthetic_curve(agent.r_knots))
+    if agent.model in ("linear", "capacitated"):
+        offer = offer_curve(agent)
+    else:
+        from .distributions import discretize  # looked up per call: perfbench's traced mode wraps this attribute
 
-    # a public budget is its one-atom law, which discretizes to itself
-    Fd, Gd = discretize(agent.values, config.values), discretize(agent.budget_law, config.budgets)
-    disc_agent = replace(agent, model="private-budget", values=Fd, budget=None, budgets=Gd)
-    P = price_posting_curve(offer_curve(disc_agent), grid=config.price_grid)
-    return AgentCurves(P, "upper bound", lambda: ex_ante_curve_oracle(Fd, Gd))
+        # a public budget is its one-atom law, which discretizes to itself
+        Fd, Gd = discretize(agent.values, config.values), discretize(agent.budget_law, config.budgets)
+        offer = offer_curve(replace(agent, model="private-budget", values=Fd, budget=None, budgets=Gd))
+    P = price_posting_curve(offer, grid=config.price_grid)
+    if agent.model == "linear":
+        return AgentCurves(P, offer, "exact", lambda: concave_hull(P))
+    if agent.model == "capacitated":
+        return AgentCurves(P, offer, "upper bound", lambda: _capacitated_rbar(P, agent.capacity, agent.hval))
+    return AgentCurves(P, offer, "upper bound", lambda: ex_ante_curve_oracle(Fd, Gd))
 
 
 def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None) -> ClosenessReport:

@@ -81,8 +81,11 @@ class Agent:
             raise ValueError(f"{self.model} agent needs a value distribution")
         if self.model == "public-budget" and (self.budget is None or not 0 <= self.budget < np.inf):
             raise ValueError("public-budget agent needs a finite nonnegative budget")
-        if self.model == "private-budget" and self.budgets is None:
-            raise ValueError("private-budget agent needs a budget distribution")
+        if self.model == "private-budget":
+            if self.budgets is None:
+                raise ValueError("private-budget agent needs a budget distribution")
+            if self.budgets.lo < 0:
+                raise ValueError("private-budget agent needs a budget law on nonnegative budgets")
         if self.model == "capacitated":
             if self.capacity is None or self.capacity <= 0:
                 raise ValueError("capacitated agent needs a positive capacity")
@@ -157,9 +160,12 @@ class RevenueCurve:
     Houses the price-posting curve P, ex-ante curves R and concave hulls.
     """
 
-    __slots__ = ("qs", "values", "offer", "name", "_reach", "_hull")
+    __slots__ = ("qs", "values", "name", "_reach", "_hull")
+    # a curve is its knots and is priced on its chords; this read-only None
+    # is kept only because the benchmark's traced mode reads `curve.offer`
+    offer = None
 
-    def __init__(self, qs, values, offer: OfferCurve | None = None, name: str = "curve"):
+    def __init__(self, qs, values, name: str = "curve"):
         qs = np.asarray(qs, dtype=float)
         values = np.asarray(values, dtype=float)
         if qs.ndim != 1 or qs.shape != values.shape or len(qs) < 2:
@@ -175,7 +181,6 @@ class RevenueCurve:
         values.setflags(write=False)
         self.qs = qs
         self.values = values
-        self.offer = offer
         self.name = name
         self._reach = None   # see _price_reach; built on the first price lookup
         self._hull = None    # see _hull_indices; found on first use
@@ -356,7 +361,7 @@ def price_posting_curve(offer: OfferCurve, grid: int = 4096) -> RevenueCurve:
     q[0], rev[0] = 0.0, 0.0
     if q[-1] < 1.0:
         q, rev = np.append(q, 1.0), np.append(rev, rev[-1])
-    return RevenueCurve(q, rev, offer=offer, name="P")
+    return RevenueCurve(q, rev, name="P")
 
 
 # -- hulls and price/quantile maps --------------------------------------------
@@ -365,8 +370,6 @@ def price_posting_curve(offer: OfferCurve, grid: int = 4096) -> RevenueCurve:
 def concave_hull(curve: RevenueCurve) -> RevenueCurve:
     """Least concave majorant; knots are a subset of the input knots."""
     idx = curve._hull_indices()
-    # the hull is an ex-ante object: price lookups use its chords, never the
-    # generating offer, so no offer backpointer is carried over
     hull = RevenueCurve(curve.qs[idx], curve.values[idx], name=f"hull({curve.name})")
     hull._hull = slice(None)   # every knot of a hull is on its hull
     return hull
@@ -405,14 +408,13 @@ def selling_window(sellable: "RevenueCurve | OfferCurve") -> tuple[float, float]
     """(low, top): the sale probability is exactly 1.0 at prices at or below
     low and exactly 0.0 at prices above top.
 
-    An offer, or a curve priced through its offer, sells nothing above its
-    price cap and has no sure-sale stretch it can name (low = -inf).  An
-    offer-less curve sells surely up to its last knot's chord threshold and
-    nothing above its top one: the two ends of its chord reach.
+    An offer sells nothing above its price cap and has no sure-sale stretch
+    it can name (low = -inf).  A curve sells surely up to its last knot's
+    chord threshold and nothing above its top one: the two ends of its
+    chord reach.
     """
-    offer = sellable if isinstance(sellable, OfferCurve) else sellable.offer
-    if offer is not None:
-        return -np.inf, float(offer.price_cap)
+    if isinstance(sellable, OfferCurve):
+        return -np.inf, float(sellable.price_cap)
     neg_reach = sellable._price_reach()
     return -float(neg_reach[-1]), -float(neg_reach[0])
 
@@ -420,23 +422,19 @@ def selling_window(sellable: "RevenueCurve | OfferCurve") -> tuple[float, float]
 def quantiles_at_prices(prices, curve: RevenueCurve) -> np.ndarray:
     """Largest q whose chord from the origin has slope p, for each price.
 
-    Offer-derived curves delegate to the generating offer so non-concave
-    shapes resolve the way the mechanism actually sells.  Otherwise knot k
-    (q_k > 0) stays affordable up to the threshold (v_k + tol) / q_k; the
-    last affordable knot comes from the suffix maximum of the thresholds,
-    and the quantile is interpolated on the segment after it, never below
-    q_k (see `_on_segment`).  Flat-revenue stretches return the largest
-    quantile.  Valid for non-concave curves, where the result is still a
-    sale probability in [0, 1] that never rises with price, but for one
-    rounding of the segment formula.
+    Knot k (q_k > 0) stays affordable up to the threshold (v_k + tol) / q_k;
+    the last affordable knot comes from the suffix maximum of the
+    thresholds, and the quantile is interpolated on the segment after it,
+    never below q_k (see `_on_segment`).  Flat-revenue stretches return the
+    largest quantile.  Valid for non-concave curves, where the result is
+    still a sale probability in [0, 1] that never rises with price, but for
+    one rounding of the segment formula.
 
     The curve keeps the suffix maximum from its first lookup, O(K), and
     each price's last knot is one search in it, O(n log K), so a price's
     quantile has the same bits whichever prices share its call.
     """
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
-    if curve.offer is not None:
-        return np.asarray(curve.offer.eval(prices))
     qs, vals = curve.qs, curve.values
     K = len(qs)
     last = np.searchsorted(curve._price_reach(), -prices, side="right") - 1

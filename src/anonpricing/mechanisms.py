@@ -198,9 +198,9 @@ def ap_optimize(sellables: Sequence[Sellable], grid: int = 4096) -> ApResult:
 
     Only the 3 best candidates are used, so the sweep prices only the
     candidates that can be among them (see `_swept_values`).  Every Q_i
-    is nonincreasing in price (an offer by contract, an offer-less curve
-    by its chord lookup, `curves.quantiles_at_prices`), so on [a, b] the
-    revenue is at most b * (1 - prod_i(1 - Q_i(a))).  The sweep prices
+    is nonincreasing in price (an offer by contract, a curve by its chord
+    lookup, `curves.quantiles_at_prices`), so on [a, b] the revenue is at
+    most b * (1 - prod_i(1 - Q_i(a))).  The sweep prices
     every _STRIDE-th candidate, then in full only the blocks whose bound
     reaches the 3rd best of those.  A candidate it leaves out is strictly
     below the 3rd best, and a price's revenue does not depend on which
@@ -324,18 +324,16 @@ def random_price_revenue_public(F: Distribution, w: float) -> float:
     return float(total)
 
 
-def myerson_reserve(curve: RevenueCurve) -> tuple[float, float]:
+def myerson_reserve(curve: Sellable) -> tuple[float, float]:
     """(price, quantile) of the revenue-maximizing posted price.
 
     Ties break toward the largest quantile (lowest price), which keeps the
-    reference quantile well defined on flat-topped curves.  Offer-backed
-    curves are optimized on the exact offer revenue rather than the
-    piecewise-linear knots.
+    reference quantile well defined on flat-topped curves.  An offer is
+    optimized on its exact revenue p * q(p), a curve at its knots.
     """
-    if curve.offer is not None:
-        off = curve.offer
-        cands = _candidate_prices([off], 2048)
-        revs = cands * np.asarray(off.eval(cands))
+    if isinstance(curve, OfferCurve):
+        cands = _candidate_prices([curve], 2048)
+        revs = cands * np.asarray(curve.eval(cands))
         best = float(np.max(revs))
         tol = 1e-12 * max(1.0, best)
         near = np.nonzero(revs >= best - tol)[0]
@@ -344,10 +342,10 @@ def myerson_reserve(curve: RevenueCurve) -> tuple[float, float]:
         lo = float(cands[i_star - 1]) if i_star > 0 else p_star * 0.5
         hi = float(cands[i_star + 1]) if i_star + 1 < len(cands) else p_star
 
-        (p_ref,), (v_ref,) = _section_search(lambda p: p * off.eval(p), [lo], [hi])
+        (p_ref,), (v_ref,) = _section_search(lambda p: p * curve.eval(p), [lo], [hi])
         if v_ref > v_star + tol:
             p_star = float(p_ref)
-        return p_star, float(off.eval(p_star))
+        return p_star, float(curve.eval(p_star))
     q_star = curve.argmax_quantile()
     if q_star <= 0.0:
         return float(curve.slope(0.0)), 0.0

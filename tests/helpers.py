@@ -249,8 +249,6 @@ def searched_quantiles_at_prices(prices, curve):
     reach, each price on its own path: the reference for the library's
     whole-batch shortcut, which must give the same bits."""
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
-    if curve.offer is not None:
-        return np.asarray(curve.offer.eval(prices))
     qs, vals = curve.qs, curve.values
     K = len(qs)
     last = np.searchsorted(_chord_reach(qs, vals), -prices, side="right") - 1
@@ -268,8 +266,8 @@ def searched_quantiles_at_prices(prices, curve):
 
 @st.composite
 def dented_curve(draw):
-    """An offer-less curve with a knot strictly below the chord of its
-    neighbours: not concave, so its hull scan drops a knot."""
+    """A curve with a knot strictly below the chord of its neighbours: not
+    concave, so its hull scan drops a knot."""
     a, b = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2, unique=True)))
     va, v1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
     vb = (va + (v1 - va) * (b - a) / (1.0 - a)) * draw(st.floats(0.0, 0.9))
@@ -278,9 +276,9 @@ def dented_curve(draw):
 
 @st.composite
 def ray_curve(draw):
-    """An offer-less curve with two knots on one ray from the origin, as the
-    merged budget levels of an ex-ante curve put them: the two chord
-    thresholds differ by the tolerance only."""
+    """A curve with two knots on one ray from the origin, as the merged
+    budget levels of an ex-ante curve put them: the two chord thresholds
+    differ by the tolerance only."""
     a, b = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2, unique=True)))
     va, v1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
     return synthetic_curve([(0.0, 0.0), (a, va), (b, va * b / a), (1.0, v1)])

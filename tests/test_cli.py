@@ -171,6 +171,21 @@ class TestLoadScenario:
         assert main(["verify", str(path)]) == 2
         assert f"input error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budgets", [{"kind": "uniform", "a": -1, "b": 1},
+                                         {"kind": "discrete", "values": [-1, 1], "probs": [0.5, 0.5]}],
+                             ids=["uniform", "discrete"])
+    def test_budget_law_below_zero_exits_2_before_any_directory(self, tmp_path, capsys, monkeypatch, budgets):
+        # such a law once wrote the outputs and then failed with exit 1
+        monkeypatch.chdir(tmp_path)
+        agent = {"model": "private-budget", "values": {"kind": "uniform", "a": 0, "b": 1}, "budgets": budgets}
+        path = minimal(tmp_path, agents=[agent], out="o")
+        with pytest.raises(ScenarioError, match="agents\\[0\\]"):
+            load_scenario(path)
+        assert main(["verify", str(path)]) == 2
+        assert "input error: agents[0]: private-budget agent needs a budget law on nonnegative budgets" \
+            in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
     def test_quantile_grid_checked_but_ignored(self, tmp_path):
         with pytest.raises(ScenarioError, match="oracle.quantile_grid"):
             load_scenario(minimal(tmp_path, oracle={"quantile_grid": 4}))
@@ -196,6 +211,14 @@ class TestFixtureRefs:
     def test_bad_parameter(self):
         with pytest.raises(ScenarioError):
             parse_fixture_ref("mhr-fail:n=five")
+
+    def test_repeated_parameter_exits_2(self, tmp_path, capsys):
+        # the second n once silently won
+        with pytest.raises(ScenarioError, match="'n' is given twice"):
+            parse_fixture_ref("uniform-linear:n=2,n=3")
+        assert main(["verify", "--fixture", "uniform-linear:n=2,n=3", "--out", str(tmp_path / "o")]) == 2
+        assert "input error: agents: fixture parameter 'n' is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_listing_names_resolve(self):
         for fx in ap.fixtures():

@@ -128,6 +128,26 @@ class TestCapacitatedRbar:
         assert curves.label == "upper bound"
         np.testing.assert_allclose(rbar.values, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("values, C", [
+        (Distribution.equal_revenue(100), 5.0),
+        (Distribution.uniform(0, 1), 0.25),
+        (Distribution.discrete([1.0, 2.0, 5.0], [0.5, 0.3, 0.2]), 1.5),
+    ])
+    def test_rbar_is_the_multiplier_times_the_running_maximum_on_the_hull_knots(self, values, C):
+        """(2 + ln(h/C)) P(min(q, q_m)) in closed form: on the concave hull
+        of P, the running maximum, at the hull's own knots and no others."""
+        rec = build_curves(Agent(model="capacitated", values=values, capacity=C, id="c"), OracleConfig(price_grid=128))
+        hull = rec.P if rec.P.concave else ap.concave_hull(rec.P)
+        multiplier = ap.risk_two_priced_bound(hull, C, values.hi).multiplier
+        assert multiplier == 2.0 + math.log(values.hi / C)
+        assert rec.Rbar.qs.tobytes() == hull.qs.tobytes()
+        assert rec.Rbar.values.tobytes() == (multiplier * np.maximum.accumulate(hull.values)).tobytes()
+        # q_m is the last knot within 1e-12 of the maximum, so on flat revenue
+        # the two forms differ by that tie margin at most
+        q_m = hull.argmax_quantile()
+        np.testing.assert_allclose(np.maximum.accumulate(hull.values), hull.eval(np.minimum(hull.qs, q_m)),
+                                   rtol=1e-12, atol=0)
+
 
 class TestTransferBounds:
     def test_basic_product(self):
@@ -300,6 +320,25 @@ class TestVerifyInstance:
 
 
 class TestAgentCurves:
+    @pytest.mark.parametrize("agent", [
+        Agent(model="linear", values=Distribution.exponential(2.0, 1.5), id="l"),
+        Agent(model="capacitated", values=Distribution.equal_revenue(10), capacity=3.0, id="c"),
+        Agent(model="public-budget", values=Distribution.uniform(0, 1), budget=0.3, id="pb"),
+        Agent(model="private-budget", values=Distribution.uniform(0, 1), budgets=Distribution.uniform(0, 0.8), id="pr"),
+        Agent(model="synthetic", p_knots=((0, 0), (0.5, 1.0), (1, 0.5)), r_knots=((0, 0), (0.5, 1.5), (1, 1.5)), id="s"),
+    ], ids=lambda a: a.model)
+    def test_sellable_is_the_offer_p_is_swept_from(self, agent):
+        """Anonymous pricing sells to the offer whose sweep is P, bit for
+        bit; a synthetic agent carries no offer and sells P itself."""
+        config = OracleConfig(values=20, budgets=5, price_grid=256)
+        rec = build_curves(agent, config)
+        if agent.model == "synthetic":
+            assert rec.sellable is rec.P
+            return
+        assert isinstance(rec.sellable, ap.OfferCurve)
+        swept = ap.price_posting_curve(rec.sellable, grid=config.price_grid)
+        assert swept.qs.tobytes() == rec.P.qs.tobytes() and swept.values.tobytes() == rec.P.values.tobytes()
+
     def test_concave_rbar_is_rbar_when_concave(self):
         agent = Agent(model="linear", values=Distribution.equal_revenue(10), id="er")
         rec = build_curves(agent, OracleConfig(price_grid=256))

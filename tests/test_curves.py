@@ -41,6 +41,13 @@ class TestAgentValidation:
         with pytest.raises(ValueError):
             Agent(model="private-budget", values=Distribution.uniform(0, 1))
 
+    @pytest.mark.parametrize("G", [Distribution.uniform(-1, 1), Distribution.discrete([-1, 1], [0.5, 0.5])],
+                             ids=["uniform", "discrete"])
+    def test_private_budget_law_below_zero_rejected(self, G):
+        # such a law once built an agent whose posting sweep failed later
+        with pytest.raises(ValueError, match="nonnegative budgets"):
+            Agent(model="private-budget", values=Distribution.uniform(0, 1), budgets=G)
+
 
 class TestOfferCurve:
     def test_linear_uniform(self):
@@ -261,8 +268,10 @@ def test_hull_scan_runs_once_per_curve(monkeypatch):
 
 
 class TestQuantileAtPrice:
-    def test_uniform(self, uniform_posting_curve):
-        assert ap.quantiles_at_prices(0.5, uniform_posting_curve)[0] == pytest.approx(0.5, abs=1e-9)
+    def test_uniform(self, uniform_agent, uniform_posting_curve):
+        # the exact sale probability is the offer's; P's chords bridge its knots
+        assert ap.offer_curve(uniform_agent).eval(0.5) == pytest.approx(0.5, abs=1e-9)
+        assert ap.quantiles_at_prices(0.5, uniform_posting_curve)[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_equal_revenue_floor_price(self):
         P = Agent(model="linear", values=Distribution.equal_revenue(10), id="er").price_curve()
@@ -376,7 +385,7 @@ def test_chord_lookup_is_a_monotone_sale_probability(curve):
 
 
 def test_thresholds_built_on_first_lookup_only(monkeypatch):
-    """200 lookups on one offer-less curve build its chord thresholds once."""
+    """200 lookups on one curve build its chord thresholds once."""
     builds = []
 
     def counting(qs, vals, real=_chord_reach):
@@ -387,7 +396,7 @@ def test_thresholds_built_on_first_lookup_only(monkeypatch):
     rng = np.random.default_rng(7)
     qs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 30)), [1.0]])
     curve = ap.RevenueCurve(qs, rng.uniform(0.0, 2.0, 32))   # not concave
-    assert curve.offer is None and not curve.concave
+    assert not curve.concave
     prices = [0.7] + [rng.uniform(0.0, 20.0, int(n)) for n in rng.integers(1, 50, 199)]
     for p in prices:
         assert np.array_equal(ap.quantiles_at_prices(p, curve), dense_quantiles_at_prices(p, qs, curve.values))
@@ -591,7 +600,7 @@ def test_public_offer_equals_its_own_form(kind, data):
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
 def test_hull_price_does_not_depend_on_its_batch(kind, data):
-    """An offer-less hull prices a batch with the bits it gives each price
+    """A hull prices a batch with the bits it gives each price
     alone: sorted and shuffled, with fewer prices than knots (searched) and
     with more (sorted ones merged)."""
     offer = ap.offer_curve(agent_of(data.draw, kind, data.draw(st.sampled_from(MODELS))))
@@ -728,10 +737,10 @@ def test_sweep_evaluates_each_offer_of_build_curves_at_most_twice(agent):
     not from an evaluation loop (40 rounds of bisection read the offer 41
     times): on every offer that `build_curves` makes, the same curve."""
     config = OracleConfig()
-    P = build_curves(agent, config).P
-    counted, calls = _count_offer_calls(P.offer, config.price_grid)
+    rec = build_curves(agent, config)
+    counted, calls = _count_offer_calls(rec.sellable, config.price_grid)
     assert calls <= 2
-    assert counted.qs.tobytes() == P.qs.tobytes() and counted.values.tobytes() == P.values.tobytes()
+    assert counted.qs.tobytes() == rec.P.qs.tobytes() and counted.values.tobytes() == rec.P.values.tobytes()
 
 
 @pytest.mark.parametrize("agent", [

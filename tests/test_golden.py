@@ -14,8 +14,8 @@ from golden import FILES, REFERENCE, run_fixture
 EXPECTED = json.loads(REFERENCE.read_text())
 
 
-def assert_matches(got: dict, want: dict, files=FILES):
-    for f in files:
+def assert_matches(got: dict, want: dict):
+    for f in FILES:
         assert len(got[f]) == len(want[f]), f
         for g, w in zip(got[f], want[f]):
             if isinstance(w, str):
@@ -55,11 +55,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 def test_tie_decided_prices_do_not_depend_on_simd_kernels(tmp_path):
     """On some fixtures the best anonymous-price candidates tie, and the
     search brackets come from the order of those ties; on others the search
-    picks its price on flat or near-flat revenue.  With numpy's wide SIMD
-    kernels off, `ap.csv`, `closeness.csv` and `summary.txt` of every
-    fixture still match the reference.  `ear.csv` is not compared: the
-    water-fill stops on a flat Rbar whose knots move with `np.exp`'s last
-    bits (ROADMAP item 2)."""
+    picks its price on flat or near-flat revenue, and the water-fill stops
+    on a flat Rbar.  With numpy's wide SIMD kernels off, every output file
+    of every fixture still matches the reference."""
     names = sorted(EXPECTED)
     tests, src = Path(__file__).parent, Path(__file__).parents[1] / "src"
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": WIDE_SIMD,
@@ -68,4 +66,4 @@ def test_tie_decided_prices_do_not_depend_on_simd_kernels(tmp_path):
     got = json.loads((tmp_path / "got.json").read_text())
     for name in names:
         assert got[name]["exit"] == EXPECTED[name]["exit"], name
-        assert_matches(got[name], EXPECTED[name], ("ap.csv", "closeness.csv", "summary.txt"))
+        assert_matches(got[name], EXPECTED[name])

@@ -284,8 +284,8 @@ class TestMyersonReserve:
         assert q == pytest.approx(1.0, abs=1e-12)
         assert price == pytest.approx(1.0, abs=1e-9)
 
-    def test_private_budget(self, private_uu_posting_curve):
-        price, q = ap.myerson_reserve(private_uu_posting_curve)
+    def test_private_budget(self, private_uu_agent, private_uu_posting_curve):
+        price, q = ap.myerson_reserve(ap.offer_curve(private_uu_agent))
         assert price == pytest.approx((3 - math.sqrt(3)) / 3, abs=1e-4)
         assert private_uu_posting_curve.eval(q) == pytest.approx(0.19245008972987523, abs=1e-6)
 
@@ -358,9 +358,9 @@ VALUE_LAWS = st.one_of(
 
 @st.composite
 def sellable(draw, kinds=("offer", "posting", "hull", "synthetic", "flat")):
-    """An offer of any utility model, its posting curve (priced through the
-    offer), its hull (priced on chords), a non-concave synthetic curve, or a
-    flat equal-revenue curve, on which every price ties: one of `kinds`."""
+    """An offer of any utility model, its posting curve or that curve's hull
+    (each priced on its chords), a non-concave synthetic curve, or a flat
+    equal-revenue curve, on which every price ties: one of `kinds`."""
     kind = draw(st.sampled_from(kinds))
     if kind == "synthetic":
         n = draw(st.integers(1, 6))
