@@ -128,6 +128,36 @@ def table1_bound(model: str, **params) -> float:
 
 
 @dataclass(frozen=True)
+class CandidateBound:
+    """One candidate bound on EAR/AP, with one note per hypothesis of it
+    that fails on this instance; it is admitted when `unmet` is empty."""
+
+    name: str
+    value: float
+    unmet: tuple = ()
+
+
+def _table1_candidate(agents, per_agent, kappas, irregular) -> CandidateBound | None:
+    """The Table-1 factor of the instance's utility model (None for mixed
+    models), unmet by each note of `irregular` and by a kappa too large."""
+    models = {a.model for a in agents}
+    unmet = ()
+    if models <= {"linear", "public-budget"}:
+        model, value = "public", table1_bound("public")
+    elif models == {"private-budget"} and all(a.budget_mhr for a in per_agent):
+        model, value = "private-mhr", table1_bound("private-mhr")
+    elif models == {"private-budget"}:
+        model, value = "private-kappa", table1_bound("private-kappa", kappa=max(kappas))
+        if max(kappas) > _KAPPA_CEILING:
+            unmet = ("assumption violated: no constant quantile window for the expected budget",)
+    elif models == {"capacitated"}:
+        model, value = "risk-averse", table1_bound("risk-averse", eta_cap=max(a.hval / a.capacity for a in agents))
+    else:
+        return None
+    return CandidateBound(f"table-1 {model}", value, unmet + irregular)
+
+
+@dataclass(frozen=True)
 class AgentCloseness:
     agent_id: str
     model: str
@@ -154,11 +184,8 @@ class ClosenessReport:
     ap_ex_ante: ApResult
     ear: EarResult
     ratio: float            # EAR(Rbar) / AP*(P)
-    transfer: dict          # per beta: TransferBounds scaled by rho
-    zeta_bound: float       # zeta * rho (needs concave P)
-    table1: float | None
-    table1_model: str | None
-    bound: float
+    bounds: tuple           # every CandidateBound, admitted or not
+    bound: float            # the least admitted value
     slack: float
     passed: bool
     flags: tuple
@@ -246,8 +273,14 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
 
     Builds P_i and Rbar_i, computes the per-agent parameters, the achieved
     anonymous-pricing and ex-ante revenues, and checks the achieved ratio
-    against the transferred bound (max of the per-agent parameters handles
-    mixed utility models).
+    against `bound`, the least admitted value of `bounds`.  A `CandidateBound`
+    is admitted when no hypothesis of it fails here (`unmet` is empty): the
+    transfer bounds `basic@<beta>` and `improved@<beta>` (max of the
+    per-agent parameters handles mixed utility models) need none, `zeta` a
+    concave P, and `table-1 <model>` (none for mixed models) regular values
+    and, for private budgets, kappa at most `_KAPPA_CEILING`.  `flags` are
+    the regularity notes, or the Table-1 record's notes and a `table-1
+    bound not admitted: ...` line when it is not admitted.
     """
     config = config or OracleConfig()
     if len(agents) == 0:
@@ -287,40 +320,21 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
         ratio = ear.revenue / ap_post.revenue
     else:
         ratio = math.inf if ear.revenue > 0 else 1.0
-    transfer = {}
-    for b in betas:
-        tb = transfer_bounds(alpha_agg[b], b, eta_agg)
-        transfer[b] = TransferBounds(tb.basic * RHO, tb.improved * RHO)
-    all_p_concave = all(rec.P.concave for rec in records)
-    zeta_bound = zeta_agg * RHO if all_p_concave and math.isfinite(zeta_agg) else math.inf
-    candidates = [tb.basic for tb in transfer.values()] + [tb.improved for tb in transfer.values()] + [zeta_bound]
-    bound = min(candidates)
-    # headline model bound when the instance is homogeneous enough
-    models = {a.model for a in agents}
-    table1 = None
-    t1_model = None
-    flags = []
-    if models <= {"linear", "public-budget"}:
-        table1, t1_model = table1_bound("public"), "public"
-    elif models == {"private-budget"}:
-        if all(a.budget_mhr for a in per_agent):
-            table1, t1_model = table1_bound("private-mhr"), "private-mhr"
-        else:
-            kmax = max(kappas)
-            table1, t1_model = table1_bound("private-kappa", kappa=kmax), "private-kappa"
-            if kmax > _KAPPA_CEILING:
-                flags.append("assumption violated: no constant quantile window for the expected budget")
-    elif models == {"capacitated"}:
-        eta_cap = max(a.hval / a.capacity for a in agents)
-        table1, t1_model = table1_bound("risk-averse", eta_cap=eta_cap), "risk-averse"
-    for a in per_agent:
-        if a.value_regular is False:
-            flags.append(f"assumption violated: {a.agent_id} value distribution is not regular")
-    if table1 is not None:
-        if flags:   # each names a hypothesis of Table-1 that fails here
-            flags.append(f"table-1 bound not admitted: the {t1_model} bound {table1:.6g} assumes what the notes above flag")
-        else:
-            bound = min(bound, table1)
+    transfer = [transfer_bounds(alpha_agg[b], b, eta_agg) for b in betas]
+    bounds = [CandidateBound(f"basic@{b:g}", tb.basic * RHO) for b, tb in zip(betas, transfer)]
+    bounds += [CandidateBound(f"improved@{b:g}", tb.improved * RHO) for b, tb in zip(betas, transfer)]
+    concave = all(rec.P.concave for rec in records)
+    bounds.append(CandidateBound("zeta", zeta_agg * RHO, () if concave else ("a posting curve is not concave",)))
+    irregular = tuple(f"assumption violated: {a.agent_id} value distribution is not regular"
+                      for a in per_agent if a.value_regular is False)
+    table1 = _table1_candidate(agents, per_agent, kappas, irregular)
+    bounds += [table1] if table1 else []
+    flags = irregular
+    if table1 and table1.unmet:
+        model = table1.name.removeprefix("table-1 ")
+        flags = (*table1.unmet,
+                 f"table-1 bound not admitted: the {model} bound {table1.value:.6g} assumes what the notes above flag")
+    bound = min(c.value for c in bounds if not c.unmet)
     slack = _LP_SLACK if any(rec.label == "upper bound" for rec in records) else _EXACT_SLACK
     passed = ratio <= bound * (1.0 + slack) + slack
     kappa_agg = max(kappas) if kappas else None
@@ -337,12 +351,9 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
         ap_ex_ante=ap_ex,
         ear=ear,
         ratio=float(ratio),
-        transfer=transfer,
-        zeta_bound=zeta_bound,
-        table1=table1,
-        table1_model=t1_model,
+        bounds=tuple(bounds),
         bound=float(bound),
         slack=slack,
         passed=bool(passed),
-        flags=tuple(flags),
+        flags=flags,
     )

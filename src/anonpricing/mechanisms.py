@@ -324,28 +324,13 @@ def random_price_revenue_public(F: Distribution, w: float) -> float:
     return float(total)
 
 
-def myerson_reserve(curve: Sellable) -> tuple[float, float]:
-    """(price, quantile) of the revenue-maximizing posted price.
+def myerson_reserve(curve: RevenueCurve) -> tuple[float, float]:
+    """(price, quantile) of the revenue-maximizing posted price, read at the
+    curve's knots.
 
     Ties break toward the largest quantile (lowest price), which keeps the
-    reference quantile well defined on flat-topped curves.  An offer is
-    optimized on its exact revenue p * q(p), a curve at its knots.
+    reference quantile well defined on flat-topped curves.
     """
-    if isinstance(curve, OfferCurve):
-        cands = _candidate_prices([curve], 2048)
-        revs = cands * np.asarray(curve.eval(cands))
-        best = float(np.max(revs))
-        tol = 1e-12 * max(1.0, best)
-        near = np.nonzero(revs >= best - tol)[0]
-        i_star = int(near[0])  # smallest near-optimal price = largest quantile
-        p_star, v_star = float(cands[i_star]), float(revs[i_star])
-        lo = float(cands[i_star - 1]) if i_star > 0 else p_star * 0.5
-        hi = float(cands[i_star + 1]) if i_star + 1 < len(cands) else p_star
-
-        (p_ref,), (v_ref,) = _section_search(lambda p: p * curve.eval(p), [lo], [hi])
-        if v_ref > v_star + tol:
-            p_star = float(p_ref)
-        return p_star, float(curve.eval(p_star))
     q_star = curve.argmax_quantile()
     if q_star <= 0.0:
         return float(curve.slope(0.0)), 0.0

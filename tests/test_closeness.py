@@ -203,7 +203,7 @@ class TestVerifyInstance:
         rep = ap.verify_instance(agents, OracleConfig(values=50))
         assert rep.alpha[1.0] <= 1.05
         assert rep.passed
-        assert rep.table1_model == "public"
+        assert [c.name for c in rep.bounds if c.name.startswith("table-1")] == ["table-1 public"]
 
     def test_budget_gap_instance_flagged(self):
         fix = ap.get_fixture("mhr-fail", n=30)
@@ -217,11 +217,11 @@ class TestVerifyInstance:
         # buyers is not a bound here; the transferred bound is used
         D = Distribution.discrete([0.1, 0.5, 1.9], [0.5, 0.25, 0.25])
         rep = ap.verify_instance([Agent(model="linear", values=D, id=i) for i in ("d", "e")])
-        assert rep.table1 == pytest.approx(math.e, abs=1e-12) and rep.table1_model == "public"
+        table1 = rep.bounds[-1]
+        assert table1.name == "table-1 public" and table1.value == pytest.approx(math.e, abs=1e-12)
         assert any("is not regular" in f for f in rep.flags)
         assert rep.flags[-1].startswith("table-1 bound not admitted: ")
-        candidates = [t.basic for t in rep.transfer.values()] + [t.improved for t in rep.transfer.values()]
-        assert rep.bound == min(candidates + [rep.zeta_bound]) > math.e
+        assert rep.bound == min(c.value for c in rep.bounds if c.name.startswith(("basic@", "improved@"))) > math.e
         assert rep.passed
 
     def test_pass_flag_monotone_in_parameters(self):
@@ -260,7 +260,7 @@ class TestVerifyInstance:
             Agent(model="capacitated", values=Distribution.equal_revenue(10), capacity=2.0, id="c"),
         ]
         rep = ap.verify_instance(agents)
-        assert rep.table1 is None
+        assert not any(c.name.startswith("table-1") for c in rep.bounds)
         assert math.isfinite(rep.ratio)
 
     def test_csv(self, tmp_path):
@@ -317,6 +317,74 @@ class TestVerifyInstance:
         rep = ap.verify_instance([agent])
         assert rep.ap_posting.revenue == 0.0 and rep.ear.revenue == 1.0
         assert rep.ratio == math.inf
+
+
+_DISCRETE = Distribution.discrete([0.1, 0.5, 1.9], [0.5, 0.25, 0.25])
+
+# (agents, config, the report's flags) of instances whose notes name a
+# failed hypothesis; each string is what the verdict printed before its
+# candidate bounds became records, and must not move
+NOTED = {
+    "mhr-fail:n=30": (
+        lambda: list(ap.get_fixture("mhr-fail", n=30).agents), OracleConfig(values=4, budgets=4),
+        ("assumption violated: no constant quantile window for the expected budget",
+         "table-1 bound not admitted: the private-kappa bound 3465.57 assumes what the notes above flag"),
+    ),
+    "two-discrete-linear": (
+        lambda: [Agent(model="linear", values=_DISCRETE, id=i) for i in ("d", "e")], OracleConfig(),
+        ("assumption violated: d value distribution is not regular",
+         "assumption violated: e value distribution is not regular",
+         "table-1 bound not admitted: the public bound 2.71828 assumes what the notes above flag"),
+    ),
+    "discrete-linear-and-capacitated": (
+        lambda: [Agent(model="linear", values=_DISCRETE, id="d"),
+                 Agent(model="capacitated", values=Distribution.equal_revenue(10), capacity=2.0, id="c")],
+        OracleConfig(),
+        ("assumption violated: d value distribution is not regular",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NOTED)
+def test_notes_are_byte_identical(name):
+    agents, config, flags = NOTED[name]
+    assert ap.verify_instance(agents(), config).flags == flags
+
+
+# instances of every admission: the built-in fixtures at the golden grid,
+# the noted instances, and a synthetic pair whose P drops to 0 past its peak
+# (alpha@1 is inf and P is not concave, so no record with a finite value is
+# admitted, and the verdict today is PASS against inf)
+ADMISSIONS = {
+    **{fx["name"]: (lambda name=fx["name"]: list(ap.get_fixture(name).agents), OracleConfig(price_grid=512))
+       for fx in ap.fixtures()},
+    **{name: (agents, config) for name, (agents, config, _) in NOTED.items()},
+    "collapsed-synthetic-pair": (
+        lambda: [Agent(model="synthetic", p_knots=((0, 0), (0.25, 0.5), (0.25 + 1e-9, 0.0), (1, 0)),
+                       r_knots=((0, 0), (0.25, 0.5), (1, 0.5)), id=i) for i in "st"],
+        OracleConfig(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ADMISSIONS)
+def test_bound_is_the_least_admitted_record(name):
+    agents, config = ADMISSIONS[name]
+    rep = ap.verify_instance(agents(), config)
+    assert rep.bound == min(c.value for c in rep.bounds if not c.unmet)
+    assert all(isinstance(note, str) and note for c in rep.bounds for note in c.unmet)
+    transfer = [c for c in rep.bounds if c.name.startswith(("basic@", "improved@"))]
+    assert [c.name for c in transfer] == [f"{kind}@{b:g}" for kind in ("basic", "improved") for b in rep.betas]
+    assert not any(c.unmet for c in transfer)
+    (zeta,) = [c for c in rep.bounds if c.name == "zeta"]
+    assert zeta.value == rep.zeta * RHO
+    assert (zeta.unmet == ()) == all(rec.P.concave for rec in rep.curves)
+    table1 = [c for c in rep.bounds if c.name.startswith("table-1 ")]
+    if table1:
+        assert (table1[0].unmet == ()) == (rep.flags == ())
+    if name == "collapsed-synthetic-pair":
+        assert rep.alpha[1.0] == math.inf and zeta.unmet and math.isfinite(zeta.value)
+        assert rep.bound == math.inf and rep.passed
 
 
 class TestAgentCurves:

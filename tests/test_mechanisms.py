@@ -284,11 +284,6 @@ class TestMyersonReserve:
         assert q == pytest.approx(1.0, abs=1e-12)
         assert price == pytest.approx(1.0, abs=1e-9)
 
-    def test_private_budget(self, private_uu_agent, private_uu_posting_curve):
-        price, q = ap.myerson_reserve(ap.offer_curve(private_uu_agent))
-        assert price == pytest.approx((3 - math.sqrt(3)) / 3, abs=1e-4)
-        assert private_uu_posting_curve.eval(q) == pytest.approx(0.19245008972987523, abs=1e-6)
-
 
 class TestTwoPricedBound:
     def test_equal_revenue_100(self):
