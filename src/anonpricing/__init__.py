@@ -7,8 +7,6 @@ and measures how far price posting sits from the ex-ante optimum.
 
 from .distributions import (
     Distribution,
-    RegularityReport,
-    MhrReport,
     regularity_report,
     mhr_report,
     discretize,

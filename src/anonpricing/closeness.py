@@ -293,8 +293,8 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
     per_agent = []
     for agent, rec, kappa in zip(agents, records, agent_kappas):
         P, R = rec.P, rec.Rbar
-        val_reg = None if agent.model == "synthetic" else regularity_report(agent.values).regular
-        bud_mhr = mhr_report(agent.budgets).mhr if agent.model == "private-budget" else None
+        val_reg = None if agent.model == "synthetic" else regularity_report(agent.values)
+        bud_mhr = mhr_report(agent.budgets) if agent.model == "private-budget" else None
         per_agent.append(
             AgentCloseness(
                 agent_id=agent.id,

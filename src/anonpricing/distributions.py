@@ -11,12 +11,23 @@ Conventions baked in here and relied on everywhere else:
     at price p is 1 - F(p-) (left limit), making q(p) left-continuous;
   - the inverse demand V(q) = sup{v : 1 - F(v-) >= q}, so atoms map whole
     quantile intervals to the atom's value.
+
+Regularity (q*V(q) concave) and MHR (a hazard f/(1 - F) that never falls)
+are read from each law's form, not sampled:
+  - uniform, equal-revenue and truncated exponential laws are regular at
+    every parameter; uniform and truncated exponential laws are MHR, and
+    equal-revenue laws (hazard 1/v) are not; a top atom does not count;
+  - a discrete law is regular and MHR only when it has one atom: q*V(q)
+    drops at every other atom's quantile, and the law has no density;
+  - a piecewise-linear CDF is regular and MHR when, between its first and
+    last piece with mass, no piece is massless and the density never falls
+    from one piece to the next (a fall within the relative `DENSITY_RTOL`
+    is knot rounding).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,6 +125,8 @@ class Distribution:
                 raise ValueError("discrete values must be distinct")
         elif k == "piecewise-linear-cdf":
             xs, fs = p["xs"], p["fs"]
+            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
+                raise ValueError("piecewise CDF knots must be finite")   # NaN passes every comparison below
             if len(xs) < 2 or np.any(np.diff(xs) <= 0):
                 raise ValueError("piecewise CDF needs strictly increasing x knots")
             if abs(fs[0]) > PROB_ATOL or abs(fs[-1] - 1.0) > PROB_ATOL:
@@ -347,69 +360,37 @@ class Distribution:
 
 # -- diagnostics ------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class RegularityReport:
-    regular: bool
-    max_violation: float  # max positive second difference of q*V(q), relative
-    grid_size: int
-
-
-@dataclass(frozen=True)
-class MhrReport:
-    mhr: bool
-    max_violation: float  # worst hazard decrease, relative to the max hazard
-    indeterminate: int    # grid points with zero density inside the support
-    grid_size: int
+# A piece's density is read from its knots as dF/dx.  Splitting one linear
+# piece at rounded knots moves each quotient by about eps * (1/dF + |x|/dx)
+# relative, so two neighbours differ by under 1e-9 wherever each piece's
+# mass and width relative to |x| exceed about 1e-6; a fall smaller than a
+# billionth of the density is read as rounding, not as a drop.
+DENSITY_RTOL = 1e-9
 
 
-REGULARITY_RTOL = 1e-8
-MHR_RTOL = 1e-8
+def regularity_report(d: Distribution) -> bool:
+    """Whether q*V(q) is concave, read from the law's form by the rules of
+    the module docstring.
+
+    A piecewise-linear CDF's density must never fall from one piece to the
+    next between its first and last piece with mass; a massless piece there
+    is a fall to 0.  Inside a piece the virtual value v - (1 - F)/f and the
+    hazard f/(1 - F) both rise; at a knot F is continuous, so each jumps the
+    way f does, and the same test decides MHR."""
+    if d.kind == "discrete":
+        return len(d.params["values"]) == 1   # q*V(q) drops at every other atom's quantile
+    if d.kind != "piecewise-linear-cdf":
+        return True
+    dens = np.diff(d.params["fs"]) / np.diff(d.params["xs"])
+    live = np.flatnonzero(dens > 0.0)
+    dens = dens[live[0]:live[-1] + 1]
+    return bool(np.all(dens[1:] >= dens[:-1] * (1.0 - DENSITY_RTOL)))
 
 
-def regularity_report(d: Distribution, grid_size: int = 1024) -> RegularityReport:
-    """Concavity check of q*V(q) sampled on a uniform quantile grid.
-
-    Regular iff the largest positive second difference is at most 1e-8 of
-    the curve's maximum.  Support gaps (discrete laws) surface as downward
-    jumps in q*V(q) and fail the test; atoms are fine because V plateaus.
-    """
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
-    if d.hi <= d.lo:
-        return RegularityReport(True, 0.0, grid_size)
-    q = np.linspace(0.0, 1.0, grid_size)
-    y = q * np.asarray(d.inverse_demand(q))
-    scale = float(np.max(np.abs(y)))
-    if scale == 0.0:
-        return RegularityReport(True, 0.0, grid_size)
-    second = y[2:] - 2.0 * y[1:-1] + y[:-2]
-    viol = float(max(0.0, np.max(second))) / scale
-    return RegularityReport(viol <= REGULARITY_RTOL, viol, grid_size)
-
-
-def mhr_report(d: Distribution, grid_size: int = 1024) -> MhrReport:
-    """Hazard-rate monotonicity on a value grid over the continuous support."""
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
-    lo, hi = d.lo, d.hi
-    if hi <= lo:
-        return MhrReport(True, 0.0, 0, grid_size)
-    # stop short of the top so a terminal atom does not enter the hazard
-    x = np.linspace(lo, hi - 1e-9 * (hi - lo), grid_size)
-    dens = np.asarray(d.pdf(x))
-    surv = np.asarray(d.survival(x))
-    ok = (dens > 0.0) & (surv > 1e-15)
-    indeterminate = int(np.sum(~ok & (surv > 1e-15)))
-    if not np.any(ok):
-        # no density anywhere (atomic law): monotone hazard cannot be
-        # established, so the guarantee is reported as absent
-        return MhrReport(False, 0.0, indeterminate, grid_size)
-    hazard = dens[ok] / surv[ok]
-    scale = float(np.max(hazard))
-    drops = np.maximum(0.0, -np.diff(hazard))
-    viol = float(np.max(drops, initial=0.0)) / scale if scale > 0 else 0.0
-    return MhrReport(viol <= MHR_RTOL, viol, indeterminate, grid_size)
+def mhr_report(d: Distribution) -> bool:
+    """Whether the hazard f/(1 - F) never falls, read from the law's form:
+    as `regularity_report`, but an equal-revenue hazard 1/v falls."""
+    return d.kind != "equal-revenue" and regularity_report(d)
 
 
 # -- discretization ----------------------------------------------------------

@@ -460,3 +460,33 @@ def bisection_inverse(offer, qs) -> np.ndarray:
         lo_b = np.where(accept, mid, lo_b)
         hi_b = np.where(accept, hi_b, mid)
     return lo_b
+
+
+def pointwise_regular_and_mhr(d) -> tuple[bool, bool]:
+    """(regular, MHR) of a discrete or piecewise-linear-CDF law, read at
+    points with the law's own `pdf`, `survival` and `inverse_demand`.
+
+    Discrete: q*V(q) must not drop just right of the quantile S(v) of any
+    atom v but the top one, and no point between two atoms may carry zero
+    density while mass lies above it.  Piecewise-linear: at every knot with
+    mass on both sides, the density just left and just right must be
+    positive, the hazard f/S must not fall by more than 1e-9 of its left
+    reading, and the virtual value v - S/f not by more than 1e-9 of S/f on
+    the left."""
+    if d.kind == "discrete":
+        v = d.params["values"]
+        q = np.asarray(d.survival(v[:-1]))
+        regular = bool(np.all(q * d.inverse_demand(np.nextafter(q, 2.0)) >= q * d.inverse_demand(q)))
+        mid = 0.5 * (v[1:] + v[:-1])
+        mhr = not np.any((np.asarray(d.pdf(mid)) == 0.0) & (np.asarray(d.survival(mid)) > 0.0))
+        return regular, bool(mhr)
+    xs = d.params["xs"]
+    x = xs[(np.asarray(d.cdf(xs)) > 0.0) & (np.asarray(d.survival(xs)) > 0.0)]
+    f_left, f_right = np.asarray(d.pdf(np.nextafter(x, -np.inf))), np.asarray(d.pdf(x))
+    if np.any(f_left <= 0.0) or np.any(f_right <= 0.0):
+        return False, False
+    s = np.asarray(d.survival(x))
+    phi_left, phi_right = x - s / f_left, x - s / f_right
+    regular = np.all(phi_right >= phi_left - 1e-9 * s / f_left)
+    mhr = np.all(f_right / s >= (1.0 - 1e-9) * f_left / s)
+    return bool(regular), bool(mhr)

@@ -224,6 +224,35 @@ class TestVerifyInstance:
         assert rep.bound == min(c.value for c in rep.bounds if c.name.startswith(("basic@", "improved@"))) > math.e
         assert rep.passed
 
+    def test_falling_budget_density_takes_the_kappa_factor(self):
+        # the budget density falls from 1.6 to 0.4 at 0.5, so the budgets are
+        # not MHR: Table-1 is the kappa factor, not 3e, and the transfer bound
+        # still wins
+        G = Distribution.piecewise_linear_cdf([(0, 0), (0.5, 0.8), (1, 1)])
+        agent = Agent(model="private-budget", values=Distribution.uniform(0, 1), budgets=G, id="g")
+        rep = ap.verify_instance([agent], OracleConfig(values=30, budgets=10, price_grid=512))
+        assert rep.agents[0].budget_mhr is False
+        (table1,) = [c for c in rep.bounds if c.name.startswith("table-1 ")]
+        assert table1.name == "table-1 private-kappa" and not table1.unmet
+        assert table1.value == pytest.approx(14.3753, abs=5e-5)
+        best = min((c for c in rep.bounds if not c.unmet), key=lambda c: c.value)
+        assert best.name == "improved@3.27273" and rep.bound == pytest.approx(5.3474, abs=5e-5)
+        assert rep.ratio == pytest.approx(1.11928725, abs=1e-8) and rep.passed
+
+    def test_every_narrow_tooth_is_flagged(self):
+        # buyer i has value 4^i with probability 4^-i and 0 otherwise; the
+        # teeth of buyers 5 and 6 are narrower than 1/1023 of the quantile
+        # axis, and they are flagged too.  Each P still reads as concave, so
+        # the zeta bound e is admitted and the verdict is FAIL.
+        agents = [Agent(model="linear", values=Distribution.discrete([0.0, 4.0 ** i], [1 - 4.0 ** -i, 4.0 ** -i]),
+                        id=f"b{i}") for i in range(1, 7)]
+        rep = ap.verify_instance(agents)
+        assert rep.flags == (*(f"assumption violated: b{i} value distribution is not regular" for i in range(1, 7)),
+                             "table-1 bound not admitted: the public bound 2.71828 assumes what the notes above flag")
+        (zeta,) = [c for c in rep.bounds if c.name == "zeta"]
+        assert not zeta.unmet and rep.bound == pytest.approx(math.e, abs=1e-12)
+        assert rep.ratio == pytest.approx(4.536, abs=1e-3) and not rep.passed
+
     def test_pass_flag_monotone_in_parameters(self):
         # passing at the measured (alpha, beta) implies passing at any
         # looser pair: the bound only grows

@@ -1,6 +1,9 @@
 """Distribution evaluators, diagnostics, and discretization."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import anonpricing as ap
 from anonpricing import Distribution
+from anonpricing.cli import load_scenario
 
-from helpers import expected_min_quadrature, loop_discretize, scalar_piecewise_expected_min, survival_quadrature_mean
+from helpers import (expected_min_quadrature, loop_discretize, pointwise_regular_and_mhr, scalar_piecewise_expected_min,
+                     survival_quadrature_mean)
 
 
 def builtins():
@@ -59,6 +64,12 @@ class TestCdf:
     def test_non_finite_discrete_law_rejected(self, values, probs, match):
         with pytest.raises(ValueError, match=match):
             Distribution.discrete(values, probs)
+
+    @pytest.mark.parametrize("knots", [[(0, 0), (1, math.nan), (2, 1)], [(0, 0), (math.nan, 0.5), (2, 1)],
+                                       [(0, 0), (1, 0.5), (math.inf, 1)]])
+    def test_non_finite_piecewise_knot_rejected(self, knots):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution.piecewise_linear_cdf(knots)
 
     def test_infinite_value_atom_allowed(self):
         # the oracle reads a +inf budget atom as "no budget"
@@ -147,10 +158,10 @@ class TestInverseDemand:
 
 class TestRegularity:
     def test_uniform_regular(self):
-        assert ap.regularity_report(Distribution.uniform(0, 1)).regular
+        assert ap.regularity_report(Distribution.uniform(0, 1))
 
     def test_equal_revenue_regular(self):
-        assert ap.regularity_report(Distribution.equal_revenue(10)).regular
+        assert ap.regularity_report(Distribution.equal_revenue(10))
 
     def test_two_point_discrete_not_regular(self):
         # oracle: enumerate q*V(q) across the support gap and check the
@@ -160,33 +171,125 @@ class TestRegularity:
         y = q * np.asarray(d.inverse_demand(q))
         second = y[2:] - 2 * y[1:-1] + y[:-2]
         assert second.max() > 1e-3  # the raw curve genuinely kinks upward
-        assert not ap.regularity_report(d).regular
+        assert not ap.regularity_report(d)
 
     def test_degenerate_support_regular(self):
-        assert ap.regularity_report(Distribution.point_mass(2.0)).regular
+        assert ap.regularity_report(Distribution.point_mass(2.0))
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            ap.regularity_report(Distribution.uniform(0, 1), grid_size=8)
+    @pytest.mark.parametrize("i", [5, 6])
+    def test_narrow_tooth_not_regular(self, i):
+        # mass 4^-i at 4^i and the rest at 0: q*V(q) drops at q = 4^-i,
+        # which lies inside the first 1/1023 of the quantile axis
+        d = Distribution.discrete([0.0, 4.0 ** i], [1.0 - 4.0 ** -i, 4.0 ** -i])
+        assert pointwise_regular_and_mhr(d) == (False, False)
+        assert not ap.regularity_report(d)
 
 
 class TestMhr:
     def test_uniform_mhr(self):
-        assert ap.mhr_report(Distribution.uniform(0, 1)).mhr
+        assert ap.mhr_report(Distribution.uniform(0, 1))
 
     def test_truncated_exponential_mhr(self):
-        assert ap.mhr_report(Distribution.exponential(1.0, hi=10.0)).mhr
+        assert ap.mhr_report(Distribution.exponential(1.0, hi=10.0))
 
     def test_equal_revenue_not_mhr(self):
         # hazard is 1/x on the body: strictly decreasing
-        rep = ap.mhr_report(Distribution.equal_revenue(10))
-        assert not rep.mhr
-        assert rep.max_violation > 1e-3
+        assert not ap.mhr_report(Distribution.equal_revenue(10))
 
-    def test_zero_density_reported_indeterminate(self):
+    def test_interior_gap_is_neither_mhr_nor_regular(self):
         d = Distribution.piecewise_linear_cdf([(0.0, 0.0), (1.0, 0.5), (2.0, 0.5), (3.0, 1.0)])
-        rep = ap.mhr_report(d)
-        assert rep.indeterminate > 0
+        assert not ap.mhr_report(d)
+        assert not ap.regularity_report(d)
+
+    @pytest.mark.parametrize("knots", [
+        [(0, 0), (0.5, 0.8), (1, 1)],                  # the density falls from 1.6 to 0.4
+        [(0, 0), (0.5, 0.5), (0.6, 0.5), (1, 1)],      # a massless piece inside the support
+    ])
+    def test_falling_density_not_mhr(self, knots):
+        d = Distribution.piecewise_linear_cdf(knots)
+        assert pointwise_regular_and_mhr(d) == (False, False)
+        assert not ap.mhr_report(d)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# each law of every built-in fixture and benchmark workload, as the
+# verifier reads it: "R" regular or "-", then "M" MHR or "-"; value laws in
+# agent order, then the private budget laws.  The 1024-point samplers these
+# rules replaced read every one of them the same way.
+LAW_READINGS = {
+    "uniform-linear": "RM RM",
+    "equal-revenue": "R-",
+    "public-budget": "RM",
+    "private-uniform-mhr": "RM  RM",
+    "mhr-fail": "RM RM RM RM RM  RM -- -- -- --",
+    "correlated-fail": "",
+    "risk-equal-revenue": "R-",
+    "overpay": "R-",
+    "tightness": "",
+    "budget-lp": "RM RM RM RM  RM RM",
+    "many-linear": " ".join(["RM RM R- --"] * 4),
+    "capacitated": "R-",
+}
+
+
+def _readings(agents):
+    def read(laws):
+        return " ".join(("R" if ap.regularity_report(d) else "-") + ("M" if ap.mhr_report(d) else "-") for d in laws)
+
+    budgets = read(a.budgets for a in agents if a.model == "private-budget")
+    return read(a.values for a in agents if a.model != "synthetic") + ("  " + budgets if budgets else "")
+
+
+@pytest.mark.parametrize("fixture", [fx["name"] for fx in ap.fixtures()])
+def test_fixture_laws_read_as_pinned(fixture):
+    assert _readings(ap.get_fixture(fixture).agents) == LAW_READINGS[fixture]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_workload_laws_read_as_pinned(seed, tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    for make in (workloads.budget_lp_scenario, workloads.many_linear_scenario):
+        doc = make(seed)
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_bytes(workloads.scenario_bytes(doc))
+        assert _readings(load_scenario(path).agents) == LAW_READINGS[doc["name"].rsplit("-", 1)[0]]
+    capacitated = ap.get_fixture("risk-equal-revenue", **workloads.capacitated_params(seed))
+    assert _readings(capacitated.agents) == LAW_READINGS["capacitated"]
+
+
+@st.composite
+def piecewise_or_discrete(draw):
+    """A discrete law on up to 6 integer values, or a piecewise-linear CDF
+    of 2-6 pieces with integer widths and masses (some massless), scaled
+    and shifted; a piece may be split in two at a rounded knot, so that the
+    two halves' densities differ only by rounding."""
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+        weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values))), dtype=float)
+        return Distribution.discrete(np.array(values) * draw(st.floats(0.1, 10.0)), weights / weights.sum())
+    n = draw(st.integers(2, 6))
+    widths = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    masses = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n).filter(any))
+    x0, scale = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 100.0))
+    xs = x0 + scale * np.concatenate([[0.0], np.cumsum(widths)])
+    fs = np.concatenate([[0.0], np.cumsum(masses) / sum(masses)])
+    for k in sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)), reverse=True):
+        t = draw(st.floats(0.05, 0.95))
+        xs = np.insert(xs, k + 1, xs[k] + t * (xs[k + 1] - xs[k]))
+        fs = np.insert(fs, k + 1, fs[k] + t * (fs[k + 1] - fs[k]))
+    return Distribution.piecewise_linear_cdf(list(zip(xs, fs)))
+
+
+@given(piecewise_or_discrete())
+@settings(max_examples=100, deadline=None)
+def test_regularity_and_mhr_match_the_pointwise_reading(d):
+    """The rules read from the law's form agree with the virtual value, the
+    hazard and q*V(q) read just left and right of every knot or atom."""
+    assert (ap.regularity_report(d), ap.mhr_report(d)) == pointwise_regular_and_mhr(d)
 
 
 class TestExceedMean:
