@@ -9,6 +9,7 @@ piecewise-linear representation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,25 +21,53 @@ CONCAVITY_SLOPE_TOL = 1e-10
 AGENT_MODELS = ("linear", "public-budget", "private-budget", "capacitated", "synthetic")
 
 
-def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> list[int]:
+def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Knot indices of the least concave majorant (upper convex hull).
 
-    The monotone chain runs on Python floats: the same IEEE doubles as the
-    arrays' elements, so the cross products round exactly as they would on
-    numpy scalars, at a fraction of the cost per step.
+    A monotone chain over the records only: the knots whose value is a
+    strict prefix or a strict suffix maximum.  Every hull vertex is one, as
+    a knot with a value at least as large on each side lies on or below
+    the chord between them.  The first and last knots are records.
+
+    The cross product of every consecutive triple of records is computed
+    at once, by the chain's own expression: each elementwise `*` and `-`
+    rounds as a Python float does, so it has the bits the chain would
+    compute.  While the chain's top two knots are consecutive records, the
+    chain would push each knot until the next triple whose cross product is
+    >= 0 (a turn); those knots go on in one step.  Elsewhere the chain runs
+    on Python floats, one knot at a time.
     """
-    qs, vals = qs.tolist(), vals.tolist()
-    idx = [0]
-    for i in range(1, len(qs)):
+    ahead = np.maximum.accumulate(vals)
+    behind = np.maximum.accumulate(vals[::-1])[::-1]
+    keep = np.ones(len(vals), dtype=bool)
+    keep[1:-1] = (vals[1:-1] > ahead[:-2]) | (vals[1:-1] > behind[2:])
+    rec = np.flatnonzero(keep)
+    q, v = qs[rec], vals[rec]
+    cross = (q[1:-1] - q[:-2]) * (v[2:] - v[:-2]) - (q[2:] - q[:-2]) * (v[1:-1] - v[:-2])
+    turns = np.flatnonzero(cross >= 0.0).tolist()
+    if not turns:
+        return rec
+    q, v = q.tolist(), v.tolist()
+    m, t = len(q), 0
+    idx, i = [0, 1], 2
+    while i < m:
+        if idx[-2] == i - 2:
+            # the top two are consecutive: push every knot up to the next turn
+            t = bisect_left(turns, i - 2, t)
+            if t == len(turns):
+                idx.extend(range(i, m))
+                break
+            idx.extend(range(i, turns[t] + 2))
+            i = turns[t] + 2
         while len(idx) >= 2:
             i0, i1 = idx[-2], idx[-1]
-            cross = (qs[i1] - qs[i0]) * (vals[i] - vals[i0]) - (qs[i] - qs[i0]) * (vals[i1] - vals[i0])
-            if cross >= 0.0:
+            if (q[i1] - q[i0]) * (v[i] - v[i0]) - (q[i] - q[i0]) * (v[i1] - v[i0]) >= 0.0:
                 idx.pop()
             else:
                 break
         idx.append(i)
-    return idx
+        i += 1
+    return rec[idx]
 
 
 def _collapse(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +184,8 @@ class OfferCurve:
 
 
 class RevenueCurve:
-    """Piecewise-linear function on [0, 1] given by strictly increasing knots.
+    """Piecewise-linear function on [0, 1] given by strictly increasing knots
+    with finite values: the hull scan's maxima would pass over a NaN.
 
     Houses the price-posting curve P, ex-ante curves R and concave hulls.
     """
@@ -172,8 +202,10 @@ class RevenueCurve:
             raise ValueError("need matching 1-d knot arrays with at least two knots")
         if abs(qs[0]) > 1e-12 or abs(qs[-1] - 1.0) > 1e-12:
             raise ValueError("knots must span quantiles 0 to 1")
-        if np.any(np.diff(qs) <= 0):
+        if not np.all(np.diff(qs) > 0):
             raise ValueError("knot quantiles must be strictly increasing")
+        if not np.isfinite(values).all():
+            raise ValueError("knot values must be finite")
         qs = qs.copy()
         qs[0], qs[-1] = 0.0, 1.0
         values = values.copy()
@@ -197,7 +229,7 @@ class RevenueCurve:
         first use and kept: an index array (all knots, for a hull), not a
         hull curve, so a curve never refers to itself."""
         if self._hull is None:
-            self._hull = np.asarray(_upper_hull_indices(self.qs, self.values))
+            self._hull = _upper_hull_indices(self.qs, self.values)
         return self._hull
 
     @property

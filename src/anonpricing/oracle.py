@@ -83,11 +83,6 @@ def _level_hull(s: np.ndarray, prices: np.ndarray, w: float) -> tuple[np.ndarray
     xb = (w - pa) / (pb - pa)
     mass, rev = _collapse(np.concatenate([[0.0], s * x, (sa * (1.0 - xb) + sb * xb).ravel()]),
                           np.concatenate([[0.0], s * prices * x, (sa * pa * (1.0 - xb) + sb * pb * xb).ravel()]))
-    # every upper-hull vertex is a strict prefix or suffix maximum of revenue
-    ahead = np.concatenate([[-np.inf], np.maximum.accumulate(rev)[:-1]])
-    behind = np.concatenate([np.maximum.accumulate(rev[::-1])[::-1][1:], [-np.inf]])
-    keep = (rev > ahead) | (rev > behind)
-    mass, rev = mass[keep], rev[keep]
     idx = _upper_hull_indices(mass, rev)
     return mass[idx], rev[idx]
 

@@ -7,8 +7,12 @@ at a time, batched evaluators one element at a time.
 The non-concave curves that more than one test module draws are here too.
 """
 
+import importlib.util
 import itertools
 import math
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -193,9 +197,9 @@ def loop_collapse(q, v):
 
 def numpy_scalar_hull_indices(qs, vals) -> list[int]:
     """Knot indices of the upper convex hull by a monotone chain that reads
-    the arrays one numpy scalar at a time: the reference for
-    `curves._upper_hull_indices`, which runs the same chain on Python floats
-    and must drop exactly the same knots (collinear ones included)."""
+    the arrays one numpy scalar at a time (collinear knots dropped).  On a
+    curve's strict records it is the reference for
+    `curves._upper_hull_indices` (see `record_hull_indices`)."""
     idx = [0]
     for i in range(1, len(qs)):
         while len(idx) >= 2:
@@ -205,6 +209,43 @@ def numpy_scalar_hull_indices(qs, vals) -> list[int]:
                 idx.pop()
             else:
                 break
+        idx.append(i)
+    return idx
+
+
+def strict_records(vals) -> list[int]:
+    """Indices of the knots whose value is a strict prefix maximum or a
+    strict suffix maximum, read one knot at a time; the first and last
+    knots always are."""
+    keep = set()
+    for order in (range(len(vals)), reversed(range(len(vals)))):
+        best = -math.inf
+        for i in order:
+            if vals[i] > best:
+                keep.add(i)
+                best = vals[i]
+    return sorted(keep)
+
+
+def record_hull_indices(qs, vals) -> list[int]:
+    """`numpy_scalar_hull_indices` on the strict records only, as knot
+    indices of the whole curve: the reference for
+    `curves._upper_hull_indices`, which must keep exactly these knots."""
+    rec = strict_records(vals)
+    return [rec[k] for k in numpy_scalar_hull_indices(np.asarray(qs)[rec], np.asarray(vals)[rec])]
+
+
+def exact_hull_indices(qs, vals) -> list[int]:
+    """Knot indices of the upper convex hull of the knots' doubles, by the
+    monotone chain in exact rational arithmetic: the true strict vertices,
+    free of any rounding of the cross products."""
+    q = [Fraction(float(x)) for x in qs]
+    v = [Fraction(float(x)) for x in vals]
+    idx = [0]
+    for i in range(1, len(q)):
+        while len(idx) >= 2 and (q[idx[-1]] - q[idx[-2]]) * (v[i] - v[idx[-2]]) >= \
+                (q[i] - q[idx[-2]]) * (v[idx[-1]] - v[idx[-2]]):
+            idx.pop()
         idx.append(i)
     return idx
 
@@ -232,7 +273,7 @@ def eager_concave(qs, vals) -> bool:
     """The concavity test a curve used to run on construction: the curve is
     concave iff its concave majorant, read at its own knots, exceeds it by
     at most CONCAVITY_SLOPE_TOL of its largest absolute value."""
-    hull_idx = numpy_scalar_hull_indices(qs, vals)
+    hull_idx = record_hull_indices(qs, vals)
     hull_vals = np.interp(qs, qs[hull_idx], vals[hull_idx])
     gap = float(np.max(hull_vals - vals))
     return gap <= CONCAVITY_SLOPE_TOL * float(np.max(np.abs(vals)))
@@ -240,7 +281,7 @@ def eager_concave(qs, vals) -> bool:
 
 def eager_hull(qs, vals):
     """The hull knots `concave_hull` used to compute afresh on every call."""
-    hull_idx = numpy_scalar_hull_indices(qs, vals)
+    hull_idx = record_hull_indices(qs, vals)
     return qs[hull_idx], vals[hull_idx]
 
 
@@ -490,3 +531,14 @@ def pointwise_regular_and_mhr(d) -> tuple[bool, bool]:
     regular = np.all(phi_right >= phi_left - 1e-9 * s / f_left)
     mhr = np.all(f_right / s >= (1.0 - 1e-9) * f_left / s)
     return bool(regular), bool(mhr)
+
+
+def load_workloads(monkeypatch):
+    """The benchmark's `perfbench/workloads.py`, loaded by path: the
+    scenarios and parameters of its three workloads."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    return workloads

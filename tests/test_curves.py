@@ -14,8 +14,8 @@ from anonpricing import Agent, Distribution
 from anonpricing.closeness import OracleConfig, build_curves
 from anonpricing.curves import _chord_reach, _collapse, _upper_hull_indices
 from helpers import (bisection_inverse, dense_quantiles_at_prices, dented_curve, eager_concave, eager_hull,
-                     loop_collapse, numpy_scalar_hull_indices, public_budget_offer, ray_curve,
-                     searched_quantiles_at_prices)
+                     exact_hull_indices, loop_collapse, numpy_scalar_hull_indices, public_budget_offer, ray_curve,
+                     record_hull_indices, searched_quantiles_at_prices)
 
 
 def linear_uniform():
@@ -239,15 +239,38 @@ def chain_case(draw):
     return qs, np.concatenate([[0.0], np.cumsum(run_slopes * np.diff(qs))])
 
 
+# the knots (0, 0), (1e-15, d), (0.0342, d), (0.5, d), (1, d), d the least
+# subnormal: the chain on every knot drops the strict vertex (1e-15, d), as
+# its cross products underflow to 0
+UNDERFLOW_CASE = (np.array([0.0, 1e-15, 0.0342, 0.5, 1.0]), np.array([0.0, 5e-324, 5e-324, 5e-324, 5e-324]))
+
+
 @given(chain_case())
 @example((np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 0.25, 0.5, 0.5])))   # collinear middle knot drops
+@example(UNDERFLOW_CASE)
 @settings(max_examples=200, deadline=None)
 def test_hull_chain_equals_numpy_scalar_reference(case):
-    """The chain on Python floats keeps exactly the knots the chain on numpy
-    scalars keeps: on exactly collinear runs, on runs within 1e-13 of a line
-    and on knots 1e-16 to 1e-12 apart."""
+    """The scan keeps exactly the knots the chain on numpy scalars keeps
+    when it runs on the strict records: on exactly collinear runs, on runs
+    within 1e-13 of a line and on knots 1e-16 to 1e-12 apart."""
     qs, vals = case
-    assert _upper_hull_indices(qs, vals) == numpy_scalar_hull_indices(qs, vals)
+    assert _upper_hull_indices(qs, vals).tolist() == record_hull_indices(qs, vals)
+
+
+def test_hull_scan_keeps_the_exact_vertices_an_underflowing_chain_drops():
+    qs, vals = UNDERFLOW_CASE
+    assert _upper_hull_indices(qs, vals).tolist() == exact_hull_indices(qs, vals) == [0, 1, 4]
+    assert numpy_scalar_hull_indices(qs, vals) == [0, 3, 4]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_knots_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ap.RevenueCurve([0.0, 0.5, 1.0], [0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        Agent(model="synthetic", p_knots=((0, 0), (0.5, bad), (1, 0)), r_knots=((0, 0), (1, 1)))
+    with pytest.raises(ValueError, match="increasing"):
+        ap.RevenueCurve([0.0, bad, 1.0], [0.0, 0.5, 1.0])
 
 
 def test_hull_scan_runs_once_per_curve(monkeypatch):

@@ -1,9 +1,6 @@
 """Distribution evaluators, diagnostics, and discretization."""
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +10,8 @@ import anonpricing as ap
 from anonpricing import Distribution
 from anonpricing.cli import load_scenario
 
-from helpers import (expected_min_quadrature, loop_discretize, pointwise_regular_and_mhr, scalar_piecewise_expected_min,
-                     survival_quadrature_mean)
+from helpers import (expected_min_quadrature, load_workloads, loop_discretize, pointwise_regular_and_mhr,
+                     scalar_piecewise_expected_min, survival_quadrature_mean)
 
 
 def builtins():
@@ -211,8 +208,6 @@ class TestMhr:
         assert not ap.mhr_report(d)
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
 # each law of every built-in fixture and benchmark workload, as the
 # verifier reads it: "R" regular or "-", then "M" MHR or "-"; value laws in
 # agent order, then the private budget laws.  The 1024-point samplers these
@@ -248,10 +243,7 @@ def test_fixture_laws_read_as_pinned(fixture):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_workload_laws_read_as_pinned(seed, tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look their module up here
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads(monkeypatch)
     for make in (workloads.budget_lp_scenario, workloads.many_linear_scenario):
         doc = make(seed)
         path = tmp_path / f"{doc['name']}.json"

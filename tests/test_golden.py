@@ -1,6 +1,10 @@
 """`verify` on every built-in fixture reproduces the committed reference
-outputs: every number to 1e-12 relative, every text field exactly."""
+outputs: every number to 1e-12 relative, every text field exactly.  On
+every curve those runs and the benchmark's workloads scan, the hull scan
+keeps the knots the plain monotone chain keeps."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from anonpricing import closeness, curves, oracle
+from anonpricing.cli import main
+from anonpricing.fixtures import get_fixture
 from golden import FILES, REFERENCE, run_fixture
+from helpers import load_workloads, numpy_scalar_hull_indices
 
 EXPECTED = json.loads(REFERENCE.read_text())
 
@@ -67,3 +75,37 @@ def test_tie_decided_prices_do_not_depend_on_simd_kernels(tmp_path):
     for name in names:
         assert got[name]["exit"] == EXPECTED[name]["exit"], name
         assert_matches(got[name], EXPECTED[name])
+
+
+def test_hull_scan_matches_the_plain_chain_on_every_verified_curve(tmp_path, monkeypatch):
+    """On every curve that `verify` scans, on each fixture at the reference
+    grid and on the benchmark's three workloads at seed 1, the scan keeps
+    the knots the monotone chain on every knot keeps, bit for bit: on these
+    curves running the chain on the strict records moves no output."""
+    scanned, moved = set(), []
+
+    def checked(qs, vals, real=curves._upper_hull_indices):
+        got = real(qs, vals)
+        key = (qs.tobytes(), vals.tobytes())
+        if key not in scanned:
+            scanned.add(key)
+            # the plain chain on Python floats: the same doubles, at a
+            # fraction of the cost of numpy scalars
+            if got.tolist() != numpy_scalar_hull_indices(qs.tolist(), vals.tolist()):
+                moved.append(len(qs))
+        return got
+
+    monkeypatch.setattr(curves, "_upper_hull_indices", checked)
+    monkeypatch.setattr(oracle, "_upper_hull_indices", checked)
+    workloads = load_workloads(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in EXPECTED:
+            run_fixture(name, tmp_path / name)
+        for make in (workloads.budget_lp_scenario, workloads.many_linear_scenario):
+            doc = make(1)
+            path = tmp_path / f"{doc['name']}.json"
+            path.write_bytes(workloads.scenario_bytes(doc))
+            assert main(["verify", str(path), "--out", str(tmp_path / doc["name"])]) == 0
+    fixture = get_fixture("risk-equal-revenue", **workloads.capacitated_params(1))
+    closeness.verify_instance(fixture.agents, closeness.OracleConfig(price_grid=512))
+    assert moved == [] and len(scanned) > 100
