@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .closeness import AgentCurves, OracleConfig, RHO, build_curves, verify_instance
-from .curves import Agent, concave_hull, offer_curve, synthetic_curve
-from .curves import price_posting_curve  # noqa: F401  kept importable: perfbench/spans.py wraps this name
+from .curves import Agent, RevenueCurve, concave_hull, offer_curve, price_posting_curve, synthetic_curve
 from .distributions import Distribution
 from .fixtures import FixtureInstance, fixtures, get_fixture, mhr_fail_curves, random_concave_curve
 from .mechanisms import ap_optimize, ap_revenue, ear_optimize, risk_two_priced_bound
@@ -266,16 +265,16 @@ def compute_fixture_value(fix: FixtureInstance, name: str, config: OracleConfig)
     """Evaluate a fixture's named quantity from primitives (the expected
     values were derived independently, so this is the checked route)."""
     agents = fix.agents
-    if name == "posting_max":
-        return max(a.price_curve().max_value() for a in agents)
+    sellables = [synthetic_curve(a.p_knots) if a.model == "synthetic" else offer_curve(a) for a in agents]
+    if name == "posting_max":   # the best price for one buyer alone: the top of P
+        return max(ap_optimize([s], grid=config.price_grid).revenue for s in sellables)
     if name == "ap_revenue":
-        sellables = [synthetic_curve(a.p_knots) if a.model == "synthetic" else offer_curve(a) for a in agents]
         return ap_optimize(sellables, grid=config.price_grid).revenue
     if name == "ear_revenue":
         if fix.name == "mhr-fail":
             _, r_curves = mhr_fail_curves(fix.params["n"])
         else:
-            r_curves = [concave_hull(a.price_curve()) for a in agents]
+            r_curves = [concave_hull(price_posting_curve(s)) for s in sellables]
         return ear_optimize(r_curves).revenue
     if name == "giveaway_revenue":   # E[(v - C)^+] = E[v] - E[min(v, C)]
         F = agents[0].values
@@ -284,7 +283,7 @@ def compute_fixture_value(fix: FixtureInstance, name: str, config: OracleConfig)
         return 0.5 * agents[0].values.mean()
     if name == "bound_multiplier":
         agent = agents[0]
-        P = agent.price_curve()
+        P = price_posting_curve(sellables[0])
         hull = P if P.concave else concave_hull(P)
         return risk_two_priced_bound(hull, agent.capacity, agent.hval, 1.0).multiplier
     if name == "r_lower_bound":
@@ -320,12 +319,8 @@ def emit_curve(agent: Agent, curves: AgentCurves, grid: int, path) -> list[str]:
     P = curves.P
     qs = np.linspace(0.0, 1.0, grid) if grid < len(P.qs) else P.qs
     for label, curve in (("P", P), ("H", concave_hull(P))):
-        vals = np.asarray(curve.eval(qs))
         out = base.with_name(f"{base.stem}_{label}{base.suffix or '.csv'}")
-        with open(out, "w") as fh:
-            fh.write(f"q,{label}\n")
-            for q, v in zip(qs, vals):
-                fh.write(f"{q:.17g},{v:.17g}\n")
+        RevenueCurve(qs, curve.eval(qs)).to_csv(out, label)
         written.append(str(out))
     return written
 

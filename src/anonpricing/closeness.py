@@ -178,7 +178,6 @@ class ClosenessReport:
     alpha: dict             # aggregate alpha per beta (max over agents)
     zeta: float
     eta: float
-    rho: float
     kappa: float | None
     ap_posting: ApResult
     ap_ex_ante: ApResult
@@ -345,7 +344,6 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
         alpha=alpha_agg,
         zeta=zeta_agg,
         eta=eta_agg,
-        rho=RHO,
         kappa=kappa_agg,
         ap_posting=ap_post,
         ap_ex_ante=ap_ex,

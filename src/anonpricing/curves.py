@@ -136,51 +136,27 @@ class Agent:
             return Distribution.point_mass(self.budget)
         return self.budgets
 
-    def price_curve(self) -> "RevenueCurve":
-        """P on the agent's own laws: the curve a synthetic agent carries, or
-        the sweep of its offer."""
-        if self.model == "synthetic":
-            return synthetic_curve(self.p_knots)
-        return price_posting_curve(offer_curve(self))
-
 
 @dataclass(frozen=True)
 class OfferCurve:
     """price -> ex-ante sale probability, left-continuous and nonincreasing.
 
-    `inverse(q)` is the largest price that sells at least q.  `offer_curve`
-    gives it in closed form (`closed_inverse`) wherever the offer has one;
-    an offer without it is inverted by bisection.
+    `inverse(q)` is the largest price <= price_cap that sells at least q,
+    for q in (0, 1]: the offer is left-continuous, so the sup sells q.
+    `offer_curve` gives it in closed form, or None for an offer that has
+    none (a budget on a non-discrete law); such an offer is priced, but
+    `price_posting_curve` does not sweep it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     knot_prices: tuple
     price_cap: float = np.inf   # q(p) = 0 beyond this price
-    closed_inverse: Callable[[np.ndarray], np.ndarray] | None = None
+    inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
     def eval(self, p):
         pv = np.asarray(p, dtype=float)
         out = self.fn(pv)
         return float(out) if np.ndim(p) == 0 else out
-
-    def inverse(self, q):
-        """sup{p <= price_cap : q(p) >= q} for q in (0, 1]; the offer is
-        left-continuous, so the sup sells q.  Without a closed form, 40
-        rounds of bisection on [0, cap (1 + 1e-9)] give the last accepted
-        price, at most 2^-40 of that bracket below the sup."""
-        qv = np.asarray(q, dtype=float)
-        if self.closed_inverse is not None:
-            out = self.closed_inverse(qv)
-        else:
-            cap = self.price_cap
-            out = np.zeros_like(qv)
-            hi = np.full_like(qv, cap * (1.0 + 1e-9) if cap > 0 else 1.0)
-            for _ in range(40):
-                mid = 0.5 * (out + hi)
-                accept = self.eval(mid) >= qv
-                out = np.where(accept, mid, out)
-                hi = np.where(accept, hi, mid)
-        return float(out) if np.ndim(q) == 0 else out
 
 
 class RevenueCurve:
@@ -302,7 +278,8 @@ def offer_curve(agent: Agent) -> OfferCurve:
     only budget offer `closeness.build_curves` makes (`_budget_inverse`).
     A budget on a non-discrete law has none: uniform values and budgets
     give a cubic, an exponential law a transcendental equation.  Such an
-    offer, which only `Agent.price_curve` builds, keeps the bisection.
+    offer has `inverse` None: `ap_optimize` prices it, and its posting
+    curve is swept once its laws are discretized, as `build_curves` does.
     """
     if agent.model == "synthetic":
         raise ValueError("synthetic agents have no offer curve; they carry P directly")
@@ -327,7 +304,7 @@ def offer_curve(agent: Agent) -> OfferCurve:
         inverse = lambda q: _budget_inverse(F, G, knots, fn, q)
     else:
         inverse = None
-    return OfferCurve(fn=fn, knot_prices=knots, price_cap=F.hi, closed_inverse=inverse)
+    return OfferCurve(fn=fn, knot_prices=knots, price_cap=F.hi, inverse=inverse)
 
 
 def _budget_inverse(F: Distribution, G: Distribution, knots: tuple, fn, q: np.ndarray) -> np.ndarray:
@@ -387,6 +364,9 @@ def price_posting_curve(offer: OfferCurve, grid: int = 4096) -> RevenueCurve:
     """
     if grid < 64:
         raise ValueError("grid must be at least 64")
+    if offer.inverse is None:
+        raise ValueError("a budget offer on a non-discrete law has no closed-form inverse to sweep; "
+                         "discretize the value and budget laws first")
     prices = _price_grid(offer, grid)
     q = np.asarray(offer.eval(prices))
     q, rev = _collapse(np.concatenate([q, [0.0, 1.0]]), np.concatenate([prices * q, [0.0, 0.0]]))

@@ -6,6 +6,7 @@ import pytest
 
 import anonpricing as ap
 from anonpricing import ex_ante_curve_oracle
+from helpers import with_bisection_inverse
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +31,7 @@ def private_uu_agent():
 
 @pytest.fixture(scope="session")
 def private_uu_posting_curve(private_uu_agent):
-    return ap.price_posting_curve(ap.offer_curve(private_uu_agent), grid=2048)
+    return ap.price_posting_curve(with_bisection_inverse(ap.offer_curve(private_uu_agent)), grid=2048)
 
 
 @pytest.fixture(scope="session")

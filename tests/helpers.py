@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -501,6 +502,15 @@ def bisection_inverse(offer, qs) -> np.ndarray:
         lo_b = np.where(accept, mid, lo_b)
         hi_b = np.where(accept, hi_b, mid)
     return lo_b
+
+
+def with_bisection_inverse(offer: OfferCurve) -> OfferCurve:
+    """`offer`, given `bisection_inverse` as its inverse where it has no
+    closed form (a budget on a non-discrete law), so that every offer can
+    be swept as the sweep once swept it."""
+    if offer.inverse is not None:
+        return offer
+    return replace(offer, inverse=lambda qs: bisection_inverse(offer, qs))
 
 
 def pointwise_regular_and_mhr(d) -> tuple[bool, bool]:

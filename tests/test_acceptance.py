@@ -23,7 +23,7 @@ from anonpricing import (
 from anonpricing.cli import compute_fixture_value
 from anonpricing.fixtures import mhr_fail_curves
 
-from helpers import brute_force_ear, enumerate_lp_max, ex_ante_lp_matrices
+from helpers import brute_force_ear, enumerate_lp_max, ex_ante_lp_matrices, with_bisection_inverse
 
 E = math.e
 
@@ -97,7 +97,7 @@ def test_c03_private_budget_posting_concavity():
     all_ok = True
     for label, G in pairs:
         agent = Agent(model="private-budget", values=Distribution.uniform(0, 1), budgets=G, id="pr")
-        P = ap.price_posting_curve(ap.offer_curve(agent))
+        P = ap.price_posting_curve(with_bisection_inverse(ap.offer_curve(agent)))
         qg = np.linspace(0.0, 1.0, 2048)
         y = np.asarray(P.eval(qg))
         worst = float(np.max(y[2:] - 2 * y[1:-1] + y[:-2])) / float(y.max())
@@ -160,7 +160,8 @@ def test_c07_random_price_guarantees():
 
 
 def test_c08_capacitated_two_priced_closeness():
-    P = ap.concave_hull(Agent(model="linear", values=Distribution.equal_revenue(100), id="er").price_curve())
+    P = ap.concave_hull(ap.price_posting_curve(ap.offer_curve(
+        Agent(model="linear", values=Distribution.equal_revenue(100), id="er"))))
     qs = np.unique(np.concatenate([P.qs, np.linspace(0, 1, 257)]))
     bound_curve = ap.RevenueCurve(qs, [ap.risk_two_priced_bound(P, 5.0, 100.0, float(q)).bound for q in qs])
     z = ap.zeta(P, bound_curve)

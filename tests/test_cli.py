@@ -23,6 +23,7 @@ from anonpricing.cli import (
 )
 from anonpricing.closeness import OracleConfig, build_curves
 from anonpricing.fixtures import MAX_AGENTS
+from helpers import with_bisection_inverse
 
 
 def write_scenario(tmp_path, payload, name="scen.json"):
@@ -281,6 +282,19 @@ class TestComputedFixtureValues:
         got = compute_fixture_value(fix, "giveaway_revenue", OracleConfig())
         assert got == pytest.approx(math.log(20), abs=1e-6)
 
+    @pytest.mark.parametrize("w", [0.1, 0.3, 0.7])
+    def test_public_budget_posting_max_is_its_closed_form(self, w):
+        # the best price for the buyer alone is min(w, 1/2); at w = 0.7 the
+        # budget does not bind there
+        b = min(w, 0.5)
+        got = compute_fixture_value(ap.get_fixture("public-budget", w=w), "posting_max", OracleConfig(price_grid=512))
+        assert got == pytest.approx(b * (1.0 - b), rel=0.0, abs=1e-12)
+
+    def test_private_uniform_posting_max_is_its_closed_form(self):
+        # (p - p^2/2)(1 - p) peaks at p = 1 - 1/sqrt(3), at 1/(3 sqrt(3))
+        got = compute_fixture_value(ap.get_fixture("private-uniform-mhr"), "posting_max", OracleConfig(price_grid=512))
+        assert got == pytest.approx(1.0 / (3.0 * math.sqrt(3.0)), rel=0.0, abs=1e-12)
+
 
 class TestEmitCurve:
     def test_uniform_grid_five(self, tmp_path):
@@ -366,7 +380,7 @@ class TestRunScenario:
         qs, vals = np.array([[float(x) for x in r.split(",")] for r in rows]).T
         P = ap.verify_instance(list(scen.agents), scen.oracle).curves[0].P
         np.testing.assert_array_equal(vals, np.asarray(P.eval(qs)))
-        continuous = ap.price_posting_curve(ap.offer_curve(scen.agents[0]), grid=256)
+        continuous = ap.price_posting_curve(with_bisection_inverse(ap.offer_curve(scen.agents[0])), grid=256)
         assert vals[-1] > 0.01 and continuous.eval(1.0) < 1e-12
 
     def test_ap_and_ear_verbs_match_verify(self, tmp_path):
@@ -404,11 +418,11 @@ class TestRunScenario:
 class TestBuildOnce:
     @staticmethod
     def counter(monkeypatch, calls):
-        """count(name, key): tally calls of `name` wherever cli or closeness looks it up."""
-        from anonpricing import cli, closeness
+        """count(name, key): tally calls of `name` wherever cli, closeness or curves looks it up."""
+        from anonpricing import cli, closeness, curves
 
         def count(name, key, applies=lambda *args: True):
-            for module in (cli, closeness):
+            for module in (cli, closeness, curves):
                 if not hasattr(module, name):
                     continue
                 original = getattr(module, name)
@@ -454,6 +468,17 @@ class TestBuildOnce:
         assert main(argv) == 0
         assert calls == {"price_posting_curve": 5, "ex_ante_curve_oracle": 2}
         assert len(list((tmp_path / "out").glob("curve_*.csv"))) == 10
+
+    @pytest.mark.parametrize(("ref", "sweeps"), [("private-uniform-mhr", 1), ("public-budget", 1),
+                                                 ("equal-revenue", 1), ("risk-equal-revenue", 2)])
+    def test_fixture_checks_sweep_only_for_a_hull(self, tmp_path, monkeypatch, ref, sweeps):
+        """`verify --fixture` sweeps each offer once, in `build_curves`; of the
+        fixture checks only `bound_multiplier`, which reads P's hull, sweeps
+        again, and `posting_max` prices each buyer alone."""
+        calls = {"price_posting_curve": 0}
+        self.counter(monkeypatch, calls)("price_posting_curve", "price_posting_curve")
+        assert main(["verify", "--fixture", ref, "--grid", "512", "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"price_posting_curve": sweeps}
 
     def test_curve_verb_runs_no_oracle(self, tmp_path, monkeypatch):
         from anonpricing import closeness

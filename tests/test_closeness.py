@@ -93,7 +93,8 @@ class TestZetaEta:
         assert e <= 2.05
 
     def test_capacitated_bound_curve_zeta(self):
-        P = ap.concave_hull(Agent(model="linear", values=Distribution.equal_revenue(100), id="er").price_curve())
+        P = ap.concave_hull(ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.equal_revenue(100), id="er"))))
         qs = np.unique(np.concatenate([P.qs, np.linspace(0, 1, 257)]))
         vals = [ap.risk_two_priced_bound(P, 5.0, 100.0, float(q)).bound for q in qs]
         rbar = ap.RevenueCurve(qs, vals, name="Rbar")

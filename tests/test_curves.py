@@ -15,7 +15,7 @@ from anonpricing.closeness import OracleConfig, build_curves
 from anonpricing.curves import _chord_reach, _collapse, _upper_hull_indices
 from helpers import (bisection_inverse, dense_quantiles_at_prices, dented_curve, eager_concave, eager_hull,
                      exact_hull_indices, loop_collapse, numpy_scalar_hull_indices, public_budget_offer, ray_curve,
-                     record_hull_indices, searched_quantiles_at_prices)
+                     record_hull_indices, searched_quantiles_at_prices, with_bisection_inverse)
 
 
 def linear_uniform():
@@ -106,7 +106,8 @@ class TestPricePostingCurve:
         assert uniform_posting_curve.concave
 
     def test_equal_revenue_two_pieces(self):
-        P = Agent(model="linear", values=Distribution.equal_revenue(10), id="er").price_curve()
+        P = ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.equal_revenue(10), id="er")))
         assert P.eval(0.05) == pytest.approx(0.5, abs=1e-9)
         assert P.eval(0.1) == pytest.approx(1.0, abs=1e-9)
         assert P.eval(0.5) == pytest.approx(1.0, abs=1e-9)
@@ -114,7 +115,7 @@ class TestPricePostingCurve:
     def test_private_budget_point(self):
         a = Agent(model="private-budget", values=Distribution.uniform(0, 1),
                   budgets=Distribution.uniform(0, 1), id="pr")
-        P = a.price_curve()
+        P = ap.price_posting_curve(with_bisection_inverse(ap.offer_curve(a)))
         assert P.eval(0.375) == pytest.approx(0.1875, abs=1e-6)
 
     def test_revenue_consistency_with_offer(self):
@@ -124,7 +125,7 @@ class TestPricePostingCurve:
         for a in (linear_uniform(),
                   Agent(model="private-budget", values=Distribution.uniform(0, 1),
                         budgets=Distribution.uniform(0, 1), id="pr")):
-            off = ap.offer_curve(a)
+            off = with_bisection_inverse(ap.offer_curve(a))
             P = ap.price_posting_curve(off)
             inner = (P.qs > 1e-4) & (P.qs < 1 - 1e-4)
             prices = P.values[inner] / P.qs[inner]
@@ -297,7 +298,8 @@ class TestQuantileAtPrice:
         assert ap.quantiles_at_prices(0.5, uniform_posting_curve)[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_equal_revenue_floor_price(self):
-        P = Agent(model="linear", values=Distribution.equal_revenue(10), id="er").price_curve()
+        P = ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.equal_revenue(10), id="er")))
         assert ap.quantiles_at_prices(1.0, P)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_tightness_effective_price(self):
@@ -488,7 +490,8 @@ class TestSyntheticAndEval:
         assert uniform_posting_curve.eval(0.25) == pytest.approx(0.1875, abs=1e-6)
 
     def test_equal_revenue_slopes(self):
-        P = Agent(model="linear", values=Distribution.equal_revenue(10), id="er").price_curve()
+        P = ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.equal_revenue(10), id="er")))
         assert P.slope(0.05) == pytest.approx(10.0, rel=1e-6)
         assert P.slope(0.5) == pytest.approx(0.0, abs=1e-9)
 
@@ -626,7 +629,7 @@ def test_hull_price_does_not_depend_on_its_batch(kind, data):
     """A hull prices a batch with the bits it gives each price
     alone: sorted and shuffled, with fewer prices than knots (searched) and
     with more (sorted ones merged)."""
-    offer = ap.offer_curve(agent_of(data.draw, kind, data.draw(st.sampled_from(MODELS))))
+    offer = with_bisection_inverse(ap.offer_curve(agent_of(data.draw, kind, data.draw(st.sampled_from(MODELS)))))
     hull = ap.concave_hull(ap.price_posting_curve(offer, grid=64))
     K = len(hull.qs)
     more = data.draw(st.booleans())
@@ -650,7 +653,7 @@ def test_posting_curve_at_a_subnormal_value_floor():
     probability read 1 + 4.7e-10 and the curve's last knot was past 1."""
     agent = Agent(model="private-budget", values=Distribution.uniform(2.2250738585e-313, 1.0),
                   budgets=Distribution.uniform(0.0, 0.01), id="pr")
-    offer = ap.offer_curve(agent)
+    offer = with_bisection_inverse(ap.offer_curve(agent))
     assert offer.eval(2.2250738563e-313) <= 1.0
     assert ap.price_posting_curve(offer, grid=64).qs[-1] == 1.0
 
@@ -699,8 +702,10 @@ def test_inverse_is_the_largest_price_that_sells_q(agent, extra):
     The offer is read 2^-50 of the cap (four ulps) below the price: the
     price's own last bits move 1 - F by up to 2.8e-14 on uniform(2,
     2.015625), where the slope is 64 per unit.  The slack in q is absolute:
-    1 - F rounds at about 2.2e-16, past any relative slack at q = 1e-6."""
-    offer = ap.offer_curve(agent)
+    1 - F rounds at about 2.2e-16, past any relative slack at q = 1e-6.
+    A budget offer on a non-discrete law is read through the bisection
+    reference, as it has no inverse of its own."""
+    offer = with_bisection_inverse(ap.offer_curve(agent))
     qs = np.concatenate([SWEEP_QS, extra])
     prices = offer.inverse(qs)
     cap = offer.price_cap
@@ -729,7 +734,7 @@ def test_budget_closed_form_is_the_bisection_limit(model, data):
     else:
         agent = Agent(model=model, values=F, budgets=data.draw(law_of(data.draw(st.sampled_from(["discrete", "discretized"])))))
     offer = ap.offer_curve(agent)
-    assert offer.closed_inverse is not None
+    assert offer.inverse is not None
     qs = np.concatenate([SWEEP_QS, data.draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=20))])
     got, ref = offer.inverse(qs), bisection_inverse(offer, qs)
     slack = 2.0 ** -50 * offer.price_cap
@@ -756,9 +761,9 @@ def _count_offer_calls(offer, grid):
     Agent(model="private-budget", values=Distribution.uniform(0, 1), budgets=Distribution.exponential(2.0, 1.5)),
 ], ids=lambda a: a.model)
 def test_sweep_evaluates_each_offer_of_build_curves_at_most_twice(agent):
-    """The sweep takes its quantile-spread prices from the offer's inverse,
-    not from an evaluation loop (40 rounds of bisection read the offer 41
-    times): on every offer that `build_curves` makes, the same curve."""
+    """The sweep takes its quantile-spread prices from one call of the
+    offer's closed-form inverse, which reads the offer at most once: on
+    every offer that `build_curves` makes, the same curve."""
     config = OracleConfig()
     rec = build_curves(agent, config)
     counted, calls = _count_offer_calls(rec.sellable, config.price_grid)
@@ -771,10 +776,15 @@ def test_sweep_evaluates_each_offer_of_build_curves_at_most_twice(agent):
     Agent(model="private-budget", values=Distribution.uniform(0, 1), budgets=Distribution.uniform(0, 1)),
     Agent(model="private-budget", values=GAPPED, budgets=Distribution.exponential(2.0, 1.5)),
 ], ids=["public", "uniform", "discrete-exponential"])
-def test_budget_offer_on_a_non_discrete_law_keeps_the_bisection(agent):
-    """Such a budget offer has no closed-form inverse: it is the 40-round
-    bisection, bit for bit, and the sweep reads the offer 41 times."""
+def test_posting_sweep_needs_a_closed_inverse(agent):
+    """A budget offer on a non-discrete law has no closed-form inverse: the
+    sweep refuses it before it reads the offer once, and says to discretize
+    the laws first, while anonymous pricing still prices it."""
     offer = ap.offer_curve(agent)
-    assert offer.closed_inverse is None
-    assert offer.inverse(SWEEP_QS).tobytes() == bisection_inverse(offer, SWEEP_QS).tobytes()
-    assert _count_offer_calls(offer, 4096)[1] == 41
+    assert offer.inverse is None
+    calls = []
+    counted = replace(offer, fn=lambda p: calls.append(1) or offer.fn(p))
+    with pytest.raises(ValueError, match="discretize the value and budget laws first"):
+        ap.price_posting_curve(counted)
+    assert calls == []
+    assert ap.ap_optimize([offer], grid=512).revenue > 0.0

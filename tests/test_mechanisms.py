@@ -16,7 +16,7 @@ from anonpricing import RHO, Agent, Distribution, mechanisms
 from anonpricing.curves import OfferCurve, selling_window
 from helpers import (brute_force_ear, dented_curve, materialized_ear, quadrature_random_price_revenue_public,
                      reference_ap_optimize, reference_candidate_prices, sale_table, scalar_sections,
-                     table_ap_values)
+                     table_ap_values, with_bisection_inverse)
 
 
 def uniform_offer():
@@ -187,7 +187,8 @@ class TestEarOptimize:
         assert res.quantiles[0] == pytest.approx(0.5, abs=1e-3)
 
     def test_single_equal_revenue(self):
-        P = Agent(model="linear", values=Distribution.equal_revenue(10), id="er").price_curve()
+        P = ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.equal_revenue(10), id="er")))
         res = ap.ear_optimize([ap.concave_hull(P)])
         assert res.revenue == pytest.approx(1.0, abs=1e-9)
         assert res.quantiles[0] >= 0.1 - 1e-9
@@ -279,7 +280,8 @@ class TestMyersonReserve:
         assert q == pytest.approx(0.5, abs=1e-3)
 
     def test_equal_revenue_ties_to_largest_quantile(self):
-        P = Agent(model="linear", values=Distribution.equal_revenue(10), id="er").price_curve()
+        P = ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.equal_revenue(10), id="er")))
         price, q = ap.myerson_reserve(P)
         assert q == pytest.approx(1.0, abs=1e-12)
         assert price == pytest.approx(1.0, abs=1e-9)
@@ -287,7 +289,8 @@ class TestMyersonReserve:
 
 class TestTwoPricedBound:
     def test_equal_revenue_100(self):
-        P = ap.concave_hull(Agent(model="linear", values=Distribution.equal_revenue(100), id="er").price_curve())
+        P = ap.concave_hull(ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.equal_revenue(100), id="er"))))
         tb = ap.risk_two_priced_bound(P, 5.0, 100.0, 1.0)
         assert tb.multiplier == pytest.approx(2 + math.log(20), abs=1e-12)
         assert tb.base_term == pytest.approx(1.0, abs=1e-9)
@@ -298,14 +301,15 @@ class TestTwoPricedBound:
         assert tb.overflow_term == pytest.approx(math.log(20), abs=1e-8)
 
     def test_capacity_at_top_gives_two(self):
-        P = ap.concave_hull(Agent(model="linear", values=Distribution.equal_revenue(100), id="er").price_curve())
+        P = ap.concave_hull(ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.equal_revenue(100), id="er"))))
         tb = ap.risk_two_priced_bound(P, 100.0, 100.0, 1.0)
         assert tb.multiplier == pytest.approx(2.0, abs=1e-12)
 
     def test_terms_below_bound(self):
         for F, C in ((Distribution.uniform(0, 1), 0.25), (Distribution.uniform(0, 1), 1.0),
                      (Distribution.equal_revenue(50), 2.0), (Distribution.equal_revenue(100), 5.0)):
-            P = ap.concave_hull(Agent(model="linear", values=F, id="x").price_curve())
+            P = ap.concave_hull(ap.price_posting_curve(ap.offer_curve(Agent(model="linear", values=F, id="x"))))
             for q_hat in (0.2, 0.6, 1.0):
                 tb = ap.risk_two_priced_bound(P, C, F.hi, q_hat)
                 assert tb.total <= tb.bound + 1e-8
@@ -326,7 +330,8 @@ class TestTwoPricedBound:
         assert tb.overflow_term == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
     def test_validation(self):
-        P = ap.concave_hull(Agent(model="linear", values=Distribution.uniform(0, 1), id="u").price_curve())
+        P = ap.concave_hull(ap.price_posting_curve(ap.offer_curve(
+            Agent(model="linear", values=Distribution.uniform(0, 1), id="u"))))
         with pytest.raises(ValueError):
             ap.risk_two_priced_bound(P, 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -377,7 +382,7 @@ def sellable(draw, kinds=("offer", "posting", "hull", "synthetic", "flat")):
     offer = ap.offer_curve(Agent(model=model, values=F, id="a", **extra))
     if kind == "offer":
         return offer
-    posting = ap.price_posting_curve(offer, grid=64)
+    posting = ap.price_posting_curve(with_bisection_inverse(offer), grid=64)
     return posting if kind == "posting" else ap.concave_hull(posting)
 
 
