@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .closeness import AgentCurves, OracleConfig, RHO, build_curves, verify_instance
+from .closeness import AgentCurves, OracleConfig, build_curves, verify_instance
 from .curves import Agent, RevenueCurve, concave_hull, offer_curve, price_posting_curve, synthetic_curve
 from .distributions import Distribution
-from .fixtures import FixtureInstance, fixtures, get_fixture, mhr_fail_curves, random_concave_curve
+from .fixtures import FixtureInstance, fixtures, get_fixture, mhr_fail_curves
 from .mechanisms import ap_optimize, ap_revenue, ear_optimize, risk_two_priced_bound
 
 ANALYSES = ("curves", "ap", "ear", "closeness", "verify")
@@ -394,19 +394,6 @@ def run_scenario(scenario: Scenario) -> int:
     return 1 if failures else 0
 
 
-def random_ebound_check(seed: int, rounds: int = 200) -> tuple[bool, float]:
-    """Seeded spot check that EAR <= rho * AP on random concave curve sets."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(rounds):
-        curves = [random_concave_curve(rng) for _ in range(int(rng.integers(1, 6)))]
-        ap = ap_optimize(curves, grid=512)
-        ear = ear_optimize(curves)
-        if ap.revenue > 0:
-            worst = max(worst, ear.revenue / ap.revenue)
-    return worst <= RHO + 1e-6, worst
-
-
 # -- command line ---------------------------------------------------------------
 
 
@@ -461,13 +448,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    code = run_scenario(scenario)
-    if args.command == "report":
-        ok, worst = random_ebound_check(scenario.seed)
-        print(f"[{'PASS' if ok else 'FAIL'}] random concave e-bound: worst ratio {worst:.6f} (seed {scenario.seed})")
-        if not ok:
-            code = max(code, 1)
-    return code
+    return run_scenario(scenario)
 
 
 if __name__ == "__main__":

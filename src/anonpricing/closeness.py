@@ -40,38 +40,62 @@ class OracleConfig:
             raise ValueError("betas must be at least 1")
 
 
-def _ratio_grid(P: RevenueCurve, R: RevenueCurve, hi: float) -> np.ndarray:
-    """The knots of both curves in the window [_ORIGIN_CUTOFF, hi], and its ends."""
-    qs = np.concatenate([P.qs, R.qs, [_ORIGIN_CUTOFF, hi]])
-    return np.unique(qs[(qs >= _ORIGIN_CUTOFF) & (qs <= hi)])
+def closeness_ratios(P: RevenueCurve, R: RevenueCurve, betas: Sequence[float]) -> tuple[dict, float]:
+    """Every alpha@beta of `betas` and zeta, read from one grid: the knots of
+    both curves in [_ORIGIN_CUTOFF, 1] and its ends, where P and R are each
+    evaluated once.
+
+    alpha@beta is the smallest alpha with P >= R/alpha on [0, 1/beta]; inf if
+    P vanishes where R does not.  Exact for piecewise-linear curves: between
+    knots of both, R/P is a ratio of linear functions, so it peaks at a knot.
+    Its window is a prefix of the grid and its end 1/beta, evaluated on its
+    own when it is not a knot; below _ORIGIN_CUTOFF the window is empty and
+    reads 1.
+
+    zeta is the smallest z such that the running max of P covers R/z
+    everywhere.  Between knots of both, the running max M is constant until
+    P climbs through it and equal to P after, so R/M peaks at a knot or at
+    such a crossing; the curves are evaluated again at the crossings only,
+    which go into the grid in order.  M counts P's knots below the window
+    too.
+    """
+    if any(b < 1.0 for b in betas):
+        raise ValueError("beta must be at least 1")
+    qs = np.concatenate([P.qs, R.qs, [_ORIGIN_CUTOFF, 1.0]])
+    qs = np.unique(qs[qs >= _ORIGIN_CUTOFF])
+    p, r = P.eval(qs), R.eval(qs)
+    alphas = {}
+    for b in betas:
+        hi = 1.0 / b
+        k = int(np.searchsorted(qs, hi, side="right"))
+        if k == 0:
+            alphas[b] = 1.0
+        elif qs[k - 1] == hi:
+            alphas[b] = _max_ratio(r[:k], p[:k])
+        else:
+            alphas[b] = _max_ratio(np.append(r[:k], R.eval(hi)), np.append(p[:k], P.eval(hi)))
+    head = np.max(P.values[P.qs < _ORIGIN_CUTOFF], initial=-np.inf)
+    top = np.maximum.accumulate(np.maximum(p, head))
+    lo, up, below = p[:-1], p[1:], top[:-1]
+    climb = np.flatnonzero((lo < below) & (up > below))
+    if climb.size:
+        t = (below[climb] - lo[climb]) / (up[climb] - lo[climb])
+        cross = np.sort(qs[climb] + t * (qs[climb + 1] - qs[climb]))
+        at = np.searchsorted(qs, cross)
+        r = np.insert(r, at, R.eval(cross))
+        top = np.maximum.accumulate(np.maximum(np.insert(p, at, P.eval(cross)), head))
+    return alphas, _max_ratio(r, top)
 
 
 def alpha_for_beta(P: RevenueCurve, R: RevenueCurve, beta: float) -> float:
-    """Smallest alpha with P >= R/alpha on [0, 1/beta]; inf if P vanishes
-    where R does not.  Exact for piecewise-linear curves: between knots of
-    both, R/P is a ratio of linear functions, so it peaks at a knot."""
-    if beta < 1.0:
-        raise ValueError("beta must be at least 1")
-    qs = _ratio_grid(P, R, 1.0 / beta)
-    return _max_ratio(np.asarray(R.eval(qs)), np.asarray(P.eval(qs)))
+    """Smallest alpha with P >= R/alpha on [0, 1/beta] (see `closeness_ratios`)."""
+    return closeness_ratios(P, R, (beta,))[0][beta]
 
 
 def zeta(P: RevenueCurve, R: RevenueCurve) -> float:
-    """Smallest z such that the running max of P covers R/z everywhere.
-
-    Exact for piecewise-linear curves.  Between knots of both, the running
-    max M is constant until P climbs through it and equal to P after, so
-    R/M peaks at a knot or at such a crossing.  M counts P's knots below
-    the window too."""
-    head = np.max(P.values[P.qs < _ORIGIN_CUTOFF], initial=-np.inf)
-    qs = _ratio_grid(P, R, 1.0)
-    p = np.asarray(P.eval(qs))
-    top = np.maximum.accumulate(np.maximum(p, head))[:-1]
-    lo, up = p[:-1], p[1:]
-    climb = (lo < top) & (up > top)
-    t = (top[climb] - lo[climb]) / (up[climb] - lo[climb])
-    qs = np.unique(np.concatenate([qs, qs[:-1][climb] + t * np.diff(qs)[climb]]))
-    return _max_ratio(np.asarray(R.eval(qs)), np.maximum.accumulate(np.maximum(np.asarray(P.eval(qs)), head)))
+    """Smallest z such that the running max of P covers R/z everywhere (see
+    `closeness_ratios`)."""
+    return closeness_ratios(P, R, ())[1]
 
 
 def _max_ratio(rp: np.ndarray, pp: np.ndarray) -> float:
@@ -294,12 +318,13 @@ def verify_instance(agents: Sequence[Agent], config: OracleConfig | None = None)
         P, R = rec.P, rec.Rbar
         val_reg = None if agent.model == "synthetic" else regularity_report(agent.values)
         bud_mhr = mhr_report(agent.budgets) if agent.model == "private-budget" else None
+        alphas, z = closeness_ratios(P, R, betas)
         per_agent.append(
             AgentCloseness(
                 agent_id=agent.id,
                 model=agent.model,
-                alphas={b: alpha_for_beta(P, R, b) for b in betas},
-                zeta=zeta(P, R),
+                alphas=alphas,
+                zeta=z,
                 eta=eta(P, R),
                 kappa=kappa,
                 r_label=rec.label,

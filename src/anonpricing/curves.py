@@ -166,7 +166,7 @@ class RevenueCurve:
     Houses the price-posting curve P, ex-ante curves R and concave hulls.
     """
 
-    __slots__ = ("qs", "values", "name", "_reach", "_hull")
+    __slots__ = ("qs", "values", "name", "_reach", "_hull", "_concave")
     # a curve is its knots and is priced on its chords; this read-only None
     # is kept only because the benchmark's traced mode reads `curve.offer`
     offer = None
@@ -192,6 +192,7 @@ class RevenueCurve:
         self.name = name
         self._reach = None   # see _price_reach; built on the first price lookup
         self._hull = None    # see _hull_indices; found on first use
+        self._concave = None  # see concave; read on first use
 
     def _price_reach(self) -> np.ndarray:
         """The negated chord reach of `_chord_reach`, built on the first price
@@ -212,10 +213,13 @@ class RevenueCurve:
     def concave(self) -> bool:
         """True iff the curve coincides with its own concave majorant, up to
         CONCAVITY_SLOPE_TOL of its largest absolute value (immune to the
-        slope noise of near-duplicate knots, at every scale of values)."""
-        idx = self._hull_indices()
-        gap = float(np.max(np.interp(self.qs, self.qs[idx], self.values[idx]) - self.values))
-        return gap <= CONCAVITY_SLOPE_TOL * float(np.max(np.abs(self.values)))
+        slope noise of near-duplicate knots, at every scale of values).
+        Read on first use and kept."""
+        if self._concave is None:
+            idx = self._hull_indices()
+            gap = float(np.max(np.interp(self.qs, self.qs[idx], self.values[idx]) - self.values))
+            self._concave = gap <= CONCAVITY_SLOPE_TOL * float(np.max(np.abs(self.values)))
+        return self._concave
 
     def eval(self, q):
         qv = np.asarray(q, dtype=float)
@@ -384,6 +388,7 @@ def concave_hull(curve: RevenueCurve) -> RevenueCurve:
     idx = curve._hull_indices()
     hull = RevenueCurve(curve.qs[idx], curve.values[idx], name=f"hull({curve.name})")
     hull._hull = slice(None)   # every knot of a hull is on its hull
+    hull._concave = True
     return hull
 
 

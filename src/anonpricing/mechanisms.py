@@ -8,7 +8,6 @@ exactly on concave piecewise-linear curves.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,7 +57,7 @@ def _sale_row(s: Sellable, prices: np.ndarray) -> np.ndarray:
     return s.eval(prices) if isinstance(s, OfferCurve) else quantiles_at_prices(prices, s)
 
 
-_BLOCK = 1 << 16   # prices per block of the sweep, segments per chunk of the water-fill
+_BLOCK = 1 << 16   # prices per block of the sweep, most segments per chunk of the water-fill
 
 
 def _ap_values(sellables: Sequence[Sellable], prices: np.ndarray, low, top) -> np.ndarray:
@@ -156,10 +155,11 @@ def _section_search(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def _best_three(vals: np.ndarray) -> np.ndarray:
     """Indices of the 3 largest values (all of them when fewer), largest
     first, a tie going to the larger index: the first 3 of
-    `np.argsort(vals, kind="stable")[::-1]`.  Only the values at or above
-    the third largest are sorted, and stably, so the order among ties does
-    not depend on which sort kernel numpy picks for the CPU."""
-    idx = np.flatnonzero(vals >= np.partition(vals, -3)[-3]) if len(vals) > 3 else np.arange(len(vals))
+    `np.argsort(vals, kind="stable")[::-1]`.  The third largest is read from
+    a sort of the values, and only the values at or above it are ordered,
+    stably, so the order among ties does not depend on which sort kernel
+    numpy picks for the CPU."""
+    idx = np.flatnonzero(vals >= np.sort(vals)[-3]) if len(vals) > 3 else np.arange(len(vals))
     return idx[np.argsort(vals[idx], kind="stable")[::-1][:3]]
 
 
@@ -250,10 +250,16 @@ def ear_optimize(curves: Sequence[RevenueCurve]) -> EarResult:
     consume quantile mass until the unit is spent or slopes stop being
     positive (leftover ex-ante supply is free to dispose).
 
-    The segments are visited in the stable slope order of `_slope_merge`.
-    Their owners, slopes and masses are gathered one chunk of _BLOCK
-    segments at a time, only as far as the loop gets, so no reordered copy
-    of the pooled segments is made.
+    The segments are visited in the stable slope order of `_slope_merge`,
+    one chunk at a time: min(1024, _BLOCK) segments first, twice as many in
+    each next chunk, up to _BLOCK.  Only the chunks the unit reaches are
+    gathered, so no reordered copy of the pooled segments is made.  In a
+    chunk, the supply left before each segment is the left fold of
+    `remaining -= take` over the whole masses, `np.subtract.accumulate` from
+    the carried remainder; the fill stops at the first segment where that
+    supply is spent, the slope is not positive, or the mass covers what is
+    left, which it takes.  The takes are added to their owners in slope
+    order (`np.add.at`), so every bit is that of the one-segment loop.
     """
     if len(curves) == 0:
         raise ValueError("need at least one curve")
@@ -263,17 +269,28 @@ def ear_optimize(curves: Sequence[RevenueCurve]) -> EarResult:
     order, slope, mass = _slope_merge([(c.qs, c.values) for c in curves])
     # segment g belongs to the curve whose segments end first past g
     ends = np.cumsum([len(c.qs) - 1 for c in curves])
-    chunks = (order[k:k + _BLOCK] for k in range(0, len(order), _BLOCK))
-    segments = itertools.chain.from_iterable(
-        zip(np.searchsorted(ends, idx, side="right"), slope[idx], mass[idx]) for idx in chunks)
     remaining = 1.0
     q = np.zeros(len(curves))
-    for i, s, m in segments:   # lazily: the unit of mass runs out early
-        if remaining <= 1e-15 or s <= 0.0:
-            break
-        take = min(m, remaining)
-        q[i] += take
-        remaining -= take
+    start, size = 0, min(1024, _BLOCK)
+    while start < len(order):
+        idx = order[start:start + size]
+        s, m = slope[idx], mass[idx]
+        left = np.subtract.accumulate(np.concatenate([[remaining], m]))
+        stop = np.flatnonzero((left[:-1] <= 1e-15) | (s <= 0.0) | (m >= left[:-1]))
+        if stop.size == 0:
+            np.add.at(q, np.searchsorted(ends, idx, side="right"), m)
+            remaining = float(left[-1])
+            start, size = start + size, min(2 * size, _BLOCK)
+            continue
+        k = int(stop[0])
+        remaining = float(left[k])
+        takes = m[:k + 1]
+        if remaining > 1e-15 and s[k] > 0.0:   # the mass covers what is left
+            takes[k], remaining = remaining, 0.0
+        else:
+            takes = takes[:k]
+        np.add.at(q, np.searchsorted(ends, idx[:len(takes)], side="right"), takes)
+        break
     revenue = float(sum(c.eval(qi) for c, qi in zip(curves, q)))
     return EarResult(tuple(q.tolist()), revenue, binding=remaining <= 1e-12)
 

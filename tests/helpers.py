@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from anonpricing import mechanisms
+from anonpricing.closeness import _ORIGIN_CUTOFF, _max_ratio
 from anonpricing.curves import CONCAVITY_SLOPE_TOL, OfferCurve, _chord_reach, synthetic_curve
 from anonpricing.distributions import PROB_ATOL, Distribution
 
@@ -268,6 +269,37 @@ def scalar_sections(fn, lo, hi):
         a, b = grid[k], grid[k + 2]
         if b - a <= 1e-10 * max(1.0, abs(b)):
             return best_p, best_v
+
+
+def ratio_grid(P, R, hi: float) -> np.ndarray:
+    """The knots of both curves in the window [_ORIGIN_CUTOFF, hi], and its ends."""
+    qs = np.concatenate([P.qs, R.qs, [_ORIGIN_CUTOFF, hi]])
+    return np.unique(qs[(qs >= _ORIGIN_CUTOFF) & (qs <= hi)])
+
+
+def two_pass_alpha_for_beta(P, R, beta: float) -> float:
+    """alpha@beta on a grid of its own window, sorted and evaluated afresh
+    for each beta: the reference for `closeness.closeness_ratios`, which
+    reads every window from one grid and must give the same bits."""
+    if beta < 1.0:
+        raise ValueError("beta must be at least 1")
+    qs = ratio_grid(P, R, 1.0 / beta)
+    return _max_ratio(np.asarray(R.eval(qs)), np.asarray(P.eval(qs)))
+
+
+def two_pass_zeta(P, R) -> float:
+    """zeta on the whole grid, then on that grid and P's climbs through its
+    running maximum, sorted and evaluated afresh: the reference for
+    `closeness.closeness_ratios`, which evaluates only the climbs again."""
+    head = np.max(P.values[P.qs < _ORIGIN_CUTOFF], initial=-np.inf)
+    qs = ratio_grid(P, R, 1.0)
+    p = np.asarray(P.eval(qs))
+    top = np.maximum.accumulate(np.maximum(p, head))[:-1]
+    lo, up = p[:-1], p[1:]
+    climb = (lo < top) & (up > top)
+    t = (top[climb] - lo[climb]) / (up[climb] - lo[climb])
+    qs = np.unique(np.concatenate([qs, qs[:-1][climb] + t * np.diff(qs)[climb]]))
+    return _max_ratio(np.asarray(R.eval(qs)), np.maximum.accumulate(np.maximum(np.asarray(P.eval(qs)), head)))
 
 
 def eager_concave(qs, vals) -> bool:

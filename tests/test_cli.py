@@ -449,14 +449,10 @@ class TestBuildOnce:
         assert calls == {"build_curves": 2, "ap_optimize on posting": 1, "ear_optimize": 1}
 
     def test_report_builds_each_posting_curve_once(self, tmp_path, monkeypatch, capsys):
-        from anonpricing import cli
-
         calls = {"price_posting_curve": 0, "ex_ante_curve_oracle": 0}
         count = self.counter(monkeypatch, calls)
         count("price_posting_curve", "price_posting_curve")
         count("ex_ante_curve_oracle", "ex_ante_curve_oracle")
-        # the report's seeded e-bound spot check draws its own curves and builds no P
-        monkeypatch.setattr(cli, "random_ebound_check", lambda seed: (True, 0.0))
         U = {"kind": "uniform", "a": 0, "b": 1}
         agents = [{"model": "linear", "id": "l1", "values": U},
                   {"model": "linear", "id": "l2", "values": {"kind": "equal-revenue", "h": 5}},

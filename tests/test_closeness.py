@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution, OracleConfig, RHO
-from anonpricing.closeness import build_curves
+from anonpricing.closeness import _ORIGIN_CUTOFF, build_curves, closeness_ratios
 from anonpricing.curves import _upper_hull_indices
+from helpers import dented_curve, ray_curve, two_pass_alpha_for_beta, two_pass_zeta
 
 
 def collapse_pair():
@@ -111,6 +112,62 @@ class TestZetaEta:
         for beta in (1.0, 1.5, 2.0, 3.0, 5.0):
             a = ap.alpha_for_beta(P, R, beta)
             assert z <= a * beta + 1e-9
+
+
+@st.composite
+def concave_curve(draw):
+    """A concave curve: knots at random quantiles, some below the origin
+    cutoff, with decreasing slopes, the last ones possibly negative."""
+    inner = sorted(draw(st.sets(st.floats(1e-7, 0.999), min_size=1, max_size=6)))
+    slopes = sorted(draw(st.lists(st.floats(-5.0, 10.0), min_size=len(inner) + 1, max_size=len(inner) + 1)),
+                    reverse=True)
+    qs = np.array([0.0, *inner, 1.0])
+    return ap.RevenueCurve(qs, np.concatenate([[0.0], np.cumsum(np.diff(qs) * slopes)]))
+
+
+RATIO_CURVES = st.one_of(concave_curve(), dented_curve(), ray_curve())
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_one_grid_is_the_two_pass_reference(P, R, betas):
+    alphas, z = closeness_ratios(P, R, betas)
+    assert set(alphas) == set(betas)
+    for b in betas:
+        assert bits(alphas[b]) == bits(two_pass_alpha_for_beta(P, R, b)), b
+    assert bits(z) == bits(two_pass_zeta(P, R))
+    assert bits(ap.zeta(P, R)) == bits(z) and bits(ap.alpha_for_beta(P, R, betas[0])) == bits(alphas[betas[0]])
+
+
+@given(RATIO_CURVES, RATIO_CURVES, st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_grid_equals_the_two_pass_reference(P, R, data):
+    """Every alpha@beta and zeta read from one grid has the bits of the
+    reference that sorts and evaluates a grid per window and evaluates the
+    whole grid again for zeta.  The betas hold 1, 2e6 (an empty window), a
+    1/beta on a knot of either curve and one drawn freely."""
+    on_knot = [1.0 / q for q in np.union1d(P.qs, R.qs).tolist() if q >= _ORIGIN_CUTOFF and 1.0 / (1.0 / q) == q]
+    betas = (1.0, 2e6, data.draw(st.sampled_from(on_knot), label="1/beta on a knot"),
+             data.draw(st.floats(1.0, 1e7), label="beta"))
+    assert_one_grid_is_the_two_pass_reference(P, R, betas)
+
+
+@pytest.mark.parametrize(("P", "R", "betas"), [
+    # 1/beta on a knot of each curve (0.5 and 0.25), off every knot (1/3),
+    # and below the origin cutoff (2e6)
+    (ap.synthetic_curve([(0, 0), (0.25, 0.5), (0.5, 0.6), (1, 0.7)]),
+     ap.synthetic_curve([(0, 0), (0.5, 1.0), (1, 1.2)]), (2.0, 4.0, 3.0, 2e6)),
+    # P peaks below the cutoff and climbs back through that peak
+    (ap.synthetic_curve([(0, 0), (1e-7, 1.0), (2e-7, 0.0), (1, 1.5)]),
+     ap.synthetic_curve([(0, 0), (1e-7, 1.0), (1, 2.0)]), (1.0, 1.25)),
+    # P dips and climbs back through its earlier peak between two knots, twice
+    (ap.synthetic_curve([(0, 0), (0.3, 1.0), (0.4, 0.2), (0.6, 1.5), (0.7, 0.1), (1, 2.2)]),
+     ap.synthetic_curve([(0, 0), (1, 3.0)]), (1.0, 2.5)),
+], ids=["windows", "head", "climbs"])
+def test_one_grid_examples(P, R, betas):
+    assert_one_grid_is_the_two_pass_reference(P, R, betas)
 
 
 class TestCapacitatedRbar:

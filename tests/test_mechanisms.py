@@ -603,6 +603,13 @@ def tied_slope_curves(draw):
 
 
 @given(st.one_of(tied_slope_curves(), concave_set()), st.sampled_from([1, 2, 3, mechanisms._BLOCK]))
+# the unit runs out exactly (mass == remaining) at the third of the first
+# chunk's 1024 segments
+@example([ap.synthetic_curve([(0, 0), (0.25, 1.0), (0.5, 1.75), (1, 2.75)]),
+          ap.synthetic_curve([(0, 0), (1, 1.0)])], mechanisms._BLOCK)
+# about 1500 segments before the unit runs out: the second chunk, of 2048,
+# starts past the first 1024
+@example([random_hull(1500, 0), random_hull(1500, 1)], mechanisms._BLOCK)
 # the unit runs out exactly at the end of the first chunk of 2
 @example([ap.synthetic_curve([(0, 0), (0.5, 1.0), (1, 1.25)]), ap.synthetic_curve([(0, 0), (0.5, 0.75), (1, 1.0)])], 2)
 # slope 0.5 ties across the curves with mass left: the first curve takes it
