@@ -321,6 +321,13 @@ def _budget_inverse(F: Distribution, G: Distribution, knots: tuple, fn, q: np.nd
     the offer reads S (A/p + B) and falls in p.  The sup of a q lies on the
     last piece whose left end sells q, by one search of the offer at the
     knots: p = S A / (q - S B), clipped to the piece.
+
+    The closed form can round above the last price at which `fn` reads q:
+    by one float, or by dozens where the offer is inelastic, as a float
+    step of p then moves the offer by a fraction of a float step of q.  The
+    offer is read once at all the prices, and each price where it reads
+    below q steps down toward its piece's left end, which sells q (see
+    `_step_down_to_q`).
     """
     b = np.asarray(knots)
     b = b[: max(1, np.searchsorted(b, F.hi, side="right"))]
@@ -334,7 +341,43 @@ def _budget_inverse(F: Distribution, G: Distribution, knots: tuple, fn, q: np.nd
     rest = q - S * B
     # rest <= 0: the whole piece sells q but for rounding, so its right end
     p = np.divide(S * A, rest, out=np.full_like(q, np.inf), where=rest > 0)
-    return np.clip(p, b[j], np.append(b[1:], b[-1])[j])
+    p = np.clip(p, b[j], np.append(b[1:], b[-1])[j])
+    short = np.flatnonzero(fn(p) < q)
+    if short.size:
+        p[short] = _step_down_to_q(fn, p[short], b[j][short], q[short])
+    return p
+
+
+def _step_down_to_q(fn, short: np.ndarray, left: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """For each price where `fn` reads below q, a float below it where `fn`
+    reads at least q and the next float up does not; `left`, at or below
+    the price, reads at least q.
+
+    Nonnegative floats are ordered as their bit patterns, so a float step
+    is a step of the int64 view.  Each price steps down 1, 2, 4, ...
+    floats, never past `left`, until one step sells q; the last short step
+    and the selling one are then halved until they are adjacent floats.
+    One step sells in most cases, so the offer is read once more.  Every
+    read is of the prices still open, all in one call.
+    """
+    hi, floor = short.view(np.int64).copy(), left.view(np.int64)
+    lo = floor.copy()
+    gap = np.ones_like(hi)
+    open_ = np.arange(len(hi))
+    while open_.size:
+        t = np.maximum(hi[open_] - gap[open_], floor[open_])
+        # `left` sells q; one rounding of fn at it cannot keep the loop going
+        sells = (fn(t.view(float)) >= q[open_]) | (t == floor[open_])
+        lo[open_[sells]] = t[sells]
+        hi[open_[~sells]], gap[open_[~sells]] = t[~sells], 2 * gap[open_[~sells]]
+        open_ = open_[~sells]
+    open_ = np.flatnonzero(hi - lo > 1)
+    while open_.size:
+        mid = lo[open_] + (hi[open_] - lo[open_]) // 2
+        sells = fn(mid.view(float)) >= q[open_]
+        lo[open_[sells]], hi[open_[~sells]] = mid[sells], mid[~sells]
+        open_ = open_[hi[open_] - lo[open_] > 1]
+    return lo.view(float)
 
 
 def _price_grid(offer: OfferCurve, grid: int) -> np.ndarray:

@@ -10,11 +10,12 @@ from scipy import integrate
 
 import anonpricing as ap
 from anonpricing import Agent, Distribution
+from anonpricing.cli import load_scenario
 
 from anonpricing.closeness import OracleConfig, build_curves
 from anonpricing.curves import _chord_reach, _collapse, _upper_hull_indices
 from helpers import (bisection_inverse, dense_quantiles_at_prices, dented_curve, eager_concave, eager_hull,
-                     exact_hull_indices, loop_collapse, numpy_scalar_hull_indices, public_budget_offer, ray_curve,
+                     exact_hull_indices, load_workloads, loop_collapse, numpy_scalar_hull_indices, public_budget_offer, ray_curve,
                      record_hull_indices, searched_quantiles_at_prices, with_bisection_inverse)
 
 
@@ -715,10 +716,31 @@ def test_inverse_is_the_largest_price_that_sells_q(agent, extra):
     assert np.all(offer.eval(above) < qs)
 
 
+# two draws of `test_budget_closed_form_is_the_bisection_limit` where the
+# closed form, before its float steps, read below q at 117 and 89 of these
+# quantiles.  The second is not an example of that test: its offer is so
+# inelastic that 46 of the 120 floats below its price at q read short, the
+# bisection's last rejected price is one of them, and the price lies 1.1e-16
+# past that test's allowance
+RECORDED_DRAWS = [
+    (Distribution.discrete([0.25, 0.5, 0.875, 1, 2, 2.9285529436004527], [1 / 24, 1 / 6, 1 / 24, 1 / 24, 1 / 3, 3 / 8]),
+     Distribution.discrete([0.01, 0.05, 1, 2], [0.1, 0.05, 0.4, 0.45]), 0.6761110302882266),
+    (Distribution.discrete([2.943736326633167], [1]),
+     Distribution.discrete([0.01, 0.5, 1, 1.25, 1.5, 1.625, 1.75, 2, 3], [2 / 53, 1 / 53, 1 / 53, 4 / 53] + [9 / 53] * 5),
+     0.9648256458231558),
+]
+
+
+DISCRETE_LAWS = st.sampled_from(["discrete", "discretized"]).flatmap(law_of)
+
+
 @pytest.mark.parametrize("model", ["public-budget", "private-budget"])
-@given(data=st.data())
+@given(F=DISCRETE_LAWS, w=st.floats(0.0, 5.0), G=DISCRETE_LAWS,
+       extra=st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=20))
+# a draw whose closed-form price read one float above the last that sells q
+@example(F=RECORDED_DRAWS[0][0], w=1.0, G=RECORDED_DRAWS[0][1], extra=[RECORDED_DRAWS[0][2]])
 @settings(max_examples=40, deadline=None)
-def test_budget_closed_form_is_the_bisection_limit(model, data):
+def test_budget_closed_form_is_the_bisection_limit(model, F, w, G, extra):
     """On discrete laws the budget offer's closed-form inverse lies at or
     above the 40-round bisection, by at most that bisection's last bracket,
     2^-40 cap (1 + 1e-9), and 2^-50 cap more for rounding.
@@ -728,19 +750,56 @@ def test_budget_closed_form_is_the_bisection_limit(model, data):
     (3.1e-15 of the cap past it on a draw with slope -0.003).  So the
     closed form may lie lower by more than 2^-50 cap only where the offer
     reads the same at both prices, to 2^-50."""
-    F = data.draw(law_of(data.draw(st.sampled_from(["discrete", "discretized"]))))
     if model == "public-budget":
-        agent = Agent(model=model, values=F, budget=data.draw(st.floats(0.0, 5.0)))
+        agent = Agent(model=model, values=F, budget=w)
     else:
-        agent = Agent(model=model, values=F, budgets=data.draw(law_of(data.draw(st.sampled_from(["discrete", "discretized"])))))
+        agent = Agent(model=model, values=F, budgets=G)
     offer = ap.offer_curve(agent)
     assert offer.inverse is not None
-    qs = np.concatenate([SWEEP_QS, data.draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=20))])
+    qs = np.concatenate([SWEEP_QS, extra])
     got, ref = offer.inverse(qs), bisection_inverse(offer, qs)
     slack = 2.0 ** -50 * offer.price_cap
     assert np.all(got <= ref + 2.0 ** -40 * offer.price_cap * (1.0 + 1e-9) + slack)
     lower = got < ref - slack
     assert np.all(offer.eval(got[lower]) - offer.eval(ref[lower]) <= 2.0 ** -50)
+
+
+@pytest.mark.parametrize(("F", "G", "q"), RECORDED_DRAWS)
+def test_recorded_draws_sell_q_at_their_closed_form(F, G, q):
+    offer = ap.offer_curve(Agent(model="private-budget", values=F, budgets=G))
+    qs = np.append(SWEEP_QS, q)
+    assert np.all(offer.eval(offer.inverse(qs)) >= qs)
+
+
+def swept_budget_offers(tmp_path, monkeypatch):
+    """(name, offer, grid) for every budget offer `build_curves` sweeps on
+    the benchmark's `budget-lp` seeds 1-3 and on the budget fixtures."""
+    workloads = load_workloads(monkeypatch)
+    for seed in (1, 2, 3):
+        doc = workloads.budget_lp_scenario(seed)
+        path = tmp_path / f"{seed}.json"
+        path.write_bytes(workloads.scenario_bytes(doc))
+        scenario = load_scenario(path)
+        for a in scenario.agents:
+            yield f"budget-lp:{seed}:{a.id}", build_curves(a, scenario.oracle).sellable, scenario.oracle.price_grid
+    config = OracleConfig()
+    for name in ("public-budget", "private-uniform-mhr", "mhr-fail", "correlated-fail"):
+        for a in ap.get_fixture(name).agents:
+            if a.model in ("public-budget", "private-budget"):
+                yield f"{name}:{a.id}", build_curves(a, config).sellable, config.price_grid
+
+
+def test_every_spread_price_sells_its_quantile(tmp_path, monkeypatch):
+    """At every quantile-spread price the sweep asks for, the offer reads at
+    least the quantile the price was found for: the offer as the sweep
+    reads it, at the price the closed form gives after its float steps."""
+    swept = 0
+    for name, offer, grid in swept_budget_offers(tmp_path, monkeypatch):
+        qs = np.linspace(1e-6, 1.0 - 1e-6, grid // 2)
+        short = np.flatnonzero(offer.eval(offer.inverse(qs)) < qs)
+        assert short.size == 0, (name, qs[short[:3]])
+        swept += qs.size
+    assert swept > 26_000
 
 
 def _count_offer_calls(offer, grid):
@@ -762,8 +821,8 @@ def _count_offer_calls(offer, grid):
 ], ids=lambda a: a.model)
 def test_sweep_evaluates_each_offer_of_build_curves_at_most_twice(agent):
     """The sweep takes its quantile-spread prices from one call of the
-    offer's closed-form inverse, which reads the offer at most once: on
-    every offer that `build_curves` makes, the same curve."""
+    offer's closed-form inverse and reads the offer itself at most twice:
+    on every offer that `build_curves` makes, the same curve."""
     config = OracleConfig()
     rec = build_curves(agent, config)
     counted, calls = _count_offer_calls(rec.sellable, config.price_grid)
