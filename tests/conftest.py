@@ -1,12 +1,21 @@
 """Shared fixtures: the expensive LP-backed curve for the private-budget
-instance is built once per session and reused across test modules."""
+instance is built once per session and reused across test modules.
+
+Hypothesis draws at random unless HYPOTHESIS_PROFILE names a profile: the
+`ci` profile derandomizes it, so every run draws the same examples."""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import anonpricing as ap
 from anonpricing import ex_ante_curve_oracle
 from helpers import with_bisection_inverse
+
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
