@@ -277,20 +277,15 @@ def ear_optimize(curves: Sequence[RevenueCurve]) -> EarResult:
         s, m = slope[idx], mass[idx]
         left = np.subtract.accumulate(np.concatenate([[remaining], m]))
         stop = np.flatnonzero((left[:-1] <= 1e-15) | (s <= 0.0) | (m >= left[:-1]))
-        if stop.size == 0:
-            np.add.at(q, np.searchsorted(ends, idx, side="right"), m)
-            remaining = float(left[-1])
-            start, size = start + size, min(2 * size, _BLOCK)
-            continue
-        k = int(stop[0])
+        k = int(stop[0]) if stop.size else len(idx)
         remaining = float(left[k])
-        takes = m[:k + 1]
-        if remaining > 1e-15 and s[k] > 0.0:   # the mass covers what is left
-            takes[k], remaining = remaining, 0.0
-        else:
-            takes = takes[:k]
-        np.add.at(q, np.searchsorted(ends, idx[:len(takes)], side="right"), takes)
-        break
+        if stop.size and remaining > 1e-15 and s[k] > 0.0:   # segment k's mass covers what is left
+            m[k], remaining = remaining, 0.0
+            k += 1
+        np.add.at(q, np.searchsorted(ends, idx[:k], side="right"), m[:k])
+        if stop.size:
+            break
+        start, size = start + size, min(2 * size, _BLOCK)
     revenue = float(sum(c.eval(qi) for c, qi in zip(curves, q)))
     return EarResult(tuple(q.tolist()), revenue, binding=remaining <= 1e-12)
 

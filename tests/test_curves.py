@@ -13,7 +13,7 @@ from anonpricing import Agent, Distribution
 from anonpricing.cli import load_scenario
 
 from anonpricing.closeness import OracleConfig, build_curves
-from anonpricing.curves import _chord_reach, _collapse, _upper_hull_indices
+from anonpricing.curves import _chord_reach, _collapse, _step_down_to_q, _upper_hull_indices
 from helpers import (bisection_inverse, dense_quantiles_at_prices, dented_curve, eager_concave, eager_hull,
                      exact_hull_indices, load_workloads, loop_collapse, numpy_scalar_hull_indices, public_budget_offer, ray_curve,
                      record_hull_indices, searched_quantiles_at_prices, with_bisection_inverse)
@@ -716,18 +716,19 @@ def test_inverse_is_the_largest_price_that_sells_q(agent, extra):
     assert np.all(offer.eval(above) < qs)
 
 
-# two draws of `test_budget_closed_form_is_the_bisection_limit` where the
-# closed form, before its float steps, read below q at 117 and 89 of these
-# quantiles.  The second is not an example of that test: its offer is so
-# inelastic that 46 of the 120 floats below its price at q read short, the
-# bisection's last rejected price is one of them, and the price lies 1.1e-16
-# past that test's allowance
+# draws of `test_budget_closed_form_is_the_bisection_limit` where the closed
+# form, before its float steps, read below q at 117, 89 and 1 of these
+# quantiles; the third is 67 floats above the first that sells q.  The second
+# is not an example of that test: its offer is so inelastic that 46 of the
+# 120 floats below its price at q read short, the bisection's last rejected
+# price is one of them, and the price lies 1.1e-16 past that test's allowance
 RECORDED_DRAWS = [
     (Distribution.discrete([0.25, 0.5, 0.875, 1, 2, 2.9285529436004527], [1 / 24, 1 / 6, 1 / 24, 1 / 24, 1 / 3, 3 / 8]),
      Distribution.discrete([0.01, 0.05, 1, 2], [0.1, 0.05, 0.4, 0.45]), 0.6761110302882266),
     (Distribution.discrete([2.943736326633167], [1]),
      Distribution.discrete([0.01, 0.5, 1, 1.25, 1.5, 1.625, 1.75, 2, 3], [2 / 53, 1 / 53, 1 / 53, 4 / 53] + [9 / 53] * 5),
      0.9648256458231558),
+    (Distribution.discrete([1.0], [1.0]), ap.discretize(Distribution.exponential(0.5, 0.375), 23), 0.9995104811919883),
 ]
 
 
@@ -737,8 +738,8 @@ DISCRETE_LAWS = st.sampled_from(["discrete", "discretized"]).flatmap(law_of)
 @pytest.mark.parametrize("model", ["public-budget", "private-budget"])
 @given(F=DISCRETE_LAWS, w=st.floats(0.0, 5.0), G=DISCRETE_LAWS,
        extra=st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=20))
-# a draw whose closed-form price read one float above the last that sells q
 @example(F=RECORDED_DRAWS[0][0], w=1.0, G=RECORDED_DRAWS[0][1], extra=[RECORDED_DRAWS[0][2]])
+@example(F=RECORDED_DRAWS[2][0], w=1.0, G=RECORDED_DRAWS[2][1], extra=[RECORDED_DRAWS[2][2]])
 @settings(max_examples=40, deadline=None)
 def test_budget_closed_form_is_the_bisection_limit(model, F, w, G, extra):
     """On discrete laws the budget offer's closed-form inverse lies at or
@@ -769,6 +770,19 @@ def test_recorded_draws_sell_q_at_their_closed_form(F, G, q):
     offer = ap.offer_curve(Agent(model="private-budget", values=F, budgets=G))
     qs = np.append(SWEEP_QS, q)
     assert np.all(offer.eval(offer.inverse(qs)) >= qs)
+
+
+def test_step_down_finds_the_last_float_that_sells():
+    """On an offer that reads 1 - p, exactly, above its left end 0.25 and 1
+    at it, each short price steps down to the one float where the offer
+    first reads q: from 1, 2, 3, 67, 1000 and 2^20 floats above it, and to
+    the left end, where alone the offer reads 0.9."""
+    ups = [1, 2, 3, 67, 1000, 1 << 20]
+    short = np.array([0.5 + k * np.spacing(0.5) for k in ups] + [0.5])
+    q = np.array([0.5] * len(ups) + [0.9])
+    offer = lambda p: np.where(p <= 0.25, 1.0, 1.0 - p)
+    got = _step_down_to_q(offer, short, np.full(len(short), 0.25), q)
+    assert got.tolist() == [0.5] * len(ups) + [0.25]
 
 
 def swept_budget_offers(tmp_path, monkeypatch):
