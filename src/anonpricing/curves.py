@@ -293,8 +293,16 @@ def offer_curve(agent: Agent) -> OfferCurve:
     else:
         def fn(p):
             p = np.asarray(p, dtype=float)
-            take = np.divide(np.asarray(G.expected_min(p)), p, out=np.ones_like(p), where=p > 0)
-            return np.asarray(F.survival_left(p)) * take
+            if G.kind == "discrete":
+                # A/p + B with A = E[G; G < p] and B = Pr[G >= p]: a division
+                # and an addition, each rounded monotonically, so between
+                # atoms the offer as computed never rises with p, as the
+                # rounded (A + B p)/p can by a float
+                i = np.searchsorted(G.params["values"], p, side="left")
+                take = np.divide(G.mean_below[i], p, out=np.zeros_like(p), where=p > 0) + G.mass_above[i]
+            else:
+                take = np.divide(np.asarray(G.expected_min(p)), p, out=np.zeros_like(p), where=p > 0)
+            return np.asarray(F.survival_left(p)) * np.where(p > 0, take, 1.0)
 
     knots = {0.0, F.lo, F.hi}
     knots.update(a for a, _ in F.atoms)

@@ -716,12 +716,12 @@ def test_inverse_is_the_largest_price_that_sells_q(agent, extra):
     assert np.all(offer.eval(above) < qs)
 
 
-# draws of `test_budget_closed_form_is_the_bisection_limit` where the closed
-# form, before its float steps, read below q at 117, 89 and 1 of these
-# quantiles; the third is 67 floats above the first that sells q.  The second
-# is not an example of that test: its offer is so inelastic that 46 of the
-# 120 floats below its price at q read short, the bisection's last rejected
-# price is one of them, and the price lies 1.1e-16 past that test's allowance
+# draws of `test_budget_closed_form_is_the_bisection_limit` that failed it
+# before the closed form stepped down to a float that sells q: the first two
+# lay past the bisection by 7e-15 and 1e-15 more than the test allows, the
+# third needed 67 float steps.  With the offer read as S (A/p + B), the
+# closed form reads short at 49, 46 and 46 of these sweeps' quantiles, by up
+# to 29, 2 and 1 floats
 RECORDED_DRAWS = [
     (Distribution.discrete([0.25, 0.5, 0.875, 1, 2, 2.9285529436004527], [1 / 24, 1 / 6, 1 / 24, 1 / 24, 1 / 3, 3 / 8]),
      Distribution.discrete([0.01, 0.05, 1, 2], [0.1, 0.05, 0.4, 0.45]), 0.6761110302882266),
@@ -739,6 +739,7 @@ DISCRETE_LAWS = st.sampled_from(["discrete", "discretized"]).flatmap(law_of)
 @given(F=DISCRETE_LAWS, w=st.floats(0.0, 5.0), G=DISCRETE_LAWS,
        extra=st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=20))
 @example(F=RECORDED_DRAWS[0][0], w=1.0, G=RECORDED_DRAWS[0][1], extra=[RECORDED_DRAWS[0][2]])
+@example(F=RECORDED_DRAWS[1][0], w=1.0, G=RECORDED_DRAWS[1][1], extra=[RECORDED_DRAWS[1][2]])
 @example(F=RECORDED_DRAWS[2][0], w=1.0, G=RECORDED_DRAWS[2][1], extra=[RECORDED_DRAWS[2][2]])
 @settings(max_examples=40, deadline=None)
 def test_budget_closed_form_is_the_bisection_limit(model, F, w, G, extra):
@@ -763,6 +764,18 @@ def test_budget_closed_form_is_the_bisection_limit(model, F, w, G, extra):
     assert np.all(got <= ref + 2.0 ** -40 * offer.price_cap * (1.0 + 1e-9) + slack)
     lower = got < ref - slack
     assert np.all(offer.eval(got[lower]) - offer.eval(ref[lower]) <= 2.0 ** -50)
+
+
+@given(F=DISCRETE_LAWS, G=DISCRETE_LAWS, p=st.floats(1e-3, 5.0))
+@settings(max_examples=40, deadline=None)
+def test_budget_offer_never_rises_between_atoms(F, G, p):
+    """On discrete laws the budget offer, as computed, never rises from one
+    float price to the next within a piece (b_j, b_{j+1}] between atoms, so
+    its inverse's last float that sells q is the one a bisection finds."""
+    offer = ap.offer_curve(Agent(model="private-budget", values=F, budgets=G))
+    ps = (np.float64(p).view(np.int64) + np.arange(512)).view(float)
+    piece = np.searchsorted(offer.knot_prices, ps, side="left")
+    assert np.all(np.diff(offer.eval(ps[piece == piece[0]])) <= 0.0)
 
 
 @pytest.mark.parametrize(("F", "G", "q"), RECORDED_DRAWS)
