@@ -25,14 +25,7 @@ from .mechanisms import ap_optimize, ap_revenue, ear_optimize, risk_two_priced_b
 ANALYSES = ("curves", "ap", "ear", "closeness", "verify")
 _DEFAULTS = OracleConfig()
 _TOP_KEYS = {"schema_version", "name", "agents", "analyses", "oracle", "grid", "seed", "out", "betas"}
-_DIST_KEYS = {
-    "uniform": {"a", "b"},
-    "equal-revenue": {"h"},
-    "exponential": {"rate", "hi"},
-    "point-mass": {"v"},
-    "discrete": {"values", "probs"},
-    "piecewise-linear-cdf": {"knots"},
-}
+_ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-."
 
 
 class ScenarioError(ValueError):
@@ -72,39 +65,46 @@ def _string(value, name: str) -> str:
     return value
 
 
-def _knots(value, name: str) -> list[tuple[float, float]]:
+def _knots(value, name: str) -> tuple[tuple[float, float], ...]:
     """A list of [x, y] pairs of finite numbers."""
     if not isinstance(value, list):
         raise ScenarioError("need a list of [x, y] pairs", name)
-    return [tuple(_numbers(k, f"{name}[{i}]", 2)) for i, k in enumerate(value)]
+    return tuple(tuple(_numbers(k, f"{name}[{i}]", 2)) for i, k in enumerate(value))
+
+
+def _agent_id(value, name: str) -> str:
+    """An agent id names its curve files, so it is a plain file-name part."""
+    if not (isinstance(value, str) and value[:1] not in ("", ".") and all(c in _ID_CHARS for c in value)):
+        raise ScenarioError(f"{value!r} is not an id of letters, digits, '_', '-' and '.' "
+                            "that starts with no '.'", name)
+    return value
+
+
+# each distribution kind: its constructor and a reader per parameter, in the
+# constructor's order; exponential's `hi` may be left out
+_DISTRIBUTIONS = {
+    "uniform": (Distribution.uniform, {"a": _number, "b": _number}),
+    "equal-revenue": (Distribution.equal_revenue, {"h": _number}),
+    "exponential": (Distribution.exponential, {"rate": _number, "hi": _number}),
+    "point-mass": (Distribution.point_mass, {"v": _number}),
+    "discrete": (Distribution.discrete, {"values": _numbers, "probs": _numbers}),
+    "piecewise-linear-cdf": (Distribution.piecewise_linear_cdf, {"knots": _knots}),
+}
 
 
 def _dist_from_literal(obj, fieldname: str) -> Distribution:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ScenarioError("distribution literal needs a 'kind' tag", fieldname)
     kind = obj["kind"]
-    if kind not in _DIST_KEYS:
+    if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:
         raise ScenarioError(f"unknown distribution kind {kind!r}", fieldname)
-    extra = set(obj) - _DIST_KEYS[kind] - {"kind"}
+    make, readers = _DISTRIBUTIONS[kind]
+    extra = set(obj) - readers.keys() - {"kind"}
     if extra:
         raise ScenarioError(f"unknown keys {sorted(extra)} for kind {kind!r}", fieldname)
-
-    def num(key):
-        return _number(obj[key], f"{fieldname}.{key}")
-
     try:
-        if kind == "uniform":
-            return Distribution.uniform(num("a"), num("b"))
-        if kind == "equal-revenue":
-            return Distribution.equal_revenue(num("h"))
-        if kind == "exponential":
-            return Distribution.exponential(num("rate"), num("hi") if "hi" in obj else None)
-        if kind == "point-mass":
-            return Distribution.point_mass(num("v"))
-        if kind == "discrete":
-            return Distribution.discrete(_numbers(obj["values"], f"{fieldname}.values"),
-                                         _numbers(obj["probs"], f"{fieldname}.probs"))
-        return Distribution.piecewise_linear_cdf(_knots(obj["knots"], f"{fieldname}.knots"))
+        return make(**{key: read(obj[key], f"{fieldname}.{key}")
+                       for key, read in readers.items() if key in obj or key != "hi"})
     except KeyError as exc:
         raise ScenarioError(f"missing parameter {exc}", fieldname) from None
     except ScenarioError:
@@ -138,40 +138,29 @@ def parse_fixture_ref(ref: str) -> FixtureInstance:
         raise ScenarioError(str(exc), "agents") from None
 
 
-def _agent_from_literal(obj, idx: int) -> Agent:
-    fieldname = f"agents[{idx}]"
+# each agent model: a reader per field besides `model` and the optional `id`
+_MODELS = {
+    "linear": {"values": _dist_from_literal},
+    "public-budget": {"values": _dist_from_literal, "budget": _number},
+    "private-budget": {"values": _dist_from_literal, "budgets": _dist_from_literal},
+    "capacitated": {"values": _dist_from_literal, "capacity": _number},
+    "synthetic": {"p_knots": _knots, "r_knots": _knots},
+}
+
+
+def _agent_from_literal(obj, fieldname: str, default_id: str) -> Agent:
     if not isinstance(obj, dict) or "model" not in obj:
         raise ScenarioError("agent literal needs a 'model' tag", fieldname)
     model = obj["model"]
-    allowed = {
-        "linear": {"model", "id", "values"},
-        "public-budget": {"model", "id", "values", "budget"},
-        "private-budget": {"model", "id", "values", "budgets"},
-        "capacitated": {"model", "id", "values", "capacity"},
-        "synthetic": {"model", "id", "p_knots", "r_knots"},
-    }
-    if model not in allowed:
+    if not isinstance(model, str) or model not in _MODELS:
         raise ScenarioError(f"unknown model {model!r}", fieldname)
-    extra = set(obj) - allowed[model]
+    readers = _MODELS[model]
+    extra = set(obj) - readers.keys() - {"model", "id"}
     if extra:
         raise ScenarioError(f"unknown keys {sorted(extra)} for model {model!r}", fieldname)
     try:
-        if model == "synthetic":
-            return Agent(
-                model=model,
-                p_knots=tuple(_knots(obj["p_knots"], f"{fieldname}.p_knots")),
-                r_knots=tuple(_knots(obj["r_knots"], f"{fieldname}.r_knots")),
-                id=obj.get("id", f"agent{idx+1}"),
-            )
-        values = _dist_from_literal(obj["values"], f"{fieldname}.values")
-        kwargs = {"model": model, "values": values, "id": obj.get("id", f"agent{idx+1}")}
-        if model == "public-budget":
-            kwargs["budget"] = _number(obj["budget"], f"{fieldname}.budget")
-        if model == "private-budget":
-            kwargs["budgets"] = _dist_from_literal(obj["budgets"], f"{fieldname}.budgets")
-        if model == "capacitated":
-            kwargs["capacity"] = _number(obj["capacity"], f"{fieldname}.capacity")
-        return Agent(**kwargs)
+        fields = {key: read(obj[key], f"{fieldname}.{key}") for key, read in readers.items()}
+        return Agent(model=model, id=_agent_id(obj.get("id", default_id), f"{fieldname}.id"), **fields)
     except KeyError as exc:
         raise ScenarioError(f"missing field {exc}", fieldname) from None
     except ScenarioError:
@@ -215,14 +204,20 @@ def load_scenario(path) -> Scenario:
     if not isinstance(agents_raw, list) or not agents_raw:
         raise ScenarioError("need a nonempty list", "agents")
     agents: list[Agent] = []
+    ids = set()
     fixture = None
     for i, entry in enumerate(agents_raw):
         if isinstance(entry, str):
             fix = parse_fixture_ref(entry)
             fixture = fix if fixture is None else fixture
-            agents.extend(fix.agents)
-        else:
-            agents.append(_agent_from_literal(entry, i))
+            added = fix.agents
+        else:   # a literal's default id counts the agents before it
+            added = (_agent_from_literal(entry, f"agents[{i}]", f"agent{len(agents) + 1}"),)
+        for agent in added:
+            if agent.id in ids:
+                raise ScenarioError(f"agent id {agent.id!r} is taken by an earlier agent", f"agents[{i}]")
+            ids.add(agent.id)
+        agents.extend(added)
     analyses = raw.get("analyses", ["verify"])
     if not isinstance(analyses, list):
         raise ScenarioError(f"need a list of analyses from {ANALYSES}", "analyses")

@@ -198,6 +198,120 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="kind"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("kind", [["uniform"], {"k": 1}])
+    def test_unhashable_tag_exits_2(self, tmp_path, capsys, kind):
+        for agent, field in [({"model": "linear", "values": {"kind": kind}}, "agents[0].values"),
+                             ({"model": kind, "values": U01}, "agents[0]")]:
+            assert main(["verify", str(minimal(tmp_path, agents=[agent]))]) == 2
+            assert f"input error: {field}: unknown " in capsys.readouterr().err
+
+
+U01 = {"kind": "uniform", "a": 0, "b": 1}
+# a valid literal of each distribution kind and agent model, every key given
+DIST_LITERALS = {
+    "uniform": {"a": 0, "b": 1},
+    "equal-revenue": {"h": 10},
+    "exponential": {"rate": 1.0, "hi": 5.0},
+    "point-mass": {"v": 0.5},
+    "discrete": {"values": [0.2, 0.8], "probs": [0.5, 0.5]},
+    "piecewise-linear-cdf": {"knots": [[0, 0], [1, 1]]},
+}
+AGENT_LITERALS = {
+    "linear": {"values": U01},
+    "public-budget": {"values": U01, "budget": 0.3},
+    "private-budget": {"values": U01, "budgets": U01},
+    "capacitated": {"values": {"kind": "equal-revenue", "h": 10}, "capacity": 5},
+    "synthetic": {"p_knots": [[0, 0], [1, 1]], "r_knots": [[0, 0], [1, 1]]},
+}
+
+
+class TestLiteralReaders:
+    """Every distribution kind and agent model: a missing key, an unknown key
+    and a value of the wrong JSON type each exit 2, naming the field."""
+
+    @staticmethod
+    def input_error(tmp_path, capsys, agent) -> str:
+        assert main(["verify", str(minimal(tmp_path, agents=[agent]))]) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", DIST_LITERALS)
+    def test_distribution_kind(self, tmp_path, capsys, kind):
+        params = DIST_LITERALS[kind]
+
+        def err(**law):
+            return self.input_error(tmp_path, capsys, {"model": "linear", "values": {"kind": kind, **law}})
+
+        assert load_scenario(minimal(tmp_path, agents=[{"model": "linear", "values": {"kind": kind, **params}}]))
+        for key in params:
+            rest = {k: v for k, v in params.items() if k != key}
+            if (kind, key) == ("exponential", "hi"):   # the one optional parameter
+                assert load_scenario(minimal(tmp_path, agents=[{"model": "linear",
+                                                                "values": {"kind": kind, **rest}}]))
+            else:
+                assert f"input error: agents[0].values: missing parameter '{key}'\n" in err(**rest)
+            assert f"input error: agents[0].values.{key}: " in err(**{**params, key: "x"})
+        # the parameters are read in order: with none given, the first is named
+        if kind != "exponential":
+            assert f"missing parameter '{next(iter(params))}'" in err()
+        assert f"input error: agents[0].values: unknown keys ['bogus'] for kind '{kind}'\n" \
+            in err(**params, bogus=1)
+
+    @pytest.mark.parametrize("model", AGENT_LITERALS)
+    def test_agent_model(self, tmp_path, capsys, model):
+        fields = AGENT_LITERALS[model]
+        assert load_scenario(minimal(tmp_path, agents=[{"model": model, **fields}]))
+        for key in fields:
+            rest = {k: v for k, v in fields.items() if k != key}
+            assert f"input error: agents[0]: missing field '{key}'\n" \
+                in self.input_error(tmp_path, capsys, {"model": model, **rest})
+            assert f"input error: agents[0].{key}: " \
+                in self.input_error(tmp_path, capsys, {"model": model, **fields, key: "x"})
+        assert f"missing field '{next(iter(fields))}'" in self.input_error(tmp_path, capsys, {"model": model})
+        assert f"input error: agents[0]: unknown keys ['bogus'] for model '{model}'\n" \
+            in self.input_error(tmp_path, capsys, {"model": model, **fields, "bogus": 1})
+
+
+class TestAgentIds:
+    def test_literal_default_id_counts_the_agents_before_it(self, tmp_path):
+        # it once counted the entries, so this literal was a second agent2
+        path = minimal(tmp_path, agents=["uniform-linear:n=2", {"model": "linear", "values": U01}])
+        assert [a.id for a in load_scenario(path).agents] == ["agent1", "agent2", "agent3"]
+
+    @pytest.mark.parametrize("agents, field", [
+        (["uniform-linear:n=2", {"model": "linear", "id": "agent2", "values": U01}], "agents[1]"),
+        ([{"model": "linear", "values": U01}, {"model": "linear", "id": "agent1", "values": U01}], "agents[1]"),
+        ([{"model": "linear", "id": "agent3", "values": U01}, "mhr-fail:n=5"], "agents[1]"),
+        (["uniform-linear:n=2", "uniform-linear:n=2"], "agents[1]"),
+    ])
+    def test_repeated_id_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch, agents, field):
+        monkeypatch.chdir(tmp_path)
+        path = minimal(tmp_path, agents=agents, out="o")
+        assert main(["report", str(path)]) == 2
+        assert f"input error: {field}: agent id " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
+    @pytest.mark.parametrize("agent_id", ["x/../../evil", "../evil", ".hidden", "", "a b", "a\\b", 7, None, ["a"]])
+    def test_id_that_is_no_plain_name_exits_2(self, tmp_path, capsys, monkeypatch, agent_id):
+        # `x/../../evil` once wrote evil_P.csv and evil_H.csv two levels above out/
+        work = tmp_path / "a" / "b"
+        work.mkdir(parents=True)
+        monkeypatch.chdir(work)
+        path = minimal(work, agents=[{"model": "linear", "id": agent_id, "values": U01}], out="out")
+        assert main(["report", str(path)]) == 2
+        assert "input error: agents[0].id: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "scen.json"]
+
+    @pytest.mark.parametrize("agent_id", ["a", "A-1", "_x.y", "-", "agent07"])
+    def test_plain_ids_load(self, tmp_path, agent_id):
+        path = minimal(tmp_path, agents=[{"model": "linear", "id": agent_id, "values": U01}])
+        assert load_scenario(path).agents[0].id == agent_id
+
+    def test_readme_schema_example_loads_with_distinct_ids(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = json.loads(readme.split("### Scenario schema (version 1)\n\n```json\n")[1].split("```")[0])
+        ids = [a.id for a in load_scenario(write_scenario(tmp_path, example)).agents]
+        assert len(ids) == 10 and len(set(ids)) == 10
+
 
 class TestFixtureRefs:
     def test_parse_params(self):
@@ -260,6 +374,23 @@ class TestFixtureRefs:
 
     def test_integral_count_accepted(self):
         assert parse_fixture_ref("mhr-fail:n=3.0").params == {"n": 3}
+
+    @pytest.mark.parametrize("name, params", [(fx["name"], fx["params"]) for fx in ap.fixtures()])
+    def test_listing_shows_the_defaults(self, name, params):
+        """The listed parameters build the fixture that no parameters build,
+        with an agent count `n` read as an int."""
+
+        def law(d):
+            return d and (d.kind, {k: np.asarray(v).tolist() for k, v in d.params.items()})
+
+        def facts(fix):
+            return ([(k, type(v), v) for k, v in fix.params.items()], fix.expected, fix.notes,
+                    [(a.model, a.id, law(a.values), a.budget, law(a.budgets), a.capacity, a.p_knots, a.r_knots)
+                     for a in fix.agents])
+
+        listed = parse_fixture_ref(f"{name}:{params}")
+        assert facts(listed) == facts(ap.get_fixture(name))
+        assert all(type(v) is (int if k == "n" else float) for k, v in listed.params.items())
 
 
 class TestComputedFixtureValues:
