@@ -226,15 +226,6 @@ class RevenueCurve:
         out = np.interp(np.clip(qv, 0.0, 1.0), self.qs, self.values)
         return float(out) if np.ndim(q) == 0 else out
 
-    def slope(self, q):
-        """Right derivative (left derivative at q = 1)."""
-        qv = np.atleast_1d(np.asarray(q, dtype=float))
-        slopes = np.diff(self.values) / np.diff(self.qs)
-        idx = np.searchsorted(self.qs, qv, side="right") - 1
-        idx = np.clip(idx, 0, len(slopes) - 1)
-        out = slopes[idx]
-        return float(out[0]) if np.ndim(q) == 0 else out
-
     def max_value(self) -> float:
         return float(np.max(self.values))
 

@@ -344,8 +344,8 @@ def myerson_reserve(curve: RevenueCurve) -> tuple[float, float]:
     reference quantile well defined on flat-topped curves.
     """
     q_star = curve.argmax_quantile()
-    if q_star <= 0.0:
-        return float(curve.slope(0.0)), 0.0
+    if q_star <= 0.0:   # the first segment's slope: qs[0] is 0
+        return float((curve.values[1] - curve.values[0]) / curve.qs[1]), 0.0
     return float(curve.eval(q_star) / q_star), float(q_star)
 
 

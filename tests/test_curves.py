@@ -490,18 +490,6 @@ class TestSyntheticAndEval:
     def test_uniform_quarter(self, uniform_posting_curve):
         assert uniform_posting_curve.eval(0.25) == pytest.approx(0.1875, abs=1e-6)
 
-    def test_equal_revenue_slopes(self):
-        P = ap.price_posting_curve(ap.offer_curve(
-            Agent(model="linear", values=Distribution.equal_revenue(10), id="er")))
-        assert P.slope(0.05) == pytest.approx(10.0, rel=1e-6)
-        assert P.slope(0.5) == pytest.approx(0.0, abs=1e-9)
-
-    def test_slope_is_right_derivative(self):
-        c = ap.synthetic_curve([(0, 0), (0.5, 1.0), (1, 1.0)])
-        assert c.slope(0.5) == pytest.approx(0.0, abs=1e-15)
-        assert c.slope(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert c.slope(0.49) == pytest.approx(2.0, abs=1e-12)
-
     def test_csv_round_trip(self, tmp_path):
         c = ap.synthetic_curve([(0, 0), (0.5, 1.0), (1, 1.0)])
         path = tmp_path / "c.csv"

@@ -238,7 +238,7 @@ def test_ear_matches_brute_force_and_sits_within_e_of_ap(curves):
     rounded down to the grid loses at most step times the curve's first
     slope), and AP <= EAR <= e * AP on concave curves."""
     ear, grid_best = ap.ear_optimize(curves).revenue, brute_force_ear(curves, step=0.01)
-    rounding = 0.01 * sum(max(0.0, float(c.slope(0.0))) for c in curves)
+    rounding = 0.01 * sum(max(0.0, float((c.values[1] - c.values[0]) / c.qs[1])) for c in curves)
     assert grid_best - 1e-9 <= ear <= grid_best + rounding + 1e-9
     apv = ap.ap_optimize(curves, grid=256).revenue
     assert apv <= ear + 1e-9 * max(1.0, ear)
