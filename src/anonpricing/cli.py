@@ -40,7 +40,6 @@ class Scenario:
     agents: tuple
     analyses: tuple
     oracle: OracleConfig
-    seed: int = 20240801
     out_dir: str = "out"
     fixture: FixtureInstance | None = None
 
@@ -242,12 +241,13 @@ def load_scenario(path) -> Scenario:
     )
     if "quantile_grid" in oracle_raw:  # schema v1 key: Rbar is exact, so it has no effect
         _integer(oracle_raw["quantile_grid"], "oracle.quantile_grid", 8, 1025)
+    if "seed" in raw:  # schema v1 key: nothing is drawn at random, so it has no effect
+        _integer(raw["seed"], "seed", 0)
     return Scenario(
         name=_string(raw.get("name", Path(path).stem), "name"),
         agents=tuple(agents),
         analyses=tuple(analyses),
         oracle=config,
-        seed=_integer(raw.get("seed", 20240801), "seed", 0),
         out_dir=_string(raw.get("out", "out"), "out"),
         fixture=fixture,
     )
@@ -325,7 +325,7 @@ def run_scenario(scenario: Scenario) -> int:
     out = Path(scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = scenario.oracle
-    lines = [f"scenario: {scenario.name}", f"seed: {scenario.seed}"]
+    lines = [f"scenario: {scenario.name}"]
     failures = 0
 
     def check(label: str, ok: bool, detail: str):
@@ -408,8 +408,7 @@ def _scenario_from_args(args, analyses) -> Scenario:
     # flags override the file's (or the default) sizes and pass the same range check
     oracle = _oracle_config(given(args.grid, base.oracle.price_grid), given(args.oracle_values, base.oracle.values),
                             given(args.oracle_budgets, base.oracle.budgets), base.oracle.betas)
-    return replace(base, analyses=analyses, oracle=oracle, seed=_integer(given(args.seed, base.seed), "seed", 0),
-                   out_dir=args.out or base.out_dir)
+    return replace(base, analyses=analyses, oracle=oracle, out_dir=args.out or base.out_dir)
 
 
 def main(argv=None) -> int:
@@ -422,7 +421,6 @@ def main(argv=None) -> int:
         sp.add_argument("--grid", type=int)
         sp.add_argument("--oracle-values", type=int)
         sp.add_argument("--oracle-budgets", type=int)
-        sp.add_argument("--seed", type=int)
         sp.add_argument("--out", default="")
     sub.add_parser("fixtures")
     args = parser.parse_args(argv)

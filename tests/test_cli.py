@@ -124,21 +124,30 @@ class TestLoadScenario:
             assert "input error: seed:" in capsys.readouterr().err
 
     def test_negative_seed_exits_2_before_any_directory(self, tmp_path, capsys, monkeypatch):
-        # `report --seed -1` once wrote every output, then died in the
-        # seeded e-bound check with a traceback; `verify` took the seed
+        # a file's seed has no effect, but it is still range-checked
         monkeypatch.chdir(tmp_path)
         path = minimal(tmp_path, seed=-1)
         with pytest.raises(ScenarioError, match="seed"):
             load_scenario(path)
-        for argv in (["verify", str(path)],
-                     ["report", "--fixture", "uniform-linear", "--seed", "-1"],
-                     ["verify", "--fixture", "uniform-linear", "--seed", "-1", "--out", str(tmp_path / "o")]):
-            assert main(argv) == 2, argv
-            assert "input error: seed:" in capsys.readouterr().err
-        # the flag is checked over a file's valid seed as well
-        assert main(["verify", str(minimal(tmp_path)), "--seed", "-1"]) == 2
+        assert main(["verify", str(path)]) == 2
         assert "input error: seed:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fixture", "equal-revenue", "--seed", "0", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2 and "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_file_seed_has_no_effect(self, tmp_path):
+        written = []
+        for i, extra in enumerate([{}, {"seed": 0}, {"seed": 20240801}]):
+            out = tmp_path / f"o{i}"
+            path = minimal(tmp_path, analyses=["curves", "ap", "ear", "verify"], out=str(out), **extra)
+            assert run_scenario(load_scenario(path)) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1] == written[2]
+        assert b"seed" not in written[0]["summary.txt"]
 
     def test_non_string_name_or_out_exits_2_before_any_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)   # an "out" of null once wrote into ./None
@@ -672,10 +681,6 @@ class TestMain:
         assert main(["verify", str(path), "--grid", "256"]) == 0
         assert list((tmp_path / "out").glob("curve_*.csv")) == []
         assert (tmp_path / "out" / "closeness.csv").exists()
-
-    def test_seed_zero_is_kept(self, tmp_path, capsys):
-        assert main(["verify", "--fixture", "equal-revenue", "--seed", "0", "--out", str(tmp_path)]) == 0
-        assert "seed: 0\n" in capsys.readouterr().out
 
     def test_verify_fixture_ok(self, tmp_path, capsys):
         code = main(["verify", "--fixture", "uniform-linear:n=2", "--out", str(tmp_path / "o")])
