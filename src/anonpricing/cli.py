@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +79,8 @@ def _agent_id(value, name: str) -> str:
     return value
 
 
-# each distribution kind: its constructor and a reader per parameter, in the
-# constructor's order; exponential's `hi` may be left out
+# each distribution kind: its constructor and a reader per parameter, read
+# in order; exponential's `hi` may be left out
 _DISTRIBUTIONS = {
     "uniform": (Distribution.uniform, {"a": _number, "b": _number}),
     "equal-revenue": (Distribution.equal_revenue, {"h": _number}),

@@ -187,8 +187,8 @@ def _above_one(x, _):
 _COUNT = f"an integer from 1 to {MAX_AGENTS}"
 
 # name: (listing text, parameters, builder).  A parameter is (key, default,
-# domain check, domain text); the check sees the value and the parameters
-# read before it.
+# domain check, domain text), read in order; the check sees the value and
+# the parameters read before it, and the builder takes them all as keywords.
 _FIXTURES = {
     "uniform-linear": ("n linear buyers with uniform(0,1) values", (("n", 2, _is_count, _COUNT),), _uniform_linear),
     "equal-revenue": ("unit-revenue value law: 1 - 1/v with an atom at h",

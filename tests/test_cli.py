@@ -32,11 +32,14 @@ def write_scenario(tmp_path, payload, name="scen.json"):
     return path
 
 
+U01 = {"kind": "uniform", "a": 0, "b": 1}
+
+
 def minimal(tmp_path, **overrides):
     payload = {
         "schema_version": 1,
         "name": "one-uniform",
-        "agents": [{"model": "linear", "values": {"kind": "uniform", "a": 0, "b": 1}}],
+        "agents": [{"model": "linear", "values": U01}],
         "analyses": ["ap"],
         "out": str(tmp_path / "out"),
     }
@@ -215,7 +218,6 @@ class TestLoadScenario:
             assert f"input error: {field}: unknown " in capsys.readouterr().err
 
 
-U01 = {"kind": "uniform", "a": 0, "b": 1}
 # a valid literal of each distribution kind and agent model, every key given
 DIST_LITERALS = {
     "uniform": {"a": 0, "b": 1},
